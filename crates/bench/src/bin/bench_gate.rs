@@ -34,7 +34,8 @@
 //!   `--tol-jobs` factor, the p99 serve latency (`serve_p99_ns`,
 //!   queueing included) exceeds the baseline by more than the same
 //!   factor, or the cross-request artifact-cache hit rate
-//!   (`serve_cache_hit_rate`) is zero or falls below the
+//!   (`serve_cache_hit_rate`, the warm fraction of SERVING.md's
+//!   *Cache keying* rule 2) is zero or falls below the
 //!   baseline-relative band — a zero hit rate means the cache stopped
 //!   carrying scenarios across requests, the serving tier's whole point;
 //! * the event engine's per-instruction floor (`ns_per_inst`) exceeds
@@ -323,10 +324,11 @@ fn main() -> ExitCode {
 
     // Serving-daemon entries. Throughput and p99 latency are absolute
     // figures, banded with the coarse cross-machine factor (`--tol-jobs`)
-    // like the pooled jobs/sec above; the cache hit rate is a ratio of a
-    // seeded deterministic request sequence, so it gets the tight
-    // baseline-relative band plus a hard nonzero floor — zero hits means
-    // scenarios stopped surviving across requests.
+    // like the pooled jobs/sec above; the cache hit rate (warm fraction,
+    // `hits / (hits + builds + coalesced)`) comes from a seeded request
+    // sequence served by one worker — nothing coalesces, so it is exact —
+    // and gets the tight baseline-relative band plus a hard nonzero
+    // floor: zero hits means scenarios stopped surviving across requests.
     if let Some(base) = baseline.serve_jobs_per_sec {
         match candidate.serve_jobs_per_sec {
             None => {

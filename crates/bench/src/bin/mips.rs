@@ -25,7 +25,10 @@
 //! (`terasim::daemon`) with saturating mixed open-loop traffic and
 //! records its sustained throughput (`serve_jobs_per_sec`), latency
 //! percentiles (`serve_p50_ns`, `serve_p99_ns`, queueing included) and
-//! cross-request artifact-cache hit rate (`serve_cache_hit_rate`).
+//! cross-request artifact-cache hit rate (`serve_cache_hit_rate`: the
+//! warm fraction `hits / (hits + builds + coalesced)` of SERVING.md —
+//! exact for the seeded sequence, since the one worker used here can
+//! never find a build in flight).
 //!
 //! `--fusion-report` additionally times the fast engine with
 //! superinstruction fusion + SPMD convergence on vs off (bit-identical

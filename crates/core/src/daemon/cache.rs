@@ -193,7 +193,8 @@ struct Inner {
     slots: Vec<Slot>,
     tick: u64,
     hits: u64,
-    misses: u64,
+    builds: u64,
+    coalesced: u64,
     evictions: u64,
     /// Accumulated [`PoolStats`] of every evicted entry, so quarantine
     /// and recycle accounting survive eviction.
@@ -203,11 +204,17 @@ struct Inner {
 /// Observability counters of an [`ArtifactCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups whose entry was already built on arrival.
+    /// Lookups whose entry was already built on arrival (warm).
     pub hits: u64,
-    /// Lookups that inserted a fresh entry *or* arrived while the entry
-    /// was still mid-build (those share the build but are not warm).
+    /// Lookups that were not warm: `builds + coalesced`.
     pub misses: u64,
+    /// Lookups that inserted a fresh entry and ran its build.
+    pub builds: u64,
+    /// Lookups that arrived while another request's build of the entry
+    /// was still running and waited for it: no second build, but not
+    /// warm either. How many there are depends on worker timing — only
+    /// `builds` and `hits + coalesced` are fixed by the request sequence.
+    pub coalesced: u64,
     /// Entries dropped to make room (LRU order).
     pub evictions: u64,
     /// Entries currently resident (built or building).
@@ -217,7 +224,8 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Hit fraction of all lookups so far (0 when none happened).
+    /// Warm fraction of all lookups so far: `hits / (hits + builds +
+    /// coalesced)`, 0 when none happened.
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {
@@ -257,7 +265,8 @@ impl ArtifactCache {
             slots: Vec::new(),
             tick: 0,
             hits: 0,
-            misses: 0,
+            builds: 0,
+            coalesced: 0,
             evictions: 0,
             retired: PoolStats::default(),
         };
@@ -287,12 +296,12 @@ impl ArtifactCache {
                     if hit {
                         inner.hits += 1;
                     } else {
-                        inner.misses += 1;
+                        inner.coalesced += 1;
                     }
                     (Arc::clone(&inner.slots[i].cell), hit)
                 }
                 None => {
-                    inner.misses += 1;
+                    inner.builds += 1;
                     if inner.slots.len() >= self.capacity {
                         self.evict_lru(&mut inner);
                     }
@@ -326,7 +335,9 @@ impl ArtifactCache {
         let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         CacheStats {
             hits: inner.hits,
-            misses: inner.misses,
+            misses: inner.builds + inner.coalesced,
+            builds: inner.builds,
+            coalesced: inner.coalesced,
             evictions: inner.evictions,
             entries: inner.slots.len(),
             capacity: self.capacity,

@@ -157,7 +157,8 @@ pub struct LoadReport {
     pub max_ns: u64,
     /// Requests whose scenario was warm in the artifact cache.
     pub cache_hits: u64,
-    /// Requests that paid (or shared) a scenario build.
+    /// Requests that ran a scenario build or waited for one in flight
+    /// (`builds + coalesced` in [`super::CacheStats`] terms).
     pub cache_misses: u64,
 }
 

@@ -3,8 +3,8 @@
 //! that group's cores, tile I$ models, bank/port reservation books and
 //! ready queue ([`Wheel`]). A domain simulates one epoch at a time with
 //! no synchronization; everything that crosses its boundary goes through
-//! the [`XRequest`] outbox, which the coordinator ([`super::epoch`])
-//! replays between epochs.
+//! the [`XRequest`] outbox, which the epoch driver ([`super::epoch`])
+//! hands to the owners of the requests' targets between epochs.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -126,7 +126,7 @@ pub(super) struct DomainEngine {
     /// `(cycle, core)` order by construction of the event loop.
     pub(super) outbox: Vec<XRequest>,
     /// First trap raised by this domain, tagged `(cycle, core)` so the
-    /// coordinator can abort the run with the globally *earliest* trap —
+    /// epoch driver can abort the run with the globally *earliest* trap —
     /// the same one the sequential full scan would hit first.
     pub(super) trap: Option<(u64, u32, Trap)>,
     /// Static reachability map — present when the run uses adaptive
@@ -136,7 +136,7 @@ pub(super) struct DomainEngine {
     /// Lower bound on the first cycle at which any of this domain's
     /// *ready* cores could issue a possibly-remote uop, refreshed in the
     /// [`Self::run_epoch`] epilogue and amended by wake delivery. The
-    /// coordinator may extend a multi-active epoch up to the minimum of
+    /// epoch driver may extend a multi-active epoch up to the minimum of
     /// these bounds without any domain deferring a request into it.
     horizon: u64,
     wheel: Wheel,
@@ -147,9 +147,13 @@ pub(super) struct DomainEngine {
     /// `false` until the first epoch ran: the initial ready set (all
     /// cores at cycle 0) is pre-seeded in `cur`, not in the wheel.
     paused: bool,
+    /// [`ClusterMem::wake_epoch`] as of the last wake delivery: while it
+    /// is unchanged no wake-all was published, so no parked core of this
+    /// domain can have a pending wake (see [`Self::deliver_wakes`]).
+    seen_wake_epoch: u64,
 }
 
-/// Per-window scheduling options the coordinator hands each
+/// Per-window scheduling options the epoch driver hands each
 /// [`DomainEngine::run_epoch`] call.
 pub(super) struct WindowOpts {
     /// Base epoch length (the fixed-cadence grid unit).
@@ -198,6 +202,7 @@ impl DomainEngine {
             nxt_count: 0,
             now: 0,
             paused: false,
+            seen_wake_epoch: sim.memory().wake_epoch(),
         }
     }
 
@@ -208,7 +213,7 @@ impl DomainEngine {
     /// sole-active window ([`WindowOpts::trim`]) was trimmed back by a
     /// deferred request.
     ///
-    /// On a trap the error is recorded in `self.trap`; the coordinator
+    /// On a trap the error is recorded in `self.trap`; the epoch driver
     /// aborts the run deterministically at the boundary.
     pub(super) fn run_epoch(
         &mut self,
@@ -224,7 +229,7 @@ impl DomainEngine {
         }
         if self.paused {
             // Resume: pull the cores due exactly at `start` (the
-            // coordinator guarantees no event lies before it).
+            // epoch driver guarantees no event lies before it).
             self.now = start;
             self.wheel.migrate(start);
             self.wheel.drain_slot_into(start, &mut self.cur);
@@ -288,7 +293,7 @@ impl DomainEngine {
             // the same base-cadence boundary the fixed cadence would
             // use, so the first one shrinks the window back to its
             // issue cycle's boundary. (Multi-active extended windows
-            // never defer — the coordinator's horizon guarantees it.)
+            // never defer — the epoch driver's horizon guarantees it.)
             if opts.trim && !self.outbox.is_empty() {
                 end = end.min(self.now / opts.epoch * opts.epoch + opts.epoch);
             }
@@ -349,7 +354,7 @@ impl DomainEngine {
     }
 
     /// Parks the engine at `end` without simulating anything: the
-    /// coordinator proved this domain has no event before `end` (the
+    /// epoch driver proved this domain has no event before `end` (the
     /// idle half of a sole-active window). State other than the clock is
     /// untouched, so the stored horizon stays valid.
     pub(super) fn skip_to(&mut self, end: u64) {
@@ -358,7 +363,7 @@ impl DomainEngine {
         self.paused = true;
     }
 
-    /// The coordinator's view of this domain's remote-issue horizon
+    /// The epoch driver's view of this domain's remote-issue horizon
     /// (`u64::MAX` on fixed-cadence runs — never consulted there).
     pub(super) fn horizon(&self) -> u64 {
         self.horizon
@@ -415,7 +420,19 @@ impl DomainEngine {
     /// Delivers pending barrier wakes to this domain's parked cores at
     /// the epoch boundary `at` (the cycle the next epoch starts): the
     /// sleeper observes the wake at `at` and can issue from `at + 1`.
+    ///
+    /// Gated on the wake notification epoch instead of polling every
+    /// parked core's bit at every boundary: a wake bit is only ever set
+    /// by a wake-all publication, which bumps the epoch, and a core whose
+    /// bit is already pending when it reaches `wfi` consumes it at issue
+    /// and never parks — so with the epoch unchanged since the last
+    /// delivery, no parked core has anything to receive.
     pub(super) fn deliver_wakes(&mut self, mem: &ClusterMem, at: u64) {
+        let wake_epoch = mem.wake_epoch();
+        if wake_epoch == self.seen_wake_epoch {
+            return;
+        }
+        self.seen_wake_epoch = wake_epoch;
         let mut parked = std::mem::take(&mut self.parked);
         parked.retain(|&local| {
             let core = self.core_base + local;

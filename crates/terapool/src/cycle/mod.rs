@@ -45,10 +45,11 @@
 //!   latency ([`Topology::CROSS_GROUP_HOP`]). Intra-group traffic — the
 //!   common case by construction of the tile-local sequential address
 //!   map — is simulated entirely inside a domain with no synchronization;
-//!   cross-group accesses are deferred into per-domain mailboxes that an
-//!   epoch coordinator ([`epoch`]) replays at each boundary in global
-//!   `(issue cycle, core id)` order. Results are bit-identical for every
-//!   host thread count, including 1.
+//!   cross-group accesses are deferred into per-domain mailboxes that
+//!   the owner of each target serves at the epoch boundary, in global
+//!   `(issue cycle, core id)` order restricted to that target
+//!   ([`epoch`]). Results are bit-identical for every host thread count,
+//!   including 1.
 //! * [`CycleSim::run_naive`] — the full-scan scheduler, retained as the
 //!   semantic reference: every core context is rescanned on every event
 //!   step. The `differential`/`parallel` integration tests pin all three
@@ -186,7 +187,7 @@ impl CycleResult {
 }
 
 /// Scheduling telemetry of the most recent sharded run: how often the
-/// adaptive coordinator extended or trimmed its windows and how much
+/// adaptive epoch driver extended or trimmed its windows and how much
 /// simulated time they covered. A side channel on [`CycleSim`] rather
 /// than a [`CycleResult`] field, so results stay directly comparable
 /// across engines and epoch modes (the bit-identity contract).
@@ -225,10 +226,10 @@ impl EpochReport {
     }
 }
 
-/// Interior-mutable accumulator behind [`EpochReport`]: the coordinator
-/// records through a `&CycleSim`, so the counters are atomics (only the
-/// deciding worker ever writes; relaxed ordering suffices because the
-/// snapshot is taken after the run joins).
+/// Interior-mutable accumulator behind [`EpochReport`]: the epoch driver
+/// records through a `&CycleSim`, so the counters are atomics (only host
+/// thread 0 ever writes; relaxed ordering suffices because the snapshot
+/// is taken after the run joins).
 #[derive(Debug, Default)]
 struct EpochCounters {
     windows: AtomicU64,
@@ -1038,7 +1039,7 @@ impl CycleSim {
     /// The full-scan reference scheduler under the epoch-deferred model
     /// (multi-group topologies): the seed scan loop, clamped to lockstep
     /// epochs, with its **own** boundary replay — independent of the
-    /// sharded engine's coordinator — so the differential tests exercise
+    /// sharded engine's owner-computes boundary — so the differential tests exercise
     /// two separate implementations of the deferred semantics.
     fn run_naive_epochs(&mut self, cores: u32) -> Result<CycleResult, Trap> {
         let topo = self.arts.topology();
@@ -1114,7 +1115,7 @@ impl CycleSim {
                     ((grant + busy - x.cycle) + u64::from(x.hop), grant - (x.cycle + u64::from(x.hop)))
                 });
                 let ctx = &mut ctxs[x.core as usize];
-                // WAW guard, mirroring the coordinator's replay: rd is
+                // WAW guard, mirroring the epoch driver's source step: rd is
                 // only touched while this request is still its last
                 // writer (see `CoreCtx::reg_wseq`).
                 let owns_rd = x.rd != NO_REG && ctx.reg_wseq[x.rd as usize] == x.wseq;
@@ -1583,7 +1584,7 @@ impl CycleSim {
     }
 
     /// The quiescent-stretch issue path, used inside *extended* windows
-    /// (the coordinator has already proven no possibly-remote uop can
+    /// (the epoch driver has already proven no possibly-remote uop can
     /// issue there). Provably-local single-cycle uops
     /// ([`UopMeta::elide_ok`]) skip the RAW/FPU/LSU hazard checks and the
     /// scoreboard writes of [`CycleSim::issue_fast`] — each of which

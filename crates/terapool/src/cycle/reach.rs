@@ -1,6 +1,6 @@
 //! Static local-only reachability over the decoded program.
 //!
-//! The adaptive epoch coordinator may only extend an epoch while no core
+//! The adaptive epoch driver may only extend an epoch while no core
 //! can issue a *possibly-remote* uop (any data-memory access — the static
 //! pass cannot know whether a register-based address lands in the local
 //! group, a remote group, the L2, or the control region, so every
@@ -9,7 +9,7 @@
 //! before its first possibly-remote issue. Because every issue consumes
 //! at least one cycle, a core that becomes runnable at cycle `w` with
 //! `dist(pc) = d` cannot issue remote traffic before cycle `w + d` —
-//! the bound the coordinator turns into a safe extension horizon.
+//! the bound the epoch driver turns into a safe extension horizon.
 //!
 //! The distance is the shortest path to any memory instruction over the
 //! static control-flow graph:
@@ -30,7 +30,7 @@
 //! Distances are exact shortest paths (multi-source BFS on the reversed
 //! CFG), capped at `u16::MAX - 1`; the cap only matters for programs
 //! whose nearest memory access is further than any extension the
-//! coordinator would grant anyway.
+//! epoch driver would grant anyway.
 
 use terasim_iss::Program;
 use terasim_riscv::Inst;

@@ -26,6 +26,15 @@ fn amo_apply(op: AmoOp, old: u32, value: u32) -> u32 {
     }
 }
 
+/// Alignment check of a guest access. `size` is 1, 2 or 4, so a mask
+/// replaces the hardware divide a runtime `addr % size` compiles to — on
+/// the path of every guest load and store.
+#[inline]
+fn misaligned(addr: u32, size: u32) -> bool {
+    debug_assert!(size.is_power_of_two());
+    addr & (size - 1) != 0
+}
+
 /// Words per dirty-tracking page (4 KiB). Coarse enough that the
 /// write-path cost is one extra relaxed byte store per memory store, fine
 /// enough that resetting a recycled arena touches only the KiBs a small
@@ -157,17 +166,29 @@ impl ClusterMem {
         None
     }
 
-    /// Marks the L1 dirty page containing physical word `idx`. A plain
-    /// relaxed store (no RMW): concurrent markers all write `true`.
+    /// Sets a dirty flag, testing it first: the flags of all pages pack
+    /// into a handful of cache lines that every host thread of a sharded
+    /// run marks on every guest store, and an unconditional store would
+    /// bounce those lines between the threads even though nearly every
+    /// mark hits a page that is already dirty. No RMW either way —
+    /// concurrent markers all write `true`.
+    #[inline]
+    fn mark(flag: &AtomicBool) {
+        if !flag.load(Ordering::Relaxed) {
+            flag.store(true, Ordering::Relaxed);
+        }
+    }
+
+    /// Marks the L1 dirty page containing physical word `idx`.
     #[inline]
     pub(crate) fn mark_l1_dirty(&self, idx: usize) {
-        self.inner.l1_dirty[idx / DIRTY_PAGE_WORDS].store(true, Ordering::Relaxed);
+        Self::mark(&self.inner.l1_dirty[idx / DIRTY_PAGE_WORDS]);
     }
 
     /// Marks the L2 dirty page containing word `idx`.
     #[inline]
     pub(crate) fn mark_l2_dirty(&self, idx: usize) {
-        self.inner.l2_dirty[idx / DIRTY_PAGE_WORDS].store(true, Ordering::Relaxed);
+        Self::mark(&self.inner.l2_dirty[idx / DIRTY_PAGE_WORDS]);
     }
 
     /// [`word_slot`](Self::word_slot) for the *store* paths: identical
@@ -352,6 +373,15 @@ impl ClusterMem {
     fn is_ctrl(addr: u32) -> bool {
         (Topology::CTRL_BASE..Topology::CTRL_BASE + Topology::CTRL_SIZE).contains(&addr)
     }
+
+    /// Whether an access to `addr` can start a DMA copy — the one
+    /// control-region effect that reaches into L1/L2 words (see
+    /// [`Self::ctrl_store`]). The sharded cycle engine serves an epoch
+    /// boundary holding such a request in a single globally ordered pass,
+    /// because the copy is ordered against every bank owner's effects.
+    pub(crate) fn is_dma_trigger(addr: u32) -> bool {
+        addr == Topology::CTRL_DMA_LEN
+    }
 }
 
 /// Per-domain partition of the cycle engine's arbitration timing state:
@@ -473,7 +503,7 @@ impl CoreMem {
 
 impl Memory for CoreMem {
     fn load(&mut self, addr: u32, size: u32) -> Result<u32, MemError> {
-        if !addr.is_multiple_of(size) {
+        if misaligned(addr, size) {
             return Err(MemError::Misaligned { addr, size });
         }
         if ClusterMem::is_ctrl(addr) {
@@ -490,7 +520,7 @@ impl Memory for CoreMem {
     }
 
     fn store(&mut self, addr: u32, size: u32, value: u32) -> Result<(), MemError> {
-        if !addr.is_multiple_of(size) {
+        if misaligned(addr, size) {
             return Err(MemError::Misaligned { addr, size });
         }
         if ClusterMem::is_ctrl(addr) {
@@ -543,10 +573,11 @@ impl Memory for CoreMem {
 ///
 /// * single-domain engines run every hart on one host thread;
 /// * the epoch-sharded engine lets a domain touch **only its own group's
-///   banks** during an epoch (cross-group and all L2/control accesses
-///   are deferred into [`XRequest`] mailboxes and applied single-threaded
-///   at the epoch boundary, which the domains' synchronization barrier
-///   orders against all phase reads/writes).
+///   banks** during an epoch; cross-group and all L2/control accesses
+///   are deferred into [`XRequest`] mailboxes and applied at the epoch
+///   boundary by the one host thread that owns the target (a group's
+///   banks, or the shared L2/control region), which the domains'
+///   synchronization barriers order against all phase reads/writes.
 ///
 /// Never hand this to code outside that discipline — use
 /// [`ClusterMem::core_view`] there.
@@ -578,6 +609,15 @@ impl ClusterMem {
 }
 
 impl TurboMem {
+    /// Re-targets this view at `core`: the epoch boundary serves the
+    /// deferred requests of many harts through one view per host thread,
+    /// and a control-region store keeps its issuing hart's identity
+    /// (wake-all skips the writer).
+    #[inline]
+    pub(crate) fn rebind(&mut self, core: u32) {
+        self.core = core;
+    }
+
     /// Primes the one-entry decode memo with an L1 mapping the caller
     /// just computed (`addr` word-aligned, `(bank, off)` from the same
     /// [`L1Decode`] this view uses).
@@ -635,7 +675,7 @@ impl TurboMem {
 
 impl Memory for TurboMem {
     fn load(&mut self, addr: u32, size: u32) -> Result<u32, MemError> {
-        if !addr.is_multiple_of(size) {
+        if misaligned(addr, size) {
             return Err(MemError::Misaligned { addr, size });
         }
         if ClusterMem::is_ctrl(addr) {
@@ -652,7 +692,7 @@ impl Memory for TurboMem {
     }
 
     fn store(&mut self, addr: u32, size: u32, value: u32) -> Result<(), MemError> {
-        if !addr.is_multiple_of(size) {
+        if misaligned(addr, size) {
             return Err(MemError::Misaligned { addr, size });
         }
         if ClusterMem::is_ctrl(addr) {
@@ -833,6 +873,34 @@ mod tests {
         let mut v = mem.core_view(0);
         let _ = v.load(Topology::L2_BASE + 0x100, 4).unwrap();
         assert_eq!(mem.dirty_pages(), 0, "loads never dirty a page");
+    }
+
+    #[test]
+    fn marking_a_dirty_page_again_keeps_the_footprint_exact() {
+        // The dirty marks test before they set. A second store into a
+        // page already marked takes the "already dirty" branch and must
+        // leave the flag set; a store after `reset` finds the flag clear
+        // again and must set it.
+        let mem = ClusterMem::new(Topology::scaled(8));
+        let mut t = mem.turbo_view(0);
+        let (a, b) = (Topology::L2_BASE + 0x5000, Topology::L2_BASE + 0x5ffc);
+        t.store(a, 4, 1).unwrap();
+        assert_eq!(mem.dirty_pages(), 1);
+        t.store(b, 4, 2).unwrap();
+        mem.write_u32(a + 8, 3);
+        assert_eq!(mem.dirty_pages(), 1, "same page: no second mark");
+        t.store(0x40, 4, 4).unwrap();
+        t.store(0x42, 2, 5).unwrap();
+        assert_eq!(mem.dirty_pages(), 2, "one L1 page, marked once");
+        mem.reset();
+        assert_eq!(mem.dirty_pages(), 0);
+        for addr in [a, a + 8, b, 0x40] {
+            assert_eq!(mem.read_u32(addr), 0, "{addr:#x} must be re-zeroed");
+        }
+        t.store(b, 4, 6).unwrap();
+        assert_eq!(mem.dirty_pages(), 1, "a page cleaned by reset is marked afresh");
+        mem.reset();
+        assert_eq!(mem.read_u32(b), 0, "{b:#x} must be re-zeroed after the second round");
     }
 
     #[test]

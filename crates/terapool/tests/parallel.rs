@@ -8,10 +8,13 @@
 //! cross-group bank traffic (interleaved region), contended cross-group
 //! atomics, the deferred wake-all barrier, `lr/sc` and sub-word stores to
 //! remote banks, post-increment addressing, L2 mutation, partial-cluster
-//! runs and guest deadlock.
+//! runs and guest deadlock — and at the seams of the owner-computes epoch
+//! boundary: traps found by different owners, cancellation across
+//! workers, a DMA copy racing cross-group traffic, gated wake delivery.
 
+use terasim_iss::{MemError, Trap};
 use terasim_riscv::{Assembler, Image, Reg, Segment};
-use terasim_terapool::{CycleResult, CycleSim, FastSim, Topology};
+use terasim_terapool::{CancelToken, CycleResult, CycleSim, FastSim, Topology};
 
 fn image_of(build: impl FnOnce(&mut Assembler)) -> Image {
     let mut a = Assembler::new(Topology::L2_BASE);
@@ -351,4 +354,318 @@ fn deadlock_reported_identically_at_scale() {
     let result = sim.run_parallel(cores, 4).unwrap();
     assert!(result.deadlocked);
     assert_eq!(result.parked, vec![0, 237, 474]);
+}
+
+/// Emits a loop that counts `reg` down to zero (falls through at once
+/// when it already is): `reg` iterations of host-invisible guest skew.
+fn emit_countdown(a: &mut Assembler, reg: Reg) {
+    let top = a.new_label();
+    let done = a.new_label();
+    a.bind(top);
+    a.beqz(reg, done);
+    a.addi(reg, reg, -1);
+    a.j(top);
+    a.bind(done);
+}
+
+/// Runs `image` on every engine — the full-scan reference, the serial
+/// sharded driver and the threaded one at 2/4/8 host threads — and
+/// returns the trap each must abort with, pinned identical.
+fn trap_of(topo: Topology, image: &Image, cores: u32) -> Trap {
+    let run = |mode: usize| {
+        let mut sim = CycleSim::new(topo, image).unwrap();
+        let outcome = match mode {
+            0 => sim.run_naive(cores),
+            1 => sim.run(cores),
+            threads => sim.run_parallel(cores, threads),
+        };
+        outcome.expect_err("guest must trap")
+    };
+    let reference = run(0);
+    for mode in [1usize, 2, 4, 8] {
+        assert_eq!(run(mode), reference, "mode {mode}: trap differs from run_naive");
+    }
+    reference
+}
+
+/// A deferred request that traps when it is served — a cross-group load
+/// from an unmapped address — aborts every engine with the identical
+/// trap (faulting PC and error).
+#[test]
+fn unmapped_cross_group_access_traps_identically() {
+    let cores = 1024u32;
+    let topo = Topology::scaled(cores);
+    let image = image_of(|a| {
+        a.csrr(Reg::T0, terasim_riscv::csr::MHARTID);
+        a.li(Reg::T1, 300); // a group-1 hart
+        let done = a.new_label();
+        a.bne(Reg::T0, Reg::T1, done);
+        a.li(Reg::A0, 0x3000_0000);
+        a.lw(Reg::A1, 0, Reg::A0);
+        a.bind(done);
+    });
+    let trap = trap_of(topo, &image, cores);
+    assert!(
+        matches!(trap, Trap::Mem { err: MemError::Unmapped { addr: 0x3000_0000 }, .. }),
+        "unexpected trap {trap:?}"
+    );
+}
+
+/// Two domains trap in the same window, through requests two *different*
+/// owners serve: hart 0 (group 0) loads misaligned from a group-1 bank,
+/// hart 300 (group 1) loads from an unmapped address (shared-region
+/// owner). The run must abort with the `(cycle, core)`-earlier of the
+/// two, whichever owner found it — swept over the skew between them so
+/// both orders occur.
+#[test]
+fn same_window_traps_of_two_owners_pick_the_global_minimum() {
+    let cores = 1024u32;
+    let topo = Topology::scaled(cores);
+    let misaligned = 4 * topo.banks_per_group() + 2;
+    let mut winners = std::collections::BTreeSet::new();
+    for skew in 0..8 {
+        let image = image_of(|a| {
+            a.csrr(Reg::T0, terasim_riscv::csr::MHARTID);
+            let second = a.new_label();
+            let done = a.new_label();
+            a.bnez(Reg::T0, second);
+            for _ in 0..skew {
+                a.nop();
+            }
+            a.li(Reg::A0, misaligned as i32);
+            a.lw(Reg::A1, 0, Reg::A0);
+            a.j(done);
+            a.bind(second);
+            a.li(Reg::T1, 300);
+            a.bne(Reg::T0, Reg::T1, done);
+            for _ in 0..4 {
+                a.nop();
+            }
+            a.li(Reg::A0, 0x3000_0000);
+            a.lw(Reg::A1, 0, Reg::A0);
+            a.bind(done);
+        });
+        match trap_of(topo, &image, cores) {
+            Trap::Mem { err: MemError::Misaligned { addr, .. }, .. } if addr == misaligned => {
+                winners.insert("misaligned");
+            }
+            Trap::Mem { err: MemError::Unmapped { addr: 0x3000_0000 }, .. } => {
+                winners.insert("unmapped");
+            }
+            other => panic!("skew {skew}: unexpected trap {other:?}"),
+        }
+    }
+    assert_eq!(winners.len(), 2, "the skew sweep must let each owner's trap win once: {winners:?}");
+}
+
+/// A cancel token raised while the threaded driver is mid-run stops every
+/// worker at the same boundary: the run returns (no worker left spinning
+/// on a barrier) with `cancelled` set. The guest never exits on its own;
+/// the canceller waits for guest-visible progress, so the token is raised
+/// with all workers inside the window loop. The instruction budget only
+/// bounds the test if cancellation were lost.
+#[test]
+fn cancel_mid_run_stops_every_worker() {
+    let cores = 512u32;
+    let topo = Topology::scaled(cores);
+    let progress = 0x100u32;
+    let image = image_of(|a| {
+        a.csrr(Reg::T0, terasim_riscv::csr::MHARTID);
+        a.li(Reg::T1, 1);
+        a.li(Reg::A0, progress as i32);
+        a.li(Reg::A1, 0x40);
+        let forever = a.new_label();
+        a.bind(forever);
+        // Hart 0's store is group-local: visible to the host as soon as
+        // it issues. Everyone keeps cross-group traffic in flight.
+        a.sw(Reg::T1, 0, Reg::A0);
+        a.amoadd_w(Reg::Zero, Reg::T1, Reg::A1);
+        a.j(forever);
+    });
+    for threads in [1usize, 2, 4] {
+        let mut sim = CycleSim::new(topo, &image).unwrap();
+        sim.max_instructions = 100_000;
+        let token = CancelToken::new();
+        sim.set_cancel(token.clone());
+        let mem = sim.memory().clone();
+        let result = std::thread::scope(|scope| {
+            scope.spawn(move || {
+                while mem.read_u32(progress) == 0 {
+                    std::thread::yield_now();
+                }
+                token.cancel();
+            });
+            sim.run_parallel(cores, threads).unwrap()
+        });
+        assert!(result.cancelled, "{threads} threads: run ended without observing the cancel");
+        assert!(result.budgeted.is_empty(), "{threads} threads: cancel came after the budget ran out");
+    }
+}
+
+/// A wake-all store and a DMA trigger in the same epochs as cross-group
+/// L1 traffic into the DMA's destination: the copy is ordered against
+/// every bank owner's effects, so the final image depends on the global
+/// `(cycle, core)` order of the boundary — which every engine must
+/// reproduce. (The guest is racy on purpose; the model's order makes it
+/// deterministic.) Each round, hart 0 releases the sleeping cluster and
+/// then programs and triggers a copy, while the released harts — after a
+/// hart-dependent skew — store into and load from its destination.
+#[test]
+fn dma_and_wake_all_ordered_against_cross_group_traffic() {
+    const SRC: u32 = Topology::L2_BASE + 0x10_0000;
+    const ROUNDS: u32 = 3;
+    /// 128 destination words per round, each window straddling a
+    /// boundary between two groups' banks.
+    const fn dst(round: u32) -> u32 {
+        0x0f00 + 0x1000 * round
+    }
+    for cores in [512u32, 1024] {
+        let topo = Topology::scaled(cores);
+        let image = image_of(|a| {
+            a.csrr(Reg::T0, terasim_riscv::csr::MHARTID);
+            a.li(Reg::S0, 0);
+            a.li(Reg::S1, 1);
+            for round in 0..ROUNDS {
+                let others = a.new_label();
+                let next = a.new_label();
+                a.li(Reg::S2, dst(round) as i32);
+                a.bnez(Reg::T0, others);
+                // Hart 0: release the sleepers, then program and trigger
+                // the copy, then outlast the round.
+                a.li(Reg::T1, Topology::CTRL_WAKE_ALL as i32);
+                a.sw(Reg::S1, 0, Reg::T1);
+                a.li(Reg::T1, Topology::CTRL_DMA_SRC as i32);
+                a.li(Reg::T2, (SRC + 0x200 * round) as i32);
+                a.sw(Reg::T2, 0, Reg::T1);
+                a.sw(Reg::S2, 4, Reg::T1);
+                a.li(Reg::T2, 0x200);
+                a.sw(Reg::T2, 8, Reg::T1);
+                a.li(Reg::T3, 100);
+                emit_countdown(a, Reg::T3);
+                a.j(next);
+                a.bind(others);
+                // One store per destination word and round (the harts
+                // take turns by id), one load per hart and round; all
+                // set up before sleeping so the race is tight.
+                a.srli(Reg::T5, Reg::T0, 7);
+                a.li(Reg::T6, ROUNDS as i32);
+                a.remu(Reg::T5, Reg::T5, Reg::T6);
+                a.li(Reg::T6, round as i32);
+                a.slli(Reg::A0, Reg::T0, 2);
+                a.andi(Reg::A0, Reg::A0, 0x1fc);
+                a.add(Reg::A0, Reg::A0, Reg::S2);
+                a.addi(Reg::A1, Reg::T0, 37);
+                a.slli(Reg::A1, Reg::A1, 2);
+                a.andi(Reg::A1, Reg::A1, 0x1fc);
+                a.add(Reg::A1, Reg::A1, Reg::S2);
+                a.addi(Reg::T3, Reg::T0, round as i32);
+                a.andi(Reg::T3, Reg::T3, 7);
+                a.wfi();
+                emit_countdown(a, Reg::T3);
+                let load = a.new_label();
+                a.bne(Reg::T5, Reg::T6, load);
+                a.sw(Reg::T0, 0, Reg::A0);
+                a.bind(load);
+                a.lw(Reg::T4, 0, Reg::A1);
+                a.add(Reg::S0, Reg::S0, Reg::T4);
+                a.bind(next);
+            }
+            // What the loads saw, folded into 64 order-independent sums.
+            a.andi(Reg::A2, Reg::T0, 63);
+            a.slli(Reg::A2, Reg::A2, 2);
+            a.amoadd_w(Reg::Zero, Reg::S0, Reg::A2);
+        });
+        let seed = |sim: &CycleSim| {
+            for w in 0..(0x200 * ROUNDS / 4) {
+                sim.memory().write_u32(SRC + 4 * w, 0xd000_0000 + w);
+            }
+        };
+        assert_three_way_identical(topo, &image, cores, seed);
+
+        // The guest must actually race the copy in both directions, or
+        // the differential above proves nothing about the ordering.
+        let mut sim = CycleSim::new(topo, &image).unwrap();
+        seed(&sim);
+        let result = sim.run_parallel(cores, 2).unwrap();
+        assert!(!result.deadlocked, "{cores} cores: sleepers left behind: {:?}", result.parked);
+        let words = (0..ROUNDS).flat_map(|r| (0..128).map(move |w| dst(r) + 4 * w));
+        let copied = words.filter(|&addr| sim.memory().read_u32(addr) >= 0xd000_0000).count();
+        assert!(
+            copied > 0 && copied < 128 * ROUNDS as usize,
+            "{cores} cores: {copied} destination words end as DMA data"
+        );
+    }
+}
+
+/// Wake delivery is gated on the wake notification epoch. Sweeps the
+/// waker's delay across the cycles at which the sleepers park, so that
+/// parks, the publication and the delivery share a boundary for some
+/// delays, with sleepers in both groups — against `run_naive`, which
+/// polls every bit at every boundary.
+#[test]
+fn wake_published_in_the_boundary_the_sleepers_park_at() {
+    let cores = 512u32;
+    let topo = Topology::scaled(cores);
+    for delay in 0..12 {
+        let image = image_of(|a| {
+            a.csrr(Reg::T0, terasim_riscv::csr::MHARTID);
+            let waker = a.new_label();
+            let done = a.new_label();
+            a.beqz(Reg::T0, waker);
+            // Sleepers park at hart-dependent cycles.
+            a.andi(Reg::T1, Reg::T0, 3);
+            emit_countdown(a, Reg::T1);
+            a.wfi();
+            a.j(done);
+            a.bind(waker);
+            for _ in 0..delay {
+                a.nop();
+            }
+            a.li(Reg::T2, Topology::CTRL_WAKE_ALL as i32);
+            a.sw(Reg::T0, 0, Reg::T2);
+            a.bind(done);
+            a.slli(Reg::A0, Reg::T0, 2);
+            a.sw(Reg::T0, 0x400, Reg::A0);
+        });
+        assert_three_way_identical(topo, &image, cores, |_| {});
+    }
+}
+
+/// The other side of the gate: harts reaching `wfi` *after* a wake-all
+/// find their bit pending and fall through without parking; when they
+/// then park for real, no publication is outstanding and the unchanged
+/// epoch lets the boundary skip them — until the second wake-all, which
+/// must still reach every one of them.
+#[test]
+fn harts_parking_after_a_publication_are_woken_by_the_next() {
+    let cores = 512u32;
+    let topo = Topology::scaled(cores);
+    let image = image_of(|a| {
+        a.csrr(Reg::T0, terasim_riscv::csr::MHARTID);
+        let waker = a.new_label();
+        let done = a.new_label();
+        a.beqz(Reg::T0, waker);
+        // Past the first publication (hart 0's first instructions)…
+        a.andi(Reg::T1, Reg::T0, 7);
+        a.addi(Reg::T1, Reg::T1, 30);
+        emit_countdown(a, Reg::T1);
+        a.wfi(); // …so this one falls through on the pending bit,
+        a.wfi(); // and this one parks with nothing outstanding.
+        a.j(done);
+        a.bind(waker);
+        a.li(Reg::T2, Topology::CTRL_WAKE_ALL as i32);
+        a.sw(Reg::T0, 0, Reg::T2);
+        a.li(Reg::T3, 300);
+        emit_countdown(a, Reg::T3);
+        a.sw(Reg::T0, 0, Reg::T2);
+        a.bind(done);
+        a.slli(Reg::A0, Reg::T0, 2);
+        a.sw(Reg::T0, 0x400, Reg::A0);
+    });
+    assert_three_way_identical(topo, &image, cores, |_| {});
+    let mut sim = CycleSim::new(topo, &image).unwrap();
+    let result = sim.run_parallel(cores, 2).unwrap();
+    assert!(!result.deadlocked, "second wake-all missed {:?}", result.parked);
+    let wfi: u64 = result.per_core.iter().map(|s| s.stall_wfi).sum();
+    assert!(wfi > 0, "nobody parked: the gate was never exercised");
 }

@@ -61,8 +61,16 @@ fn daemon_served_symbols_match_fresh_serial_at_every_worker_count() {
             .collect();
         assert_eq!(served, serial, "daemon-served batch diverged at {workers} workers");
         let stats = daemon.shutdown();
-        assert_eq!(stats.cache.misses, 1, "one scenario, one build ({workers} workers)");
-        assert_eq!(stats.cache.hits, jobs - 1, "second request onward must skip the rebuild");
+        // A request that reaches the cache while the first one is still
+        // building shares that build without being a warm hit; how many
+        // do is up to the scheduler, their sum with the hits is not.
+        assert_eq!(stats.cache.builds, 1, "one scenario, one build ({workers} workers)");
+        assert_eq!(
+            stats.cache.hits + stats.cache.coalesced,
+            jobs - 1,
+            "second request onward must skip the rebuild"
+        );
+        assert_eq!(stats.cache.misses, stats.cache.builds + stats.cache.coalesced);
         assert!(stats.pools.recycled > 0, "warm pool must recycle arenas across requests");
     }
 }
@@ -113,6 +121,8 @@ fn concurrent_cold_requests_share_one_build() {
     }
     let stats = daemon.shutdown();
     assert_eq!(stats.cache.entries, 1, "one scenario key, one entry");
+    assert_eq!(stats.cache.builds, 1, "racing cold requests share one build");
+    assert_eq!(stats.cache.hits + stats.cache.coalesced, 3, "the rest waited for it or found it built");
     assert_eq!(stats.completed, 4);
 }
 

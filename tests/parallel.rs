@@ -88,3 +88,44 @@ fn mmse_at_scale_three_way_and_thread_invariant() {
         }
     }
 }
+
+/// FNV-1a over every L1 word (the interleaved view covers each physical
+/// word once) and every L2 word.
+fn memory_digest(sim: &CycleSim) -> u64 {
+    let topo = sim.topology();
+    let l1 = (0..topo.l1_bytes()).step_by(4);
+    let l2 = (0..Topology::L2_SIZE).step_by(4).map(|off| Topology::L2_BASE + off);
+    l1.chain(l2).fold(0xcbf2_9ce4_8422_2325u64, |hash, addr| {
+        (hash ^ u64::from(sim.memory().read_u32(addr))).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Schedule independence of the lock-free step protocol: the 1024-core
+/// MMSE on the threaded driver, repeated many times at 2 and 4 host
+/// threads, must give the identical result, scheduling telemetry and
+/// memory image every time — whatever the OS does to the workers. One
+/// lucky interleaving proves little; twenty of them, looped again by the
+/// CI stress leg, make a schedule-dependent outcome hard to miss. (The
+/// unoptimized profile, where hashing the image dominates, repeats less.)
+#[test]
+fn threaded_mmse_is_schedule_independent() {
+    let cores = 1024u32;
+    let topo = Topology::scaled(cores);
+    let observe = |threads: usize| {
+        let mut seen = None;
+        let (result, xhat, _) = mmse_case(topo, cores, Precision::CDotp16, |sim| {
+            let result = sim.run_parallel(cores, threads).unwrap();
+            seen = Some((sim.epoch_report(), memory_digest(sim)));
+            result
+        });
+        let (report, image) = seen.expect("run_with ran");
+        (result.per_core, result.cycles, result.parked, xhat, report, image)
+    };
+    let reference = observe(1);
+    assert!(reference.4.windows > 0, "sharded run recorded no windows");
+    for threads in [2usize, 4] {
+        for repeat in 0..if cfg!(debug_assertions) { 5 } else { 20 } {
+            assert!(observe(threads) == reference, "{threads} threads, repeat {repeat}: run differs");
+        }
+    }
+}
