@@ -131,9 +131,20 @@ fn main() -> ExitCode {
         stats.cache.capacity,
         stats.cache.evictions
     );
+    let bank: Vec<String> = stats
+        .bank
+        .iter()
+        .map(|g| {
+            let mib = g.mapped_bytes() as f64 / (1 << 20) as f64;
+            format!("{}c parked {} in-use {} mapped {mib:.1} MiB", g.topology.num_cores(), g.parked, g.in_use)
+        })
+        .collect();
     println!(
-        "pools fresh {} recycled {} quarantined {} trimmed {}",
-        stats.pools.fresh, stats.pools.recycled, stats.pools.quarantined, stats.pools.trimmed
+        "arenas fresh {} recycled {} quarantined {}  bank [{}]",
+        stats.pools.fresh,
+        stats.pools.recycled,
+        stats.pools.quarantined,
+        bank.join("; ")
     );
 
     if check {

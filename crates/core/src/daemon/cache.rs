@@ -1,14 +1,22 @@
-//! The daemon's cross-request artifact and pool cache.
+//! The daemon's cross-request artifact cache, and the arena bank under
+//! it.
 //!
 //! A serving process sees the same scenarios over and over: the same
 //! MIMO size, precision and subcarrier count arrive from many clients,
 //! differing only in operand seeds. Rebuilding the kernel image and
 //! re-lowering the uop tables per request would dominate service time,
 //! so the daemon keys every request to a [`ScenarioKey`] and memoises
-//! the prepared scenario — immutable [`SimArtifacts`] *plus* a warm
-//! [`MemPool`] of cluster arenas — in this cache.
+//! the prepared scenario — immutable [`SimArtifacts`] plus a [`MemPool`]
+//! handle that applies their image — in this cache.
 //!
-//! Three rules govern the cache:
+//! The cluster arenas are *not* part of an entry. They live in one
+//! [`ArenaBank`] the cache owns, keyed by geometry, and every entry's
+//! pool draws from it. Preparing a scenario costs tens of microseconds;
+//! mapping, faulting in and unmapping a 20 MiB arena costs milliseconds
+//! — so the cheap half is what the LRU turns over, and the expensive
+//! half stays.
+//!
+//! Four rules govern the cache:
 //!
 //! * **Build once, even under races.** Each entry is an
 //!   [`OnceLock`] cell inserted under the map lock but *initialised
@@ -19,17 +27,22 @@
 //!   cannot be built fails identically every time; the error string is
 //!   memoised so repeat offenders are rejected without re-paying the
 //!   failed build.
-//! * **Accounting survives eviction.** Evicting a cold entry drops its
-//!   pool, but the pool's [`PoolStats`] — including the quarantine
-//!   counter that records faulted arenas — are merged into a retired
-//!   total first. [`ArtifactCache::pool_stats`] is therefore a
+//! * **Eviction frees tables only.** Dropping an entry drops its
+//!   artifacts and lowered tables. Its parked arenas stay in the bank,
+//!   and the entry rebuilt later (or any other scenario of the same
+//!   geometry) starts on one with a dirty-page reset.
+//! * **Accounting lives with the arenas.** The bank counts every
+//!   acquire, return and quarantine as it happens, whichever entry's
+//!   pool it went through and whether or not that entry is still
+//!   resident — a request that outlives its entry's eviction is counted
+//!   when it finishes. [`ArtifactCache::pool_stats`] is therefore a
 //!   process-lifetime view, not a view of whatever happens to be warm.
 
 use std::sync::{Arc, Mutex, OnceLock};
 
 use terasim_iss::{EpochMode, FusionMode};
 use terasim_phy::{BerJob, Detector};
-use terasim_terapool::{MemPool, PoolStats, SimArtifacts};
+use terasim_terapool::{ArenaBank, MemPool, PoolStats, SimArtifacts};
 
 use super::{ScenarioKey, ServeRequest, ServeResponse};
 use crate::detectors::{DetectorKind, IssDetector};
@@ -49,8 +62,8 @@ enum Prepared {
     Ber(Box<dyn Detector + Send + Sync>),
 }
 
-/// One prepared, immutable scenario plus its warm cluster-memory pool —
-/// the unit the [`ArtifactCache`] shares across requests.
+/// One prepared, immutable scenario plus its pool handle on the cache's
+/// arena bank — the unit the [`ArtifactCache`] shares across requests.
 pub struct CachedScenario {
     prepared: Prepared,
     pool: Arc<MemPool>,
@@ -68,47 +81,42 @@ impl std::fmt::Debug for CachedScenario {
 }
 
 impl CachedScenario {
-    /// Prepares the scenario a request needs: kernel build, translation,
-    /// artifact lowering, and a fresh recycling pool over the artifacts.
-    /// Seeds are normalised out — the prepared scenario serves every
-    /// seed of its key. Public so embedders (and the workspace's cache
-    /// tests) can pre-warm an [`ArtifactCache`] outside a daemon.
+    /// Prepares the scenario a request needs — kernel build, translation,
+    /// artifact lowering — with a pool over the artifacts drawing from
+    /// `bank`, under the default fusion and epoch modes. Seeds are
+    /// normalised out: the prepared scenario serves every seed of its
+    /// key. Public so embedders (and the workspace's cache tests) can
+    /// fill an [`ArtifactCache`] outside a daemon.
     ///
     /// # Errors
     ///
     /// Returns the kernel build or translation error as a string (the
     /// form the cache memoises).
-    pub fn build(req: &ServeRequest) -> Result<Self, String> {
-        Self::build_with_fusion(req, FusionMode::default())
+    pub fn build(req: &ServeRequest, bank: &Arc<ArenaBank>) -> Result<Self, String> {
+        Self::build_with(req, FusionMode::default(), EpochMode::default(), bank)
     }
 
     /// As [`build`](Self::build) with an explicit fast-engine
-    /// [`FusionMode`] for the prepared scenario (the daemon passes its
-    /// configured mode; results are bit-identical either way).
+    /// [`FusionMode`] and an explicit [`EpochMode`] for the scenario's
+    /// sharded cycle-mode jobs (the daemon passes its configured modes;
+    /// results are bit-identical either way).
     ///
     /// # Errors
     ///
     /// Returns the kernel build or translation error as a string.
-    pub fn build_with_fusion(req: &ServeRequest, fusion: FusionMode) -> Result<Self, String> {
-        Self::build_with(req, fusion, EpochMode::default())
-    }
-
-    /// As [`build_with_fusion`](Self::build_with_fusion) with an explicit
-    /// [`EpochMode`] for the scenario's sharded cycle-mode jobs (the
-    /// daemon passes its configured cadence; results are bit-identical
-    /// either way).
-    ///
-    /// # Errors
-    ///
-    /// Returns the kernel build or translation error as a string.
-    pub fn build_with(req: &ServeRequest, fusion: FusionMode, epochs: EpochMode) -> Result<Self, String> {
+    pub fn build_with(
+        req: &ServeRequest,
+        fusion: FusionMode,
+        epochs: EpochMode,
+        bank: &Arc<ArenaBank>,
+    ) -> Result<Self, String> {
         match req {
             ServeRequest::Symbol { config } => {
                 let mut config = *config;
                 config.seed = 0;
                 let scenario =
                     SymbolScenario::prepare_with(&config, fusion, epochs).map_err(|e| e.to_string())?;
-                let pool = MemPool::new(Arc::clone(scenario.artifacts()));
+                let pool = MemPool::in_bank(Arc::clone(scenario.artifacts()), bank);
                 Ok(Self { prepared: Prepared::Symbol(scenario), pool })
             }
             ServeRequest::Fast { config } | ServeRequest::Cycle { config, .. } => {
@@ -116,7 +124,7 @@ impl CachedScenario {
                 config.seed = 0;
                 let scenario =
                     ParallelScenario::prepare_with(&config, fusion, epochs).map_err(|e| e.to_string())?;
-                let pool = MemPool::new(Arc::clone(scenario.artifacts()));
+                let pool = MemPool::in_bank(Arc::clone(scenario.artifacts()), bank);
                 Ok(Self { prepared: Prepared::Parallel(scenario), pool })
             }
             ServeRequest::Ber { scenario, kind, .. } => {
@@ -125,16 +133,16 @@ impl CachedScenario {
                 };
                 let arts = IssDetector::build_artifacts(*precision, scenario.n_tx as u32)
                     .map_err(|e| e.to_string())?;
-                let pool = MemPool::new(arts);
+                let pool = MemPool::in_bank(arts, bank);
                 let detector = kind.instantiate_pooled(scenario.n_tx, &pool);
                 Ok(Self { prepared: Prepared::Ber(detector), pool })
             }
         }
     }
 
-    /// The entry's recycling cluster-memory pool (built over the
-    /// scenario's own artifact set, so the supervised runners' pool
-    /// identity check passes and arenas recycle across requests).
+    /// The entry's pool handle (over the scenario's own artifact set, so
+    /// the supervised runners' pool identity check passes; its arenas
+    /// come from and return to the cache's bank).
     pub fn pool(&self) -> &Arc<MemPool> {
         &self.pool
     }
@@ -196,9 +204,6 @@ struct Inner {
     builds: u64,
     coalesced: u64,
     evictions: u64,
-    /// Accumulated [`PoolStats`] of every evicted entry, so quarantine
-    /// and recycle accounting survive eviction.
-    retired: PoolStats,
 }
 
 /// Observability counters of an [`ArtifactCache`].
@@ -237,12 +242,13 @@ impl CacheStats {
 }
 
 /// A capacity-bounded LRU cache of prepared scenarios, shared by all
-/// daemon workers. Capacities are small (scenarios are ~tens of MiB of
-/// arena plus lowered tables), so lookup is a linear scan — the lock is
-/// held only for the scan, never for a build.
+/// daemon workers, over the one [`ArenaBank`] their pools draw from.
+/// Capacities are small, so lookup is a linear scan — the lock is held
+/// only for the scan, never for a build.
 pub struct ArtifactCache {
     inner: Mutex<Inner>,
     capacity: usize,
+    bank: Arc<ArenaBank>,
 }
 
 impl std::fmt::Debug for ArtifactCache {
@@ -261,26 +267,27 @@ impl ArtifactCache {
     /// serving tier.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "artifact cache needs capacity for at least one scenario");
-        let inner = Inner {
-            slots: Vec::new(),
-            tick: 0,
-            hits: 0,
-            builds: 0,
-            coalesced: 0,
-            evictions: 0,
-            retired: PoolStats::default(),
-        };
-        Self { inner: Mutex::new(inner), capacity }
+        let inner = Inner { slots: Vec::new(), tick: 0, hits: 0, builds: 0, coalesced: 0, evictions: 0 };
+        Self { inner: Mutex::new(inner), capacity, bank: ArenaBank::new() }
     }
 
-    /// Looks up `key`, building the entry with `build` on a miss.
-    /// Returns the entry (or its memoised build error) and whether the
-    /// lookup was a warm hit. Concurrent misses on one key run `build`
-    /// exactly once; the rest block on the winner's cell.
+    /// The bank every entry's pool draws from. It outlives the entries:
+    /// per geometry it never holds more arenas than were in use at one
+    /// moment (one per busy worker, plus one per resident BER entry,
+    /// whose detector keeps its simulator).
+    pub fn bank(&self) -> &Arc<ArenaBank> {
+        &self.bank
+    }
+
+    /// Looks up `key`, building the entry with `build` on a miss; `build`
+    /// receives the cache's bank for the entry's pool. Returns the entry
+    /// (or its memoised build error) and whether the lookup was a warm
+    /// hit. Concurrent misses on one key run `build` exactly once; the
+    /// rest block on the winner's cell.
     pub fn get_or_build(
         &self,
         key: ScenarioKey,
-        build: impl FnOnce() -> Result<CachedScenario, String>,
+        build: impl FnOnce(&Arc<ArenaBank>) -> Result<CachedScenario, String>,
     ) -> (Result<Arc<CachedScenario>, String>, bool) {
         let (cell, hit) = {
             // Poison recovery: the map holds plain slots with no
@@ -311,22 +318,20 @@ impl ArtifactCache {
                 }
             }
         };
-        (cell.get_or_init(|| build().map(Arc::new)).clone(), hit)
+        (cell.get_or_init(|| build(&self.bank).map(Arc::new)).clone(), hit)
     }
 
-    /// Drops the least-recently-used slot, folding a built entry's pool
-    /// accounting into the retired total first. An entry still mid-build
-    /// simply loses its slot — its in-flight waiters keep their handle
-    /// on the cell and complete normally.
+    /// Drops the least-recently-used slot: the entry's artifacts and
+    /// tables go once its in-flight requests finish, its arenas stay in
+    /// the bank. An entry still mid-build simply loses its slot — its
+    /// in-flight waiters keep their handle on the cell and complete
+    /// normally.
     fn evict_lru(&self, inner: &mut Inner) {
         let Some(victim) = inner.slots.iter().enumerate().min_by_key(|(_, s)| s.last_used).map(|(i, _)| i)
         else {
             return;
         };
-        let slot = inner.slots.swap_remove(victim);
-        if let Some(Ok(scenario)) = slot.cell.get() {
-            inner.retired.merge(&scenario.pool.stats());
-        }
+        inner.slots.swap_remove(victim);
         inner.evictions += 1;
     }
 
@@ -344,18 +349,11 @@ impl ArtifactCache {
         }
     }
 
-    /// Process-lifetime pool accounting: the sum over every resident
-    /// pool *plus* every evicted pool's final counters — so a faulted
-    /// job's quarantined arena stays on the books after its scenario
-    /// goes cold and is evicted.
+    /// Process-lifetime arena accounting: the bank's totals over every
+    /// pool the cache ever built, counted as each event happens — so a
+    /// faulted job's quarantined arena is on the books whether its
+    /// scenario is resident, evicted, or was evicted while the job ran.
     pub fn pool_stats(&self) -> PoolStats {
-        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let mut total = inner.retired;
-        for slot in &inner.slots {
-            if let Some(Ok(scenario)) = slot.cell.get() {
-                total.merge(&scenario.pool.stats());
-            }
-        }
-        total
+        self.bank.stats()
     }
 }

@@ -8,16 +8,20 @@
 //!
 //! ```text
 //! SimArtifacts   immutable per-scenario build products   (terapool)
-//!   MemPool      recycling cluster arenas per scenario   (terapool)
-//!     BatchRunner  supervised work-stealing batch        (serve)
-//!       Daemon     queue + artifact cache + workers      (this module)
+//!   ArenaBank    parked cluster arenas per geometry      (terapool)
+//!     MemPool    one scenario's handle on a bank         (terapool)
+//!       BatchRunner  supervised work-stealing batch      (serve)
+//!         Daemon     queue + artifact cache + workers    (this module)
 //! ```
 //!
 //! A [`Daemon`] owns three things:
 //!
-//! * an [`ArtifactCache`] — an LRU of prepared scenarios, each an
-//!   immutable artifact set plus a warm [`MemPool`](terasim_terapool::MemPool)
-//!   that survives between requests, keyed by [`ScenarioKey`];
+//! * an [`ArtifactCache`] — an LRU of prepared scenarios keyed by
+//!   [`ScenarioKey`], over one [`ArenaBank`](terasim_terapool::ArenaBank)
+//!   that holds the cluster arenas of every geometry the daemon has
+//!   served. Entries come and go; arenas stay, so a cache miss costs a
+//!   scenario rebuild (tens of microseconds) and a dirty-page reset, not
+//!   a 20 MiB mapping;
 //! * a bounded admission queue — [`Daemon::submit`] enqueues a
 //!   [`ServeRequest`] and hands back a [`Ticket`]; beyond the high-water
 //!   depth, submission fails fast with [`Rejected::Overloaded`]
@@ -26,6 +30,10 @@
 //!   supervised batch runner, so every per-request fault surfaces as a
 //!   structured [`JobError`] and a faulted arena is quarantined, never
 //!   recycled.
+//!
+//! Every [`Completion`] says what the request found: whether its
+//! scenario was warm ([`Completion::cache_hit`]) and whether its arena
+//! was recycled or freshly mapped ([`Completion::arena`]).
 //!
 //! Shutdown is graceful by construction: [`Daemon::begin_drain`] stops
 //! intake (subsequent submissions get [`Rejected::ShuttingDown`]) while
@@ -71,7 +79,7 @@ use std::time::{Duration, Instant};
 
 use terasim_iss::{EpochMode, FusionMode};
 use terasim_phy::{BerPoint, Mimo};
-use terasim_terapool::PoolStats;
+use terasim_terapool::{BankGeometry, MemPool, PoolStats};
 
 use crate::detectors::DetectorKind;
 use crate::experiments::{BatchConfig, BatchOutcome, CycleEngine, CycleOutcome, FastOutcome, ParallelConfig};
@@ -322,6 +330,32 @@ pub struct Completion {
     /// cache when a worker picked it up (uncached request families
     /// always report `false`).
     pub cache_hit: bool,
+    /// Where the request's cluster arena came from; `None` when it
+    /// acquired none (a BER point runs on its detector's resident
+    /// simulator; a failed build runs nothing).
+    pub arena: Option<Arena>,
+}
+
+/// Where a request's cluster arena came from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Arena {
+    /// Mapped for this request: no arena of its geometry was parked.
+    Fresh,
+    /// A parked arena, reset to the scenario's image.
+    Recycled,
+}
+
+impl Arena {
+    /// What the acquires counted in `stats` amount to: `Fresh` if any of
+    /// them mapped (a retried request acquires more than once), else
+    /// `Recycled` if there was one at all.
+    fn acquired(stats: &PoolStats) -> Option<Self> {
+        match (stats.fresh, stats.recycled) {
+            (0, 0) => None,
+            (0, _) => Some(Arena::Recycled),
+            _ => Some(Arena::Fresh),
+        }
+    }
 }
 
 /// The claim check for one admitted request; redeem it with
@@ -339,6 +373,7 @@ impl Ticket {
             latency: Duration::ZERO,
             queued: Duration::ZERO,
             cache_hit: false,
+            arena: None,
         })
     }
 
@@ -389,8 +424,8 @@ impl Default for DaemonConfig {
     }
 }
 
-/// Lifetime counters of a [`Daemon`], including the artifact cache and
-/// the process-lifetime pool accounting.
+/// Lifetime counters of a [`Daemon`], including the artifact cache, the
+/// process-lifetime arena accounting and what the arena bank holds.
 #[derive(Debug, Clone)]
 pub struct DaemonStats {
     /// Requests admitted to the queue.
@@ -405,8 +440,12 @@ pub struct DaemonStats {
     pub failed: u64,
     /// Artifact-cache counters.
     pub cache: CacheStats,
-    /// Pool accounting summed over live *and* evicted scenario pools.
+    /// Arena accounting over every scenario pool the daemon ever had,
+    /// resident or evicted.
     pub pools: PoolStats,
+    /// What the cache's arena bank holds now, per geometry: arenas
+    /// parked and in use, and the address space they map.
+    pub bank: Vec<BankGeometry>,
 }
 
 struct Work {
@@ -543,6 +582,7 @@ impl Daemon {
             failed: self.shared.failed.load(Ordering::Relaxed),
             cache: self.shared.cache.stats(),
             pools: self.shared.cache.pool_stats(),
+            bank: self.shared.cache.bank().geometries(),
         }
     }
 
@@ -583,36 +623,47 @@ fn worker_loop(shared: &Shared) {
         };
         let Some(work) = work else { return };
         let queued = work.submitted.elapsed();
-        let (response, cache_hit) = serve_one(shared, &work.req);
+        let Served { response, cache_hit, arena } = serve_one(shared, &work.req);
         if response.is_ok() {
             shared.completed.fetch_add(1, Ordering::Relaxed);
         } else {
             shared.failed.fetch_add(1, Ordering::Relaxed);
         }
         // A client that dropped its ticket just doesn't read the result.
-        let _ = work.tx.send(Completion { response, latency: work.submitted.elapsed(), queued, cache_hit });
+        let latency = work.submitted.elapsed();
+        let _ = work.tx.send(Completion { response, latency, queued, cache_hit, arena });
     }
+}
+
+/// What [`serve_one`] found out about one request.
+struct Served {
+    response: Result<ServeResponse, ServeError>,
+    cache_hit: bool,
+    arena: Option<Arena>,
 }
 
 /// Executes one request on the calling worker thread. Both paths run
 /// through the supervised batch runner at a single lane (zero extra
 /// threads), so panics, traps, budgets and cancellation all surface as
 /// [`JobError`]s instead of killing the worker.
-fn serve_one(shared: &Shared, req: &ServeRequest) -> (Result<ServeResponse, ServeError>, bool) {
+fn serve_one(shared: &Shared, req: &ServeRequest) -> Served {
     let runner = BatchRunner::with_workers(1);
     if req.cacheable() {
-        let (entry, hit) = shared
-            .cache
-            .get_or_build(req.key(), || CachedScenario::build_with(req, shared.fusion, shared.epochs));
+        let (entry, cache_hit) = shared.cache.get_or_build(req.key(), |bank| {
+            CachedScenario::build_with(req, shared.fusion, shared.epochs, bank)
+        });
         match entry {
             Ok(scenario) => {
-                let mut out =
-                    runner.try_run_pooled_in(&shared.policy, scenario.pool(), vec![()], |ctx, ()| {
-                        scenario.run(ctx, req)
-                    });
-                (out.pop().expect("one job, one result").map_err(ServeError::Job), hit)
+                // A pool handle of the request's own over the entry's
+                // artifacts: same bank, same image, and counters that
+                // say what this request's acquire did.
+                let pool = MemPool::in_bank(Arc::clone(scenario.artifacts()), shared.cache.bank());
+                let mut out = runner
+                    .try_run_pooled_in(&shared.policy, &pool, vec![()], |ctx, ()| scenario.run(ctx, req));
+                let response = out.pop().expect("one job, one result").map_err(ServeError::Job);
+                Served { response, cache_hit, arena: Arena::acquired(&pool.stats()) }
             }
-            Err(e) => (Err(ServeError::Build(e)), hit),
+            Err(e) => Served { response: Err(ServeError::Build(e)), cache_hit, arena: None },
         }
     } else {
         let ServeRequest::Ber { scenario, kind, snr_db, seed, target_errors, max_iterations } = req else {
@@ -623,7 +674,8 @@ fn serve_one(shared: &Shared, req: &ServeRequest) -> (Result<ServeResponse, Serv
             let job = terasim_phy::BerJob { scenario: *scenario, snr_db: *snr_db, seed: *seed };
             Ok(ServeResponse::Ber(job.run(detector.as_ref(), *target_errors, *max_iterations)))
         });
-        (out.pop().expect("one job, one result").map_err(ServeError::Job), false)
+        let response = out.pop().expect("one job, one result").map_err(ServeError::Job);
+        Served { response, cache_hit: false, arena: None }
     }
 }
 

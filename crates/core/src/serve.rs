@@ -409,9 +409,9 @@ impl BatchRunner {
     /// so recycled arenas survive the batch: the first batch's jobs pay
     /// the arena allocations, every later batch over the same pool
     /// recycles them. This is the cross-batch (serving-tier) shape — a
-    /// long-lived daemon keeps one warm pool per cached scenario and
-    /// threads it through every request batch — while `run_pooled` keeps
-    /// the one-shot shape where the pool dies with the batch. Results
+    /// long-lived daemon keeps one arena bank and threads a pool over it
+    /// through every request batch — while `run_pooled` keeps the
+    /// one-shot shape where pool and arenas die with the batch. Results
     /// are bit-identical either way (recycled arenas reset to the exact
     /// fresh state).
     pub fn run_pooled_in<I: Send, T: Send>(

@@ -43,10 +43,12 @@
 //! internally, so one-shot use reads exactly as before; batch drivers
 //! (e.g. `terasim::serve::BatchRunner`) share one set across hundreds of
 //! jobs and skip the per-run rebuild entirely. The remaining per-job
-//! fixed cost — allocating the private `ClusterMem` — is removed by the
+//! fixed cost — mapping the private `ClusterMem` — is removed by the
 //! recycling [`MemPool`]: simulators built with `from_pool` return their
 //! arena on drop, and the next job gets it back reset (only the dirty
-//! footprint is re-zeroed), bit-identical to a fresh allocation.
+//! footprint is re-zeroed), bit-identical to a fresh mapping. Parked
+//! arenas are kept per geometry in an [`ArenaBank`], so they serve every
+//! scenario of that geometry and outlive the pool that parked them.
 //!
 //! # Examples
 //!
@@ -87,5 +89,5 @@ pub use cancel::CancelToken;
 pub use cycle::{CycleResult, CycleSim, CycleStats, EpochReport};
 pub use fast::{ClusterResult, FastSim};
 pub use mem::{ClusterMem, CoreMem};
-pub use pool::{MemPool, PoolStats};
+pub use pool::{ArenaBank, BankGeometry, MemPool, PoolStats};
 pub use topology::Topology;

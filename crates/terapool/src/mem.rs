@@ -3,6 +3,7 @@
 //! cross-domain request record ([`XRequest`]) the epoch-sharded cycle
 //! engine exchanges at epoch boundaries.
 
+use std::ptr::NonNull;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -41,6 +42,77 @@ fn misaligned(addr: u32, size: u32) -> bool {
 /// job actually dirtied instead of the 20 MiB allocation.
 const DIRTY_PAGE_WORDS: usize = 1024;
 
+/// The kernel's anonymous-mapping calls, declared here because the
+/// workspace depends on nothing but `std`. Flag values are the generic
+/// Linux ones, which the architectures listed in the `cfg` share.
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64", target_arch = "riscv64")
+))]
+mod sys {
+    use std::ffi::{c_int, c_void};
+    use std::ptr::NonNull;
+
+    extern "C" {
+        fn mmap(addr: *mut c_void, len: usize, prot: c_int, flags: c_int, fd: c_int, off: i64)
+            -> *mut c_void;
+        fn munmap(addr: *mut c_void, len: usize) -> c_int;
+    }
+
+    const PROT_READ: c_int = 1;
+    const PROT_WRITE: c_int = 2;
+    const MAP_PRIVATE: c_int = 0x02;
+    const MAP_ANONYMOUS: c_int = 0x20;
+
+    /// Maps `bytes` of zero pages, or `None` if the kernel refuses.
+    pub fn map_zeroed(bytes: usize) -> Option<NonNull<u8>> {
+        if bytes == 0 {
+            return None;
+        }
+        // SAFETY: a fresh anonymous private mapping at an address of the
+        // kernel's choosing aliases nothing; the arguments are valid for
+        // any `bytes > 0` and failure is reported as `MAP_FAILED` (-1).
+        let ptr = unsafe {
+            mmap(std::ptr::null_mut(), bytes, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0)
+        };
+        if ptr as isize == -1 {
+            None
+        } else {
+            NonNull::new(ptr.cast())
+        }
+    }
+
+    /// Unmaps a region [`map_zeroed`] returned.
+    ///
+    /// # Safety
+    ///
+    /// `(ptr, bytes)` must be exactly one live `map_zeroed` result, and
+    /// nothing may touch the region afterwards.
+    pub unsafe fn unmap(ptr: NonNull<u8>, bytes: usize) {
+        // A failure would leave the region mapped: a leak, not a hazard.
+        // SAFETY: the caller's contract above.
+        let _ = unsafe { munmap(ptr.as_ptr().cast(), bytes) };
+    }
+}
+
+/// The portable stand-in: no kernel mapping, so [`Words`] uses the heap.
+#[cfg(not(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64", target_arch = "riscv64")
+)))]
+mod sys {
+    use std::ptr::NonNull;
+
+    pub fn map_zeroed(_bytes: usize) -> Option<NonNull<u8>> {
+        None
+    }
+
+    /// # Safety
+    ///
+    /// Never called: `map_zeroed` never returns a region.
+    pub unsafe fn unmap(_ptr: NonNull<u8>, _bytes: usize) {}
+}
+
 /// Allocates a zeroed `Vec<AtomicU32>` through the `calloc` fast path
 /// (element-wise construction of multi-MiB atomic arrays dominates
 /// simulator start-up otherwise).
@@ -56,13 +128,80 @@ fn zeroed_atomics(words: usize) -> Vec<AtomicU32> {
     }
 }
 
+/// One zeroed word array of an arena (L1 or L2).
+///
+/// The words come straight from an anonymous private mapping, so a new
+/// array is lazily zero: the kernel supplies a zero page on the first
+/// touch of each 4 KiB and nothing is ever memset. `vec![0; n]` only
+/// gets that while the request is above malloc's mmap threshold, and
+/// glibc raises the threshold to the size of the first mapped chunk it
+/// sees freed: after one 16 MiB L2 array is dropped, every later one is
+/// carved from the heap and cleared by `calloc`, 20 MiB touched per
+/// arena. Where no mapping is to be had the heap is the fallback.
+struct Words {
+    ptr: NonNull<AtomicU32>,
+    len: usize,
+    /// The fallback storage `ptr` points into; `None` when `ptr` is a
+    /// mapping this value unmaps on drop.
+    heap: Option<Vec<AtomicU32>>,
+}
+
+// SAFETY: `Words` owns its storage (a private mapping or a `Vec`) and
+// hands out only `&[AtomicU32]`, which is `Sync`; no thread-affine state.
+unsafe impl Send for Words {}
+// SAFETY: as above; shared access goes through the atomics.
+unsafe impl Sync for Words {}
+
+impl Words {
+    fn zeroed(len: usize) -> Self {
+        if let Some(ptr) = sys::map_zeroed(len * std::mem::size_of::<AtomicU32>()) {
+            // Page alignment exceeds `AtomicU32`'s, and zero bytes are
+            // valid `AtomicU32`s.
+            return Self { ptr: ptr.cast(), len, heap: None };
+        }
+        let heap = zeroed_atomics(len);
+        // The buffer does not move when the `Vec` does.
+        let ptr = NonNull::new(heap.as_ptr().cast_mut()).expect("Vec pointers are non-null");
+        Self { ptr, len, heap: Some(heap) }
+    }
+}
+
+impl std::ops::Deref for Words {
+    type Target = [AtomicU32];
+
+    #[inline]
+    fn deref(&self) -> &[AtomicU32] {
+        // SAFETY: `ptr` addresses `len` initialised `AtomicU32`s — the
+        // whole mapping, or the heap buffer — that live as long as `self`
+        // and are only ever accessed through shared references.
+        unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
+    }
+}
+
+impl Drop for Words {
+    fn drop(&mut self) {
+        if self.heap.is_none() {
+            // SAFETY: without a heap buffer `ptr` is the `map_zeroed`
+            // result of exactly this many bytes, unmapped exactly once
+            // here, and `self` is gone afterwards.
+            unsafe { sys::unmap(self.ptr.cast(), self.len * std::mem::size_of::<AtomicU32>()) };
+        }
+    }
+}
+
+impl std::fmt::Debug for Words {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Words").field("len", &self.len).field("mapped", &self.heap.is_none()).finish()
+    }
+}
+
 #[derive(Debug)]
 struct Inner {
     topo: Topology,
     /// L1 physical words, `bank * bank_words + offset`.
-    l1: Vec<AtomicU32>,
+    l1: Words,
     /// L2 words.
-    l2: Vec<AtomicU32>,
+    l2: Words,
     /// Per-hart pending wake bits (barrier release).
     wake: Vec<AtomicBool>,
     /// Wake notification channel: bumped on every wake-all publication so
@@ -105,14 +244,25 @@ pub struct ClusterMem {
 }
 
 impl ClusterMem {
+    /// Words in the L1 banks of `topo` and in L2.
+    fn arena_words(topo: Topology) -> (usize, usize) {
+        ((topo.num_banks() * topo.bank_words()) as usize, (Topology::L2_SIZE / 4) as usize)
+    }
+
+    /// Bytes of address space one arena of `topo` maps (L1 banks plus
+    /// L2). Resident memory is only the pages a job touched.
+    pub fn arena_bytes(topo: Topology) -> usize {
+        let (l1_words, l2_words) = Self::arena_words(topo);
+        (l1_words + l2_words) * std::mem::size_of::<AtomicU32>()
+    }
+
     /// Allocates zeroed cluster memory for `topo`.
     pub fn new(topo: Topology) -> Self {
-        let l1_words = (topo.num_banks() * topo.bank_words()) as usize;
-        let l2_words = (Topology::L2_SIZE / 4) as usize;
+        let (l1_words, l2_words) = Self::arena_words(topo);
         let inner = Inner {
             topo,
-            l1: zeroed_atomics(l1_words),
-            l2: zeroed_atomics(l2_words),
+            l1: Words::zeroed(l1_words),
+            l2: Words::zeroed(l2_words),
             wake: (0..topo.num_cores()).map(|_| AtomicBool::new(false)).collect(),
             wake_epoch: AtomicU64::new(0),
             eoc: AtomicU32::new(0),

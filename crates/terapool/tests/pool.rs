@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use terasim_riscv::{Assembler, Image, Reg, Segment};
-use terasim_terapool::{ClusterMem, CycleSim, FastSim, MemPool, SimArtifacts, Topology};
+use terasim_terapool::{ArenaBank, ClusterMem, CycleSim, FastSim, MemPool, SimArtifacts, Topology};
 
 fn image_of(build: impl FnOnce(&mut Assembler)) -> Image {
     let mut a = Assembler::new(Topology::L2_BASE);
@@ -189,4 +189,56 @@ fn subword_and_amo_dirty_spans_reset_exactly() {
     assert!(pool.release(mem));
     let clean = pool.acquire();
     assert_eq!(clean.read_u32(0x300), 0, "host u16 write survived recycling");
+}
+
+#[test]
+fn two_scenarios_share_one_arena_through_a_bank() {
+    // Two different guests of one geometry take turns on the arenas of
+    // one bank, on both backends. Whatever the previous tenant left —
+    // its results, its longer text — each job must match a never-pooled
+    // run of its own scenario, and one mapping must serve them all.
+    let topo = Topology::scaled(8);
+    let long_image = image_of(|a| {
+        a.csrr(Reg::T0, terasim_riscv::csr::MHARTID);
+        a.slli(Reg::T1, Reg::T0, 2);
+        a.li(Reg::T2, 0x5151);
+        a.sw(Reg::T2, 0x600, Reg::T1);
+        for _ in 0..2000 {
+            a.nop();
+        }
+    });
+    let bank = ArenaBank::new();
+    let scenarios: Vec<(Image, Arc<MemPool>)> = [worker_image(), long_image]
+        .into_iter()
+        .map(|image| {
+            let pool = MemPool::in_bank(SimArtifacts::build(topo, &image).unwrap(), &bank);
+            (image, pool)
+        })
+        .collect();
+    let probes = || (0x400..0x420).chain(0x600..0x620).step_by(4).chain([0x40]);
+
+    for round in 0..2 {
+        for (image, pool) in scenarios.iter().rev() {
+            let mut fast_ref = FastSim::new(topo, image).unwrap();
+            let fast_ref_result = fast_ref.run_all(1).unwrap();
+            let mut fast = FastSim::from_pool(pool);
+            assert_eq!(fast.run_all(1).unwrap().per_core, fast_ref_result.per_core, "round {round}: fast");
+            for addr in probes() {
+                assert_eq!(fast.memory().read_u32(addr), fast_ref.memory().read_u32(addr), "{addr:#x}");
+            }
+            drop(fast);
+
+            let mut cycle_ref = CycleSim::new(topo, image).unwrap();
+            let cycle_ref_result = cycle_ref.run(8).unwrap();
+            let mut cycle = CycleSim::from_pool(pool);
+            let r = cycle.run(8).unwrap();
+            assert_eq!((r.cycles, &r.per_core), (cycle_ref_result.cycles, &cycle_ref_result.per_core));
+            for addr in probes() {
+                assert_eq!(cycle.memory().read_u32(addr), cycle_ref.memory().read_u32(addr), "{addr:#x}");
+            }
+        }
+    }
+    let total = bank.stats();
+    assert_eq!((total.fresh, total.recycled), (1, 7), "one arena, eight jobs of two scenarios");
+    assert_eq!(scenarios[0].1.stats().fresh + scenarios[1].1.stats().fresh, 1);
 }

@@ -8,13 +8,15 @@
 //! The flow is the whole serving contract in miniature:
 //!
 //! 1. `Daemon::start` brings up worker threads, an empty artifact cache
-//!    and no pools — nothing is built until the first request.
+//!    and an empty arena bank — nothing is built or mapped until the
+//!    first request.
 //! 2. The first request for each scenario is a cache **miss**: the
-//!    worker builds the immutable artifacts once and wraps them in a
-//!    warm [`MemPool`](terasim_terapool::MemPool).
+//!    worker builds the immutable artifacts once, with a
+//!    [`MemPool`](terasim_terapool::MemPool) over them that draws
+//!    cluster arenas from the cache's bank.
 //! 3. Every later request for the same scenario (any seed — seeds are
 //!    excluded from the cache key) is a **hit**: it reuses the artifacts
-//!    and recycles arenas from the pool.
+//!    and recycles an arena of its geometry from the bank.
 //! 4. `begin_drain` stops intake (`Rejected::ShuttingDown`) while queued
 //!    work finishes; `shutdown` joins the workers and returns the final
 //!    counters.
@@ -82,7 +84,7 @@ fn main() {
         stats.completed, stats.failed, stats.cache.hits, stats.cache.misses, stats.cache.evictions
     );
     println!(
-        "pools: fresh {} recycled {} quarantined {}",
+        "arenas: fresh {} recycled {} quarantined {}",
         stats.pools.fresh, stats.pools.recycled, stats.pools.quarantined
     );
     assert_eq!(stats.failed, 0);

@@ -71,13 +71,23 @@ fn daemon_served_symbols_match_fresh_serial_at_every_worker_count() {
             "second request onward must skip the rebuild"
         );
         assert_eq!(stats.cache.misses, stats.cache.builds + stats.cache.coalesced);
-        assert!(stats.pools.recycled > 0, "warm pool must recycle arenas across requests");
+        // Which acquires map and which recycle is up to the scheduler;
+        // that no more arenas exist than workers could hold is not.
+        assert_eq!(stats.pools.fresh + stats.pools.recycled, jobs);
+        assert!(
+            (1..=jobs.min(workers as u64)).contains(&stats.pools.fresh),
+            "{} arenas mapped for {workers} workers",
+            stats.pools.fresh
+        );
     }
 }
 
-/// Cache hit/miss/eviction accounting under concurrent mixed requests:
-/// three scenarios through a two-entry cache must evict, keep serving
-/// correct results, and still end with a nonzero hit rate.
+/// Cache accounting under concurrent mixed requests: three scenarios
+/// through a two-entry cache must evict and keep serving correct
+/// results, and the counters must add up. Which lookups find their entry
+/// built, building or already evicted depends on how four workers
+/// interleave, so only the sums are asserted; the warm-hit path itself is
+/// pinned by the one-worker tests.
 #[test]
 fn cache_evicts_least_recent_scenario_under_concurrent_requests() {
     let a = scenario(4, 4, 1);
@@ -103,9 +113,10 @@ fn cache_evicts_least_recent_scenario_under_concurrent_requests() {
     let stats = daemon.shutdown();
     assert_eq!(stats.completed, 6);
     assert_eq!(stats.failed, 0);
-    assert!(stats.cache.hits > 0, "interleaved same-scenario requests must hit");
-    assert!(stats.cache.evictions >= 1, "third scenario must evict from a two-entry cache");
+    assert_eq!(stats.cache.hits + stats.cache.coalesced + stats.cache.builds, 6, "one lookup per request");
+    assert!(stats.cache.builds >= 3, "three scenarios, at least three builds");
     assert_eq!(stats.cache.entries, 2, "cache stays at capacity");
+    assert_eq!(stats.cache.evictions, stats.cache.builds - 2, "every build beyond capacity evicted");
 }
 
 /// Concurrent cold-start on one key: many workers racing the same
@@ -133,14 +144,14 @@ fn second_lookup_skips_the_artifact_build() {
     let cache = ArtifactCache::new(2);
     let req = symbol_req(scenario(4, 4, 5));
     let mut builds = 0u32;
-    let (first, hit1) = cache.get_or_build(req.key(), || {
+    let (first, hit1) = cache.get_or_build(req.key(), |bank| {
         builds += 1;
-        CachedScenario::build(&req)
+        CachedScenario::build(&req, bank)
     });
     assert!(first.is_ok() && !hit1 && builds == 1);
-    let (second, hit2) = cache.get_or_build(req.key(), || {
+    let (second, hit2) = cache.get_or_build(req.key(), |bank| {
         builds += 1;
-        CachedScenario::build(&req)
+        CachedScenario::build(&req, bank)
     });
     assert!(hit2, "second lookup must be a warm hit");
     assert_eq!(builds, 1, "the builder must not run again");
@@ -149,15 +160,18 @@ fn second_lookup_skips_the_artifact_build() {
     assert!(std::sync::Arc::ptr_eq(first.unwrap().artifacts(), second.unwrap().artifacts()));
 }
 
-/// Fault-quarantine accounting must survive cache eviction: a panicked
-/// job quarantines its arena in the cached scenario's pool; evicting
-/// that scenario folds the pool's counters into the cache's retired
-/// total instead of dropping them.
+/// Fault-quarantine accounting must survive cache eviction, whichever
+/// side of the eviction the fault falls on. Job 0 panics holding a
+/// pooled simulator while its scenario is resident; a second simulator
+/// is still out — a request in flight — when the scenario is evicted,
+/// and faults only afterwards. Both arenas must be on the cache's books.
+/// (The second one was dropped from them when the counters were
+/// snapshotted at eviction time.)
 #[test]
 fn quarantine_accounting_survives_cache_eviction() {
     let cache = ArtifactCache::new(1);
     let req_a = symbol_req(scenario(4, 4, 9));
-    let (entry, _) = cache.get_or_build(req_a.key(), || CachedScenario::build(&req_a));
+    let (entry, _) = cache.get_or_build(req_a.key(), |bank| CachedScenario::build(&req_a, bank));
     let cached = entry.expect("scenario builds");
 
     // A supervised batch over the cached pool: job 0 panics while
@@ -187,41 +201,112 @@ fn quarantine_accounting_survives_cache_eviction() {
     );
     assert!(out[1].as_ref().is_ok_and(|o| o.verified));
     assert_eq!(cached.pool().stats().quarantined, 1, "panicked job's arena is quarantined");
-    drop(cached);
+
+    // A request still in flight on A: it holds the entry and an arena.
+    let in_flight = terasim_terapool::FastSim::from_pool(cached.pool());
 
     // Evict scenario A by inserting B into the one-entry cache.
     let req_b = symbol_req(scenario(4, 8, 9));
-    let (entry_b, _) = cache.get_or_build(req_b.key(), || CachedScenario::build(&req_b));
+    let (entry_b, _) = cache.get_or_build(req_b.key(), |bank| CachedScenario::build(&req_b, bank));
     assert!(entry_b.is_ok());
     assert_eq!(cache.stats().evictions, 1, "capacity-1 cache must evict A for B");
+    assert_eq!(cache.pool_stats().quarantined, 1, "the evicted entry's quarantine must stay on the books");
+
+    // Now the in-flight request faults: its simulator drops in an unwind.
+    let fault = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+        let _sim = in_flight;
+        faults::inject_panic(1);
+    }));
+    assert!(fault.is_err());
+    drop(cached);
     assert_eq!(
         cache.pool_stats().quarantined,
-        1,
-        "the evicted pool's quarantine count must survive in the retired total"
+        2,
+        "a fault after the eviction of its scenario must be counted too"
     );
+    assert_eq!(cache.bank().geometries().iter().map(|g| g.in_use).sum::<usize>(), 0, "nothing left out");
+}
+
+/// A capacity-1 cache under alternating keys evicts on every request.
+/// Eviction must free tables only: every response stays bit-identical to
+/// an uncached fresh-memory run, and the arenas mapped are bounded by
+/// workers x geometries however many evictions there were — for a pair
+/// of scenarios of one geometry (one arena serves both, the second
+/// scenario's image smaller than the first's) and for a pair of
+/// different geometries (two arenas, never mixed).
+#[test]
+fn eviction_keeps_arenas_and_changes_no_result() {
+    use terasim::experiments::ParallelConfig;
+    let parallel = |cores, n| ParallelConfig { cores, n, precision: Precision::CDotp16, seed: 0, unroll: 2 };
+    let rounds = 4u64;
+    // (first key, second key, geometries)
+    for (a, b, geometries) in [(parallel(16, 8), parallel(16, 4), 1), (parallel(16, 4), parallel(32, 4), 2)] {
+        let daemon = Daemon::start(DaemonConfig { workers: 1, cache_capacity: 1, ..DaemonConfig::default() });
+        for seed in 0..rounds {
+            for template in [a, b] {
+                let config = ParallelConfig { seed, ..template };
+                let fresh = experiments::parallel_fast(&config, 1).unwrap();
+                let done = daemon.submit(ServeRequest::Fast { config }).expect("admitted").wait();
+                let ServeResponse::Fast(served) = done.response.expect("healthy request") else {
+                    panic!("fast request returned another family");
+                };
+                assert!(served.verified && fresh.verified);
+                assert_eq!(
+                    (served.cluster_cycles, served.instructions, served.raw_stalls, served.wfi_stalls),
+                    (fresh.cluster_cycles, fresh.instructions, fresh.raw_stalls, fresh.wfi_stalls),
+                    "{} cores n={} seed {seed}: served differs from a fresh-memory run",
+                    config.cores,
+                    config.n
+                );
+                assert!(!done.cache_hit, "alternating keys never hit a one-entry cache");
+            }
+        }
+        let stats = daemon.shutdown();
+        assert_eq!(stats.cache.evictions, 2 * rounds - 1);
+        assert_eq!(stats.pools.fresh, geometries, "one worker: one arena per geometry, whatever was evicted");
+        assert_eq!(stats.pools.fresh + stats.pools.recycled, 2 * rounds);
+        assert_eq!(stats.bank.len() as u64, geometries);
+        assert!(stats.bank.iter().all(|g| (g.parked, g.in_use) == (1, 0)), "{:?}", stats.bank);
+    }
+}
+
+/// `Completion::arena` answers "did this request map memory": the first
+/// request of a geometry does, every later one recycles.
+#[test]
+fn completions_say_where_their_arena_came_from() {
+    use terasim::daemon::Arena;
+    let daemon = Daemon::start(DaemonConfig::default());
+    let arenas: Vec<_> = (0..3u64)
+        .map(|seed| daemon.submit(symbol_req(scenario(4, 4, seed))).expect("admitted").wait().arena)
+        .collect();
+    assert_eq!(arenas, [Some(Arena::Fresh), Some(Arena::Recycled), Some(Arena::Recycled)]);
 }
 
 /// Backpressure: with one busy worker and a two-deep queue, a burst of
-/// submissions must see `Overloaded` rejections, and everything admitted
-/// must still complete and drain.
+/// submissions must see an `Overloaded` rejection, and everything
+/// admitted must still complete and drain.
 #[test]
 fn overload_rejects_beyond_high_water_and_drain_finishes_the_rest() {
     let daemon = Daemon::start(DaemonConfig { workers: 1, queue_depth: 2, ..DaemonConfig::default() });
     let mut tickets = Vec::new();
     let mut overloaded = 0u32;
-    // The first request pins the worker on a cold scenario build; the
-    // queue (depth 2) then fills and the rest of the burst bounces.
-    for seed in 0..20u64 {
+    // Submitting takes microseconds and serving a request a thousand
+    // times that, so the queue (depth 2) fills within a few submissions.
+    // The burst goes on until it has bounced once rather than for a
+    // fixed count, so that a submitter descheduled between submissions
+    // only makes the test longer.
+    for seed in 0..10_000u64 {
         match daemon.submit(symbol_req(scenario(4, 16, seed))) {
             Ok(t) => tickets.push(t),
             Err(Rejected::Overloaded { depth }) => {
                 assert!(depth >= 2, "rejection must report the saturated depth");
                 overloaded += 1;
+                break;
             }
             Err(other) => panic!("unexpected rejection: {other}"),
         }
     }
-    assert!(overloaded > 0, "a 20-request burst must overflow a depth-2 queue");
+    assert_eq!(overloaded, 1, "a burst must overflow a depth-2 queue");
     daemon.begin_drain();
     assert_eq!(
         daemon.submit(symbol_req(scenario(4, 16, 99))).unwrap_err(),

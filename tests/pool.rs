@@ -143,8 +143,12 @@ fn pooled_iss_ber_batch_matches_fresh_detectors() {
         });
         assert_eq!(batch, reference, "pooled BER batch diverged at {workers} workers");
     }
+    // Four batches of one detector (one arena) per SNR point: which
+    // acquires recycle is up to the scheduler, that no more arenas exist
+    // than one batch's jobs could hold at once is not.
     let stats = pool.stats();
-    assert!(stats.recycled > 0, "the BER batches must actually recycle ({stats:?})");
+    assert_eq!(stats.fresh + stats.recycled, 4 * snrs.len() as u64, "{stats:?}");
+    assert!((1..=snrs.len() as u64).contains(&stats.fresh), "the BER batches must recycle ({stats:?})");
     // Non-ISS kinds have no cluster memory to pool.
     assert!(DetectorKind::Native(Precision::CDotp16).memory_pool(4).is_none());
 }
