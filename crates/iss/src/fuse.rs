@@ -287,7 +287,7 @@ where
     let meta = &lu.meta;
     let latency = latency_of(cpu, meta, mem, config);
     exec(cpu, lu.uop, mem)?;
-    sb.issue_slots(meta.srcs, meta.nsrcs, meta.dst, meta.post_inc, latency);
+    sb.issue_slots(meta.srcs, meta.dst, meta.post_inc, latency);
     stats.retired += 1;
     stats.class_counts[meta.class.index()] += 1;
     Ok(())
@@ -314,7 +314,7 @@ where
     let pc = cpu.pc();
     let latency = latency_of(cpu, meta, mem, config);
     let out = exec(cpu, lu.uop, mem)?;
-    sb.issue_slots(meta.srcs, meta.nsrcs, meta.dst, meta.post_inc, latency);
+    sb.issue_slots(meta.srcs, meta.dst, meta.post_inc, latency);
     stats.retired += 1;
     stats.class_counts[meta.class.index()] += 1;
     if meta.is_control_flow && cpu.pc() != pc.wrapping_add(4) {

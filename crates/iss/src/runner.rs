@@ -228,7 +228,7 @@ pub fn resume_lowered<M: Memory>(
         };
 
         let outcome = (lu.exec)(cpu, lu.uop, mem)?;
-        sb.issue_slots(meta.srcs, meta.nsrcs, meta.dst, meta.post_inc, latency);
+        sb.issue_slots(meta.srcs, meta.dst, meta.post_inc, latency);
         stats.retired += 1;
         stats.class_counts[meta.class.index()] += 1;
 

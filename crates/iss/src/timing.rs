@@ -258,16 +258,16 @@ impl Scoreboard {
     }
 
     /// As [`Scoreboard::issue`], but over pre-decoded register slots (the
-    /// micro-op hot path): `srcs[..nsrcs]` are source indices with `x0`
-    /// already omitted, `dst`/`post_inc` are destination indices or
+    /// micro-op hot path): `srcs` are source indices with `x0` omitted and
+    /// unused entries left 0, `dst`/`post_inc` are destination indices or
     /// [`NO_REG`](crate::uop::NO_REG). Semantically identical to `issue`
-    /// on the instruction the slots were lowered from.
+    /// on the instruction the slots were lowered from: an unused entry
+    /// reads `ready[0]`, which nothing ever writes (`x0` is never a
+    /// destination slot), so all three `max`es run unconditionally.
     #[inline]
-    pub fn issue_slots(&mut self, srcs: [u8; 3], nsrcs: u8, dst: u8, post_inc: u8, latency: u32) -> u64 {
-        let mut t = self.next_issue;
-        for &src in &srcs[..nsrcs as usize] {
-            t = t.max(self.ready[(src & 31) as usize]);
-        }
+    pub fn issue_slots(&mut self, srcs: [u8; 3], dst: u8, post_inc: u8, latency: u32) -> u64 {
+        let [a, b, c] = srcs.map(|src| self.ready[(src & 31) as usize]);
+        let t = self.next_issue.max(a).max(b).max(c);
         self.raw_stalls += t - self.next_issue;
         if dst != crate::uop::NO_REG {
             self.ready[(dst & 31) as usize] = t + u64::from(latency);
@@ -376,6 +376,69 @@ mod tests {
         sb.issue(&load(Reg::A0), 9);
         assert_eq!(sb.cycles(), 1);
         assert_eq!(sb.drain_cycles(), 9);
+    }
+
+    #[test]
+    fn issue_slots_matches_issue_on_random_streams() {
+        use terasim_riscv::{BranchOp, FmaOp, FpFmt, StoreOp, VfOp};
+
+        use crate::uop::UopMeta;
+
+        // xorshift64*, as in `tests/uop_differential.rs`.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        };
+        let latency = LatencyModel::default();
+        let (mut by_inst, mut by_slots) = (Scoreboard::new(), Scoreboard::new());
+        let (mut x0_srcs, mut x0_dsts, mut post_incs) = (0, 0, 0);
+        for _ in 0..20_000 {
+            // Eight registers, `x0` among them, so sources, destinations
+            // and post-increment bases collide and hit `x0` all the time.
+            let mut reg = || Reg::from_num((next() % 8) as u32);
+            let (rd, rs1, rs2, rs3) = (reg(), reg(), reg(), reg());
+            let post_inc = next() % 2 == 0;
+            let inst = match next() % 8 {
+                0 => Inst::Load { op: LoadOp::Lw, rd, rs1, offset: 4, post_inc },
+                1 => Inst::Store { op: StoreOp::Sh, rs1, rs2, offset: 2, post_inc },
+                2 => Inst::OpImm { op: AluOp::Add, rd, rs1, imm: 1 },
+                3 => add(rd, rs1, rs2),
+                4 => Inst::FpFma { op: FmaOp::Madd, fmt: FpFmt::H, rd, rs1, rs2, rs3 },
+                // Accumulating: `rd` is also a source.
+                5 => Inst::Vf { op: VfOp::CdotpExSH, rd, rs1, rs2 },
+                6 => Inst::Branch { op: BranchOp::Ne, rs1, rs2, offset: -8 },
+                _ => Inst::Jal { rd, offset: 8 },
+            };
+            let meta = UopMeta::of(&inst, &latency);
+            let lat = (next() % 12) as u32;
+            assert_eq!(
+                by_slots.issue_slots(meta.srcs, meta.dst, meta.post_inc, lat),
+                by_inst.issue(&inst, lat),
+                "{inst}"
+            );
+            assert_eq!(by_slots.raw_stalls(), by_inst.raw_stalls(), "{inst}");
+            assert_eq!(by_slots.drain_cycles(), by_inst.drain_cycles(), "{inst}");
+            assert_eq!(by_slots.ready, by_inst.ready, "{inst}");
+            let reads_x0 = match inst {
+                Inst::Jal { .. } => false,
+                Inst::Load { .. } | Inst::OpImm { .. } => rs1 == Reg::Zero,
+                _ => rs1 == Reg::Zero || rs2 == Reg::Zero,
+            };
+            x0_srcs += u32::from(reads_x0);
+            x0_dsts +=
+                u32::from(rd == Reg::Zero && !matches!(inst, Inst::Store { .. } | Inst::Branch { .. }));
+            post_incs += u32::from(inst.post_inc_dst().is_some());
+            if next() % 16 == 0 {
+                by_inst.bubble(2);
+                by_slots.bubble(2);
+            }
+        }
+        assert_eq!(by_inst.ready[0], 0, "x0's slot is never written: unused `srcs` entries read it");
+        assert!(by_inst.raw_stalls() > 0, "the stream must contain RAW stalls");
+        assert!(x0_srcs > 1000 && x0_dsts > 1000 && post_incs > 1000, "{x0_srcs} {x0_dsts} {post_incs}");
     }
 
     #[test]

@@ -118,10 +118,9 @@ pub type Kernel<M> = fn(&mut Cpu, Uop, &mut M) -> Result<Outcome, Trap>;
 /// lowering so issue loops never re-classify or re-scan operands.
 #[derive(Debug, Clone, Copy)]
 pub struct UopMeta {
-    /// Source register indices (`nsrcs` valid entries, `x0` omitted).
+    /// Source register indices, `x0` omitted; unused entries are 0, whose
+    /// scoreboard slot is never written, so issue loops read all three.
     pub srcs: [u8; 3],
-    /// Number of valid `srcs` entries.
-    pub nsrcs: u8,
     /// Destination register index, or [`NO_REG`] (writes to `x0` hidden).
     pub dst: u8,
     /// Post-increment base register index, or [`NO_REG`].
@@ -169,10 +168,8 @@ impl UopMeta {
     pub fn of(inst: &Inst, latency: &LatencyModel) -> Self {
         let class = InstClass::of(inst);
         let mut srcs = [0u8; 3];
-        let mut nsrcs = 0u8;
-        for src in inst.srcs() {
-            srcs[nsrcs as usize] = src.index() as u8;
-            nsrcs += 1;
+        for (slot, src) in srcs.iter_mut().zip(inst.srcs()) {
+            *slot = src.index() as u8;
         }
         let (ea_base, ea_no_offset, ea_offset) = match *inst {
             Inst::Load { rs1, offset, post_inc, .. } | Inst::Store { rs1, offset, post_inc, .. } => {
@@ -189,7 +186,6 @@ impl UopMeta {
         let result_lat = u64::from(latency.result_latency(class));
         Self {
             srcs,
-            nsrcs,
             dst: inst.dst().map_or(NO_REG, |r| r.index() as u8),
             post_inc: inst.post_inc_dst().map_or(NO_REG, |r| r.index() as u8),
             ea_base,

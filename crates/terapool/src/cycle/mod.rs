@@ -406,7 +406,7 @@ pub(crate) struct RunTables {
     /// `request_latency` for every (core tile, bank tile) pair.
     hops: Vec<u8>,
     num_tiles: u32,
-    /// Shared shift-based L1 decode (bit-identical to `Topology::l1_slot`).
+    /// The L1 address decode (agrees with `Topology::l1_slot`).
     decode: L1Decode,
 }
 
@@ -439,10 +439,10 @@ impl RunTables {
         u64::from(self.hops[(core_tile * self.num_tiles + bank_tile) as usize])
     }
 
-    /// Bit-identical to [`Topology::l1_slot`], using shifts when possible.
+    /// Bank of an L1 address, as [`Topology::l1_slot`] gives it.
     #[inline]
-    fn l1_slot(&self, addr: u32) -> Option<(u32, u32)> {
-        self.decode.l1_slot(addr)
+    fn l1_bank(&self, addr: u32) -> Option<u32> {
+        self.decode.bank(addr)
     }
 
     /// Tile hosting `bank` (shift-based when possible).
@@ -1471,12 +1471,9 @@ impl CycleSim {
             }
             let base = ctx.cpu.reg(Reg::from_num(u32::from(meta.ea_base) & 31));
             let addr = if meta.ea_no_offset { base } else { base.wrapping_add(meta.ea_offset as u32) };
-            let l1 = tables.l1_slot(addr & !3);
+            let l1 = tables.l1_bank(addr);
             if let Some(df) = defer {
-                let remote_bank = match l1 {
-                    Some((bank, _)) if df.topo.domain_of_bank(bank) != df.domain => Some(bank),
-                    _ => None,
-                };
+                let remote_bank = l1.filter(|&bank| df.topo.domain_of_bank(bank) != df.domain);
                 // L2/ctrl accesses (loads included) are shared by all
                 // groups and defer wholesale — see `issue_one`.
                 if remote_bank.is_some() || l1.is_none() {
@@ -1517,9 +1514,7 @@ impl CycleSim {
                     return Ok(true);
                 }
             }
-            if let Some((bank, off)) = l1 {
-                // Hand the kernel the decode we just did (one-entry memo).
-                ctx.mem.prime(addr & !3, bank, off);
+            if let Some(bank) = l1 {
                 let hop = tables.hop(ctx.tile, tables.tile_of_bank(bank));
                 let depart = if hop > 0 {
                     let d = now.max(banks.port_free[tile]);

@@ -88,6 +88,8 @@ pub use artifacts::SimArtifacts;
 pub use cancel::CancelToken;
 pub use cycle::{CycleResult, CycleSim, CycleStats, EpochReport};
 pub use fast::{ClusterResult, FastSim};
+#[doc(hidden)]
+pub use mem::TurboMem;
 pub use mem::{ClusterMem, CoreMem};
 pub use pool::{ArenaBank, BankGeometry, MemPool, PoolStats};
 pub use topology::Topology;

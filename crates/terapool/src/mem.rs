@@ -2,6 +2,17 @@
 //! plus the domain-partitioned timing state ([`DomainBanks`]) and the
 //! cross-domain request record ([`XRequest`]) the epoch-sharded cycle
 //! engine exchanges at epoch boundaries.
+//!
+//! The host array of the L1 *is* the interleaved view: word `w` of
+//! `L1_BASE` is `l1[w]`, one row of all banks after another, and the
+//! sequential view decodes into the same rows ([`L1Decode`]). Guests keep
+//! their vectors in the interleaved view, so what is contiguous for the
+//! guest is contiguous on the host: a hart reading a 64-word operand
+//! touches 4 cache lines, a job's pages are the pages of the bytes it
+//! used, and [`ClusterMem::reset`] re-zeroes those and no more. A
+//! bank-major array would put consecutive guest words a whole bank (1 KiB)
+//! apart: 64 lines and 16 pages for that operand, every page of the 4 MiB
+//! for 256 KiB of inputs, and a host cache and TLB that hold none of it.
 
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -41,6 +52,52 @@ fn misaligned(addr: u32, size: u32) -> bool {
 /// enough that resetting a recycled arena touches only the KiBs a small
 /// job actually dirtied instead of the 20 MiB allocation.
 const DIRTY_PAGE_WORDS: usize = 1024;
+
+/// One dirty bit per page of a word array, 64 pages to an `AtomicU64`:
+/// [`ClusterMem::reset`] scans 80 words for a TeraPool arena's 5120
+/// pages. Marking is relaxed: a bit is only ever *read* while the arena is
+/// quiescent (no job running), and the pool's lock hands the marks over.
+#[derive(Debug)]
+struct DirtyMap(Vec<AtomicU64>);
+
+impl DirtyMap {
+    fn new(words: usize) -> Self {
+        Self((0..words.div_ceil(DIRTY_PAGE_WORDS).div_ceil(64)).map(|_| AtomicU64::new(0)).collect())
+    }
+
+    /// Marks the page holding word `idx`, testing the bit first: the map
+    /// is a handful of cache lines that every host thread of a sharded
+    /// run marks on every guest store, and an unconditional `fetch_or`
+    /// would bounce those lines between the threads even though nearly
+    /// every mark hits a page that is already dirty.
+    #[inline(always)]
+    fn mark(&self, idx: usize) {
+        let page = idx / DIRTY_PAGE_WORDS;
+        let (cell, bit) = (&self.0[page / 64], 1u64 << (page % 64));
+        if cell.load(Ordering::Relaxed) & bit == 0 {
+            cell.fetch_or(bit, Ordering::Relaxed);
+        }
+    }
+
+    fn count(&self) -> usize {
+        self.0.iter().map(|cell| cell.load(Ordering::Relaxed).count_ones() as usize).sum()
+    }
+
+    /// Cleans the map, calling `visit(page)` for every page that was
+    /// dirty. The caller is the only party touching the arena.
+    fn drain(&self, mut visit: impl FnMut(usize)) {
+        for (i, cell) in self.0.iter().enumerate() {
+            let mut bits = cell.load(Ordering::Relaxed);
+            if bits != 0 {
+                cell.store(0, Ordering::Relaxed);
+            }
+            while bits != 0 {
+                visit(i * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+    }
+}
 
 /// The kernel's anonymous-mapping calls, declared here because the
 /// workspace depends on nothing but `std`. Flag values are the generic
@@ -197,8 +254,11 @@ impl std::fmt::Debug for Words {
 
 #[derive(Debug)]
 struct Inner {
-    topo: Topology,
-    /// L1 physical words, `bank * bank_words + offset`.
+    /// The geometry and the one address decode of this arena, shared by
+    /// every view.
+    decode: L1Decode,
+    /// L1 words in interleaved-view order: slot `(bank, offset)` at
+    /// `offset * num_banks + bank` ([`L1Decode::phys_index`]).
     l1: Words,
     /// L2 words.
     l2: Words,
@@ -212,13 +272,11 @@ struct Inner {
     eoc: AtomicU32,
     dma_src: AtomicU32,
     dma_dst: AtomicU32,
-    /// Per-page dirty flags for `l1`/`l2`, set (relaxed) on every store
-    /// path and consumed by [`ClusterMem::reset`]: recycling an arena
-    /// re-zeroes only the pages a job actually wrote. A flag is only ever
-    /// *read* while the arena is quiescent (no job running), so relaxed
-    /// marking is enough — the pool's lock hands the marks over.
-    l1_dirty: Vec<AtomicBool>,
-    l2_dirty: Vec<AtomicBool>,
+    /// Dirty pages of `l1`/`l2`, marked on every store path and consumed
+    /// by [`ClusterMem::reset`]: recycling an arena re-zeroes only the
+    /// pages a job actually wrote.
+    l1_dirty: DirtyMap,
+    l2_dirty: DirtyMap,
 }
 
 /// The cluster's shared memory, cheaply cloneable (an [`Arc`] inside).
@@ -260,7 +318,7 @@ impl ClusterMem {
     pub fn new(topo: Topology) -> Self {
         let (l1_words, l2_words) = Self::arena_words(topo);
         let inner = Inner {
-            topo,
+            decode: L1Decode::new(topo),
             l1: Words::zeroed(l1_words),
             l2: Words::zeroed(l2_words),
             wake: (0..topo.num_cores()).map(|_| AtomicBool::new(false)).collect(),
@@ -268,20 +326,20 @@ impl ClusterMem {
             eoc: AtomicU32::new(0),
             dma_src: AtomicU32::new(0),
             dma_dst: AtomicU32::new(0),
-            l1_dirty: (0..l1_words.div_ceil(DIRTY_PAGE_WORDS)).map(|_| AtomicBool::new(false)).collect(),
-            l2_dirty: (0..l2_words.div_ceil(DIRTY_PAGE_WORDS)).map(|_| AtomicBool::new(false)).collect(),
+            l1_dirty: DirtyMap::new(l1_words),
+            l2_dirty: DirtyMap::new(l2_words),
         };
         Self { inner: Arc::new(inner) }
     }
 
     /// The cluster geometry.
     pub fn topology(&self) -> Topology {
-        self.inner.topo
+        self.inner.decode.topo
     }
 
     /// Creates the hart-local view used by simulation drivers.
     pub fn core_view(&self, core: u32) -> CoreMem {
-        assert!(core < self.inner.topo.num_cores(), "core {core} out of range");
+        assert!(core < self.inner.decode.topo.num_cores(), "core {core} out of range");
         CoreMem { mem: self.clone(), core }
     }
 
@@ -302,43 +360,16 @@ impl ClusterMem {
         }
     }
 
+    /// The word holding `addr`. The L1 windows — the interleaved one a
+    /// compare and a shift, the sequential one a few more — are
+    /// straight-line code inlined into every caller, down to the load
+    /// and store kernels of both engines; L2 is out of line.
+    #[inline(always)]
     fn word_slot(&self, addr: u32) -> Option<&AtomicU32> {
-        let inner = &*self.inner;
-        if let Some((bank, off)) = inner.topo.l1_slot(addr & !3) {
-            return Some(&inner.l1[(bank * inner.topo.bank_words() + off) as usize]);
+        match self.inner.decode.index(addr) {
+            Some(idx) => Some(&self.inner.l1[idx]),
+            None => self.l2_slot(addr, false),
         }
-        if addr >= Topology::L2_BASE {
-            let off = (addr - Topology::L2_BASE) & !3;
-            if off < Topology::L2_SIZE {
-                return Some(&inner.l2[(off / 4) as usize]);
-            }
-        }
-        None
-    }
-
-    /// Sets a dirty flag, testing it first: the flags of all pages pack
-    /// into a handful of cache lines that every host thread of a sharded
-    /// run marks on every guest store, and an unconditional store would
-    /// bounce those lines between the threads even though nearly every
-    /// mark hits a page that is already dirty. No RMW either way —
-    /// concurrent markers all write `true`.
-    #[inline]
-    fn mark(flag: &AtomicBool) {
-        if !flag.load(Ordering::Relaxed) {
-            flag.store(true, Ordering::Relaxed);
-        }
-    }
-
-    /// Marks the L1 dirty page containing physical word `idx`.
-    #[inline]
-    pub(crate) fn mark_l1_dirty(&self, idx: usize) {
-        Self::mark(&self.inner.l1_dirty[idx / DIRTY_PAGE_WORDS]);
-    }
-
-    /// Marks the L2 dirty page containing word `idx`.
-    #[inline]
-    pub(crate) fn mark_l2_dirty(&self, idx: usize) {
-        Self::mark(&self.inner.l2_dirty[idx / DIRTY_PAGE_WORDS]);
     }
 
     /// [`word_slot`](Self::word_slot) for the *store* paths: identical
@@ -346,30 +377,32 @@ impl ClusterMem {
     /// [`reset`](Self::reset) knows to re-zero it. Every mutation of the
     /// word arrays — host writes, guest stores, AMOs, DMA — funnels
     /// through here (loads stay on the unmarked lookup).
+    #[inline(always)]
     fn store_slot(&self, addr: u32) -> Option<&AtomicU32> {
-        let inner = &*self.inner;
-        if let Some((bank, off)) = inner.topo.l1_slot(addr & !3) {
-            let idx = (bank * inner.topo.bank_words() + off) as usize;
-            self.mark_l1_dirty(idx);
-            return Some(&inner.l1[idx]);
-        }
-        if addr >= Topology::L2_BASE {
-            let off = (addr - Topology::L2_BASE) & !3;
-            if off < Topology::L2_SIZE {
-                let idx = (off / 4) as usize;
-                self.mark_l2_dirty(idx);
-                return Some(&inner.l2[idx]);
+        match self.inner.decode.index(addr) {
+            Some(idx) => {
+                self.inner.l1_dirty.mark(idx);
+                Some(&self.inner.l1[idx])
             }
+            None => self.l2_slot(addr, true),
         }
-        None
+    }
+
+    /// The L2 word holding `addr`, marked dirty when `store`.
+    #[cold]
+    fn l2_slot(&self, addr: u32, store: bool) -> Option<&AtomicU32> {
+        let idx = (addr.checked_sub(Topology::L2_BASE).filter(|&off| off < Topology::L2_SIZE)? / 4) as usize;
+        if store {
+            self.inner.l2_dirty.mark(idx);
+        }
+        Some(&self.inner.l2[idx])
     }
 
     /// Count of currently dirty 4 KiB pages across both word arrays — the
     /// footprint the next `reset` will re-zero. Intended for
     /// observability (pool statistics, benchmarks, tests).
     pub fn dirty_pages(&self) -> usize {
-        let inner = &*self.inner;
-        inner.l1_dirty.iter().chain(inner.l2_dirty.iter()).filter(|f| f.load(Ordering::Relaxed)).count()
+        self.inner.l1_dirty.count() + self.inner.l2_dirty.count()
     }
 
     /// Returns this handle to the all-zero post-[`new`](Self::new) state
@@ -387,15 +420,13 @@ impl ClusterMem {
     pub(crate) fn reset(&self) {
         let inner = &*self.inner;
         for (words, dirty) in [(&inner.l1, &inner.l1_dirty), (&inner.l2, &inner.l2_dirty)] {
-            for (page, flag) in dirty.iter().enumerate() {
-                if flag.swap(false, Ordering::Relaxed) {
-                    let start = page * DIRTY_PAGE_WORDS;
-                    let end = (start + DIRTY_PAGE_WORDS).min(words.len());
-                    for w in &words[start..end] {
-                        w.store(0, Ordering::Relaxed);
-                    }
+            dirty.drain(|page| {
+                let start = page * DIRTY_PAGE_WORDS;
+                let end = (start + DIRTY_PAGE_WORDS).min(words.len());
+                for w in &words[start..end] {
+                    w.store(0, Ordering::Relaxed);
                 }
-            }
+            });
         }
         for w in &inner.wake {
             w.store(false, Ordering::SeqCst);
@@ -500,7 +531,7 @@ impl ClusterMem {
     fn ctrl_load(&self, addr: u32) -> u32 {
         match addr {
             Topology::CTRL_EOC => self.inner.eoc.load(Ordering::SeqCst),
-            Topology::CTRL_NUM_CORES => self.inner.topo.num_cores(),
+            Topology::CTRL_NUM_CORES => self.inner.decode.topo.num_cores(),
             Topology::CTRL_DMA_SRC => self.inner.dma_src.load(Ordering::SeqCst),
             Topology::CTRL_DMA_DST => self.inner.dma_dst.load(Ordering::SeqCst),
             // The model's DMA completes synchronously: never busy.
@@ -522,6 +553,19 @@ impl ClusterMem {
 
     fn is_ctrl(addr: u32) -> bool {
         (Topology::CTRL_BASE..Topology::CTRL_BASE + Topology::CTRL_SIZE).contains(&addr)
+    }
+
+    /// A guest load that [`word_slot`](Self::word_slot) does not map: a
+    /// control register (read whole, whatever the access size) or nothing.
+    #[cold]
+    fn load_outside(&self, addr: u32) -> Result<u32, MemError> {
+        Self::is_ctrl(addr).then(|| self.ctrl_load(addr)).ok_or(MemError::Unmapped { addr })
+    }
+
+    /// The store counterpart of [`load_outside`](Self::load_outside).
+    #[cold]
+    fn store_outside(&self, addr: u32, value: u32, core: u32) -> Result<(), MemError> {
+        Self::is_ctrl(addr).then(|| self.ctrl_store(addr, value, core)).ok_or(MemError::Unmapped { addr })
     }
 
     /// Whether an access to `addr` can start a DMA copy — the one
@@ -651,40 +695,52 @@ impl CoreMem {
     }
 }
 
+/// The `size` bytes at `addr` out of the word that holds them.
+#[inline(always)]
+fn subword(word: u32, addr: u32, size: u32) -> u32 {
+    let shift = (addr & 3) * 8;
+    match size {
+        4 => word,
+        2 => (word >> shift) & 0xffff,
+        _ => (word >> shift) & 0xff,
+    }
+}
+
+/// `old` with the `size < 4` bytes at `addr` replaced by `value`'s.
+#[inline(always)]
+fn merge_subword(old: u32, addr: u32, size: u32, value: u32) -> u32 {
+    let shift = (addr & 3) * 8;
+    let mask = (if size == 2 { 0xffffu32 } else { 0xffu32 }) << shift;
+    (old & !mask) | ((value << shift) & mask)
+}
+
+// `load` and `store` are `inline(always)`: the fast engine's load and store
+// kernels hold the L1 decode and the access; the rest leaves by a cold call.
 impl Memory for CoreMem {
+    #[inline(always)]
     fn load(&mut self, addr: u32, size: u32) -> Result<u32, MemError> {
         if misaligned(addr, size) {
             return Err(MemError::Misaligned { addr, size });
         }
-        if ClusterMem::is_ctrl(addr) {
-            return Ok(self.mem.ctrl_load(addr));
+        match self.mem.word_slot(addr) {
+            Some(slot) => Ok(subword(slot.load(Ordering::SeqCst), addr, size)),
+            None => self.mem.load_outside(addr),
         }
-        let slot = self.mem.word_slot(addr).ok_or(MemError::Unmapped { addr })?;
-        let word = slot.load(Ordering::SeqCst);
-        let shift = (addr & 3) * 8;
-        Ok(match size {
-            4 => word,
-            2 => (word >> shift) & 0xffff,
-            _ => (word >> shift) & 0xff,
-        })
     }
 
+    #[inline(always)]
     fn store(&mut self, addr: u32, size: u32, value: u32) -> Result<(), MemError> {
         if misaligned(addr, size) {
             return Err(MemError::Misaligned { addr, size });
         }
-        if ClusterMem::is_ctrl(addr) {
-            self.mem.ctrl_store(addr, value, self.core);
-            return Ok(());
-        }
-        let slot = self.mem.store_slot(addr).ok_or(MemError::Unmapped { addr })?;
+        let Some(slot) = self.mem.store_slot(addr) else {
+            return self.mem.store_outside(addr, value, self.core);
+        };
         if size == 4 {
             slot.store(value, Ordering::SeqCst);
         } else {
-            let shift = (addr & 3) * 8;
-            let mask = (if size == 2 { 0xffffu32 } else { 0xffu32 }) << shift;
             let _ = slot.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |old| {
-                Some((old & !mask) | ((value << shift) & mask))
+                Some(merge_subword(old, addr, size, value))
             });
         }
         Ok(())
@@ -709,16 +765,11 @@ impl Memory for CoreMem {
 /// Fast view of the cluster memory used by the event-driven and
 /// epoch-sharded cycle engines.
 ///
-/// Same bytes and bit-identical values as [`CoreMem`], with two
-/// engine-local optimizations:
+/// Same bytes, same address decode and bit-identical values as
+/// [`CoreMem`], with **relaxed atomic orderings** (and plain
+/// read-modify-write instead of CAS loops for sub-word stores and AMOs).
 ///
-/// * **Relaxed atomic orderings** (and plain read-modify-write instead of
-///   CAS loops for sub-word stores and AMOs).
-/// * **Shift-based bank decoding** when the topology's divisors are
-///   powers of two (they are for every TeraPool configuration), instead
-///   of the division/modulo chain in [`Topology::l1_slot`].
-///
-/// These are sound only under the cycle engines' access discipline, which
+/// That is sound only under the cycle engines' access discipline, which
 /// guarantees no location is ever written concurrently:
 ///
 /// * single-domain engines run every hart on one host thread;
@@ -729,32 +780,28 @@ impl Memory for CoreMem {
 ///   banks, or the shared L2/control region), which the domains'
 ///   synchronization barriers order against all phase reads/writes.
 ///
+/// A group's banks are one aligned `banks_per_group × 4 B` chunk of every
+/// row of the host array ([`L1Decode::phys_index`]): 4 KiB on TeraPool,
+/// which is one page of the page-aligned mapping and one dirty page. So
+/// no cache line and no dirty bit is shared between domains; the dirty
+/// *words* are, which is why [`DirtyMap::mark`] is a `fetch_or`.
+///
 /// Never hand this to code outside that discipline — use
-/// [`ClusterMem::core_view`] there.
+/// [`ClusterMem::core_view`] there. (Public, but hidden, for the
+/// memory-path bench `crates/bench/benches/mem.rs` alone.)
+#[doc(hidden)]
 #[derive(Debug, Clone)]
-pub(crate) struct TurboMem {
+pub struct TurboMem {
     mem: ClusterMem,
     core: u32,
-    decode: L1Decode,
-    /// One-entry decode memo primed by the cycle engine's bank
-    /// arbitration: the word address it just decoded and the physical L1
-    /// word index it decoded to. The mapping is a pure function of the
-    /// address, so a stale entry is never *wrong*, only useless.
-    primed_addr: u32,
-    primed_idx: u32,
 }
 
 impl ClusterMem {
     /// Creates the single-threaded fast view for the cycle engine.
-    pub(crate) fn turbo_view(&self, core: u32) -> TurboMem {
-        assert!(core < self.inner.topo.num_cores(), "core {core} out of range");
-        TurboMem {
-            mem: self.clone(),
-            core,
-            decode: L1Decode::new(self.inner.topo),
-            primed_addr: u32::MAX,
-            primed_idx: 0,
-        }
+    #[doc(hidden)]
+    pub fn turbo_view(&self, core: u32) -> TurboMem {
+        assert!(core < self.inner.decode.topo.num_cores(), "core {core} out of range");
+        TurboMem { mem: self.clone(), core }
     }
 }
 
@@ -767,98 +814,32 @@ impl TurboMem {
     pub(crate) fn rebind(&mut self, core: u32) {
         self.core = core;
     }
-
-    /// Primes the one-entry decode memo with an L1 mapping the caller
-    /// just computed (`addr` word-aligned, `(bank, off)` from the same
-    /// [`L1Decode`] this view uses).
-    #[inline]
-    pub(crate) fn prime(&mut self, addr: u32, bank: u32, off: u32) {
-        self.primed_addr = addr;
-        self.primed_idx = self.decode.phys_index(bank, off) as u32;
-    }
-
-    /// Word slot lookup, bit-identical to [`ClusterMem::word_slot`].
-    #[inline]
-    fn slot(&self, addr: u32) -> Option<&AtomicU32> {
-        let inner = &*self.mem.inner;
-        if addr & !3 == self.primed_addr {
-            return Some(&inner.l1[self.primed_idx as usize]);
-        }
-        if let Some((bank, off)) = self.decode.l1_slot(addr & !3) {
-            return Some(&inner.l1[self.decode.phys_index(bank, off)]);
-        }
-        if addr >= Topology::L2_BASE {
-            let off = (addr - Topology::L2_BASE) & !3;
-            if off < Topology::L2_SIZE {
-                return Some(&inner.l2[(off / 4) as usize]);
-            }
-        }
-        None
-    }
-
-    /// [`slot`](Self::slot) for the store paths: same lookup (primed memo
-    /// included), plus the dirty-page mark — the engine-fast counterpart
-    /// of [`ClusterMem::store_slot`].
-    #[inline]
-    fn store_slot(&self, addr: u32) -> Option<&AtomicU32> {
-        let inner = &*self.mem.inner;
-        if addr & !3 == self.primed_addr {
-            self.mem.mark_l1_dirty(self.primed_idx as usize);
-            return Some(&inner.l1[self.primed_idx as usize]);
-        }
-        if let Some((bank, off)) = self.decode.l1_slot(addr & !3) {
-            let idx = self.decode.phys_index(bank, off);
-            self.mem.mark_l1_dirty(idx);
-            return Some(&inner.l1[idx]);
-        }
-        if addr >= Topology::L2_BASE {
-            let off = (addr - Topology::L2_BASE) & !3;
-            if off < Topology::L2_SIZE {
-                let idx = (off / 4) as usize;
-                self.mem.mark_l2_dirty(idx);
-                return Some(&inner.l2[idx]);
-            }
-        }
-        None
-    }
 }
 
 impl Memory for TurboMem {
+    #[inline(always)]
     fn load(&mut self, addr: u32, size: u32) -> Result<u32, MemError> {
         if misaligned(addr, size) {
             return Err(MemError::Misaligned { addr, size });
         }
-        if ClusterMem::is_ctrl(addr) {
-            return Ok(self.mem.ctrl_load(addr));
+        match self.mem.word_slot(addr) {
+            Some(slot) => Ok(subword(slot.load(Ordering::Relaxed), addr, size)),
+            None => self.mem.load_outside(addr),
         }
-        let slot = self.slot(addr).ok_or(MemError::Unmapped { addr })?;
-        let word = slot.load(Ordering::Relaxed);
-        let shift = (addr & 3) * 8;
-        Ok(match size {
-            4 => word,
-            2 => (word >> shift) & 0xffff,
-            _ => (word >> shift) & 0xff,
-        })
     }
 
+    #[inline(always)]
     fn store(&mut self, addr: u32, size: u32, value: u32) -> Result<(), MemError> {
         if misaligned(addr, size) {
             return Err(MemError::Misaligned { addr, size });
         }
-        if ClusterMem::is_ctrl(addr) {
-            self.mem.ctrl_store(addr, value, self.core);
-            return Ok(());
-        }
-        let slot = self.store_slot(addr).ok_or(MemError::Unmapped { addr })?;
-        if size == 4 {
-            slot.store(value, Ordering::Relaxed);
-        } else {
-            let shift = (addr & 3) * 8;
-            let mask = (if size == 2 { 0xffffu32 } else { 0xffu32 }) << shift;
-            // Single-threaded: plain read-modify-write, no CAS loop.
-            let old = slot.load(Ordering::Relaxed);
-            slot.store((old & !mask) | ((value << shift) & mask), Ordering::Relaxed);
-        }
+        let Some(slot) = self.mem.store_slot(addr) else {
+            return self.mem.store_outside(addr, value, self.core);
+        };
+        // Single writer: plain read-modify-write, no CAS loop.
+        let word =
+            if size == 4 { value } else { merge_subword(slot.load(Ordering::Relaxed), addr, size, value) };
+        slot.store(word, Ordering::Relaxed);
         Ok(())
     }
 
@@ -866,7 +847,7 @@ impl Memory for TurboMem {
         if !addr.is_multiple_of(4) {
             return Err(MemError::Misaligned { addr, size: 4 });
         }
-        let slot = self.store_slot(addr).ok_or(MemError::Unmapped { addr })?;
+        let slot = self.mem.store_slot(addr).ok_or(MemError::Unmapped { addr })?;
         let old = slot.load(Ordering::Relaxed);
         slot.store(amo_apply(op, old, value), Ordering::Relaxed);
         Ok(old)
@@ -914,11 +895,59 @@ mod tests {
     }
 
     #[test]
-    fn views_alias_physical_banks() {
-        let mem = ClusterMem::new(Topology::scaled(8));
-        // Interleaved word 0 is bank 0 offset 0; sequential tile 0 word 0 too.
-        mem.write_u32(0, 0xabcd_1234);
-        assert_eq!(mem.read_u32(Topology::SEQ_BASE), 0xabcd_1234);
+    fn views_alias_the_same_words_through_every_handle() {
+        use crate::topology::tests::odd_topology;
+
+        for topo in [Topology::scaled(8), Topology::scaled(64), Topology::terapool(), odd_topology()] {
+            let mem = ClusterMem::new(topo);
+            let (mut core, mut turbo) = (mem.core_view(0), mem.turbo_view(0));
+            for bank in 0..topo.num_banks() {
+                for off in 0..topo.bank_words() {
+                    // The two guest addresses of slot `(bank, off)`.
+                    let il = Topology::L1_BASE + 4 * (off * topo.num_banks() + bank);
+                    let seq = Topology::SEQ_BASE
+                        + topo.tile_of_bank(bank) * Topology::SEQ_STRIDE
+                        + 4 * (off * topo.banks_per_tile + bank % topo.banks_per_tile);
+                    assert_eq!(topo.l1_slot(il), Some((bank, off)));
+                    assert_eq!(topo.l1_slot(seq), Some((bank, off)));
+                    // Write through one view with one handle, read through
+                    // the other view with all three; unique value per slot.
+                    let value = 0x8000_0000 | il;
+                    let (wr, rd) = if (bank + off) % 2 == 0 { (il, seq) } else { (seq, il) };
+                    match (bank + off) % 3 {
+                        0 => mem.write_u32(wr, value),
+                        1 => core.store(wr, 4, value).unwrap(),
+                        _ => turbo.store(wr, 4, value).unwrap(),
+                    }
+                    assert_eq!(mem.read_u32(rd), value, "host view, slot ({bank}, {off})");
+                    assert_eq!(core.load(rd, 4).unwrap(), value, "core view, slot ({bank}, {off})");
+                    assert_eq!(turbo.load(rd, 4).unwrap(), value, "turbo view, slot ({bank}, {off})");
+                }
+            }
+            // No write landed on another slot's word.
+            for w in 0..topo.l1_bytes() / 4 {
+                assert_eq!(mem.read_u32(Topology::L1_BASE + 4 * w), 0x8000_0000 | (4 * w));
+            }
+            assert_eq!(mem.dirty_pages(), (topo.l1_bytes() as usize).div_ceil(4 * DIRTY_PAGE_WORDS));
+        }
+    }
+
+    #[test]
+    fn dirty_map_round_trips_through_a_partial_last_word() {
+        // 70 pages: one full `u64` and 6 bits of a second.
+        let map = DirtyMap::new(69 * DIRTY_PAGE_WORDS + 1);
+        assert_eq!((map.0.len(), map.count()), (2, 0));
+        for page in [0, 1, 63, 64, 69, 63, 0] {
+            map.mark(page * DIRTY_PAGE_WORDS + page);
+        }
+        assert_eq!(map.count(), 5, "marking a dirty page again changes nothing");
+        let mut drained = Vec::new();
+        map.drain(|page| drained.push(page));
+        assert_eq!(drained, [0, 1, 63, 64, 69]);
+        assert_eq!(map.count(), 0);
+        map.drain(|page| panic!("page {page} survived the drain"));
+        map.mark(69 * DIRTY_PAGE_WORDS);
+        assert_eq!(map.count(), 1, "a drained page is marked afresh");
     }
 
     #[test]
@@ -977,7 +1006,7 @@ mod tests {
         let mem = ClusterMem::new(Topology::scaled(8));
         assert_eq!(mem.dirty_pages(), 0, "fresh arena starts clean");
         // Dirty through every store path: host word/halfword, core view
-        // (full, sub-word, AMO), turbo view (full, sub-word, AMO, primed).
+        // (full, sub-word, AMO), turbo view (full, sub-word, AMO).
         mem.write_u32(0x40, 0xdead_beef);
         mem.write_u16(Topology::L2_BASE + 0x9002, 0xabcd);
         {
@@ -989,11 +1018,6 @@ mod tests {
             t.store(Topology::L2_BASE + 0x4000, 4, 11).unwrap();
             t.store(0x92, 2, 0x1234).unwrap();
             t.amo(AmoOp::Or, Topology::SEQ_BASE + 0x300, 0xf0).unwrap();
-            // Primed-memo store path.
-            if let Some((bank, off)) = mem.topology().l1_slot(0x40) {
-                t.prime(0x40, bank, off);
-            }
-            t.store(0x40, 4, 1).unwrap();
             // Control stores (reset unconditionally, not page-tracked).
             c.store(Topology::CTRL_EOC, 4, 9).unwrap();
             c.store(Topology::CTRL_WAKE_ALL, 4, 1).unwrap();

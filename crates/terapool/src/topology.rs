@@ -283,110 +283,181 @@ impl Topology {
     }
 }
 
-/// Shift-based decomposition of [`Topology::l1_slot`] for the cycle
-/// engine's hot paths — **bit-identical** results, built once per run.
+/// Address → host-word decode of the L1, built once per arena (and once
+/// per lowered cycle table) and shared by every view of the memory.
 ///
-/// This is the single shared implementation used by both the event
-/// engine's bank arbitration and its fast memory view; when a geometry
-/// divisor is not a power of two (possible only for hand-built
-/// topologies), every method falls back to the division path.
+/// The host array *is* the interleaved view: word `w` of `L1_BASE` lives
+/// at host index `w`, so slot `(bank, off)` sits at `off * num_banks +
+/// bank` — one row of all banks after another. The interleaved window
+/// therefore decodes with a compare and a shift whatever the geometry.
+/// The sequential window decodes into the same rows: without a division
+/// when the bank counts are powers of two (every TeraPool configuration),
+/// through the spec [`Topology::l1_slot`] otherwise (hand-built ones).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct L1Decode {
-    topo: Topology,
-    fast: Option<L1Shifts>,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct L1Shifts {
+    pub(crate) topo: Topology,
     l1_bytes: u32,
-    banks_mask: u32,
-    banks_shift: u32,
-    bank_words_shift: u32,
-    bpt_mask: u32,
-    bpt_shift: u32,
+    num_tiles: u32,
+    num_banks: u32,
+    /// `log2(banks_per_tile)`, when it and `num_banks` are powers of two.
+    bpt_shift: Option<u32>,
 }
 
 impl L1Decode {
+    /// # Panics
+    ///
+    /// Panics if an L1 window reaches into the next region, or if a
+    /// group's chunk of a row (see [`phys_index`](Self::phys_index)) is
+    /// not a whole number of 64 B cache lines.
     pub(crate) fn new(topo: Topology) -> Self {
-        let fast = (topo.num_banks().is_power_of_two()
-            && topo.banks_per_tile.is_power_of_two()
-            && topo.bank_words().is_power_of_two())
-        .then(|| L1Shifts {
-            l1_bytes: topo.l1_bytes(),
-            banks_mask: topo.num_banks() - 1,
-            banks_shift: topo.num_banks().trailing_zeros(),
-            bank_words_shift: topo.bank_words().trailing_zeros(),
-            bpt_mask: topo.banks_per_tile - 1,
-            bpt_shift: topo.banks_per_tile.trailing_zeros(),
-        });
-        Self { topo, fast }
+        let (num_banks, bpt, num_tiles) = (topo.num_banks(), topo.banks_per_tile, topo.num_tiles());
+        assert!(
+            Topology::L1_BASE + topo.l1_bytes() <= Topology::SEQ_BASE
+                && num_tiles <= (Topology::CTRL_BASE - Topology::SEQ_BASE) / Topology::SEQ_STRIDE,
+            "L1 views overlap the next region"
+        );
+        assert!(
+            topo.groups == 1 || (topo.banks_per_group() * 4).is_multiple_of(64),
+            "a group's banks must span whole cache lines of every L1 row"
+        );
+        let bpt_shift = (num_banks.is_power_of_two() && bpt.is_power_of_two()).then(|| bpt.trailing_zeros());
+        Self { topo, l1_bytes: topo.l1_bytes(), num_tiles, num_banks, bpt_shift }
     }
 
-    /// Bit-identical to [`Topology::l1_slot`].
-    #[inline]
-    pub(crate) fn l1_slot(&self, addr: u32) -> Option<(u32, u32)> {
-        let Some(fast) = &self.fast else {
-            return self.topo.l1_slot(addr);
+    /// Host word index of an L1 address (either view, any alignment
+    /// within the word), or `None` outside L1: the index of the
+    /// `(bank, off)` that [`Topology::l1_slot`] gives.
+    #[inline(always)]
+    pub(crate) fn index(&self, addr: u32) -> Option<usize> {
+        let rel = addr.wrapping_sub(Topology::L1_BASE);
+        if rel < self.l1_bytes {
+            return Some((rel >> 2) as usize);
+        }
+        let Some(bpt_shift) = self.bpt_shift else {
+            return self.index_by_division(addr);
         };
-        if addr < Topology::L1_BASE + fast.l1_bytes {
-            let w = (addr - Topology::L1_BASE) >> 2;
-            return Some((w & fast.banks_mask, w >> fast.banks_shift));
-        }
-        if addr >= Topology::SEQ_BASE {
-            let off = addr - Topology::SEQ_BASE;
-            let tile = off / Topology::SEQ_STRIDE;
-            let within = off % Topology::SEQ_STRIDE;
-            if tile < self.topo.num_tiles() && within < self.topo.tile_spm_bytes {
-                let w = within >> 2;
-                let bank = tile * self.topo.banks_per_tile + (w & fast.bpt_mask);
-                return Some((bank, w >> fast.bpt_shift));
-            }
-        }
-        None
+        let rel = addr.checked_sub(Topology::SEQ_BASE)?;
+        let (tile, within) = (rel / Topology::SEQ_STRIDE, rel % Topology::SEQ_STRIDE);
+        // Row `w / bpt`, column `tile * bpt + w % bpt`.
+        let (w, bpt) = (within >> 2, self.topo.banks_per_tile);
+        (tile < self.num_tiles && within < self.topo.tile_spm_bytes)
+            .then(|| ((w >> bpt_shift) * self.num_banks + tile * bpt + (w & (bpt - 1))) as usize)
     }
 
-    /// Physical word index of a slot (`bank * bank_words + off`).
+    /// Out of line: no load or store kernel carries the divisions.
+    #[cold]
+    #[inline(never)]
+    fn index_by_division(&self, addr: u32) -> Option<usize> {
+        self.topo.l1_slot(addr).map(|(bank, off)| self.phys_index(bank, off))
+    }
+
+    /// Bank of an L1 address, as [`Topology::l1_slot`] gives it.
+    #[inline]
+    pub(crate) fn bank(&self, addr: u32) -> Option<u32> {
+        let idx = self.index(addr)? as u32;
+        Some(match self.bpt_shift {
+            Some(_) => idx & (self.num_banks - 1),
+            None => idx % self.num_banks,
+        })
+    }
+
+    /// Host word index of a slot: `off * num_banks + bank`, row `off` of
+    /// the interleaved view.
+    ///
+    /// A group's banks are numbered contiguously, so they are one aligned
+    /// `banks_per_group × 4 B` chunk of every row (4 KiB on TeraPool: one
+    /// page of the mapping, one dirty page). The domains of the sharded
+    /// cycle engine therefore share no cache line of the array.
     #[inline]
     pub(crate) fn phys_index(&self, bank: u32, off: u32) -> usize {
-        match &self.fast {
-            Some(fast) => ((bank << fast.bank_words_shift) | off) as usize,
-            None => (bank * self.topo.bank_words() + off) as usize,
-        }
+        (off * self.num_banks + bank) as usize
     }
 
     /// Bit-identical to [`Topology::tile_of_bank`].
     #[inline]
     pub(crate) fn tile_of_bank(&self, bank: u32) -> u32 {
-        match &self.fast {
-            Some(fast) => bank >> fast.bpt_shift,
+        match self.bpt_shift {
+            Some(bpt_shift) => bank >> bpt_shift,
             None => self.topo.tile_of_bank(bank),
         }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A geometry no divisor of which is a power of two (288 banks of 40
+    /// words, 48 per tile), so every decode takes the division fallback;
+    /// its L1 ends a quarter of the way into a dirty page.
+    pub(crate) fn odd_topology() -> Topology {
+        Topology {
+            tiles_per_subgroup: 3,
+            subgroups_per_group: 1,
+            groups: 2,
+            tile_spm_bytes: 48 * 40 * 4,
+            banks_per_tile: 48,
+            ..Topology::terapool()
+        }
+    }
 
     #[test]
     fn l1_decode_matches_reference_everywhere() {
-        for topo in [Topology::scaled(8), Topology::scaled(64), Topology::terapool()] {
+        for topo in [Topology::scaled(8), Topology::scaled(64), Topology::terapool(), odd_topology()] {
             let decode = L1Decode::new(topo);
-            let probe = |addr: u32| {
-                assert_eq!(decode.l1_slot(addr), topo.l1_slot(addr), "{addr:#010x}");
-                if let Some((bank, off)) = topo.l1_slot(addr) {
-                    assert_eq!(decode.phys_index(bank, off) as u32, bank * topo.bank_words() + off);
-                    assert_eq!(decode.tile_of_bank(bank), topo.tile_of_bank(bank));
-                }
+            let l1_words = (topo.l1_bytes() / 4) as usize;
+            // Every word of both views lands on the host word of the
+            // `(bank, off)` the spec gives: row `off`, column `bank`.
+            let mut interleaved = vec![false; l1_words];
+            let mut sequential = vec![false; l1_words];
+            let probe = |addr: u32, seen: &mut [bool]| {
+                let (bank, off) = topo.l1_slot(addr).unwrap_or_else(|| panic!("{addr:#010x} is L1"));
+                let idx = (off * topo.num_banks() + bank) as usize;
+                assert_eq!(decode.index(addr), Some(idx), "{addr:#010x}");
+                assert_eq!(decode.index(addr + 3), Some(idx), "{addr:#010x}: byte 3 of the word");
+                assert_eq!(decode.bank(addr), Some(bank), "{addr:#010x}");
+                assert_eq!(decode.phys_index(bank, off), idx);
+                assert_eq!(decode.tile_of_bank(bank), topo.tile_of_bank(bank));
+                assert!(!std::mem::replace(&mut seen[idx], true), "{addr:#010x}: host word {idx} hit twice");
             };
-            for addr in (0..topo.l1_bytes().min(1 << 16)).step_by(4) {
-                probe(addr);
-                probe(Topology::SEQ_BASE + addr);
+            for addr in (0..topo.l1_bytes()).step_by(4) {
+                probe(Topology::L1_BASE + addr, &mut interleaved);
             }
-            probe(topo.l1_bytes());
-            probe(Topology::SEQ_BASE + topo.tile_spm_bytes);
-            probe(Topology::L2_BASE);
+            for tile in 0..topo.num_tiles() {
+                for within in (0..topo.tile_spm_bytes).step_by(4) {
+                    probe(Topology::SEQ_BASE + tile * Topology::SEQ_STRIDE + within, &mut sequential);
+                }
+            }
+            // Each view covers `0..l1_words` exactly once: a bijection.
+            assert!(interleaved.iter().all(|&hit| hit) && sequential.iter().all(|&hit| hit));
+            for outside in [
+                Topology::L1_BASE + topo.l1_bytes(),
+                Topology::SEQ_BASE - 4,
+                Topology::SEQ_BASE + topo.tile_spm_bytes,
+                Topology::SEQ_BASE + topo.num_tiles() * Topology::SEQ_STRIDE,
+                Topology::CTRL_BASE,
+                Topology::L2_BASE,
+                u32::MAX,
+            ] {
+                assert_eq!(topo.l1_slot(outside), None, "{outside:#010x}");
+                assert_eq!(decode.index(outside), None, "{outside:#010x}");
+                assert_eq!(decode.bank(outside), None, "{outside:#010x}");
+            }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "whole cache lines")]
+    fn l1_decode_rejects_groups_that_share_a_cache_line() {
+        // 24 banks per group: a group's 96 B chunk of a row would share
+        // its second cache line with the next group.
+        let _ = L1Decode::new(Topology {
+            tiles_per_subgroup: 1,
+            subgroups_per_group: 1,
+            groups: 2,
+            banks_per_tile: 24,
+            ..Topology::terapool()
+        });
     }
 
     #[test]

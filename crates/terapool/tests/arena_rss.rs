@@ -1,6 +1,7 @@
-//! A dropped arena must cost the next one nothing. Alone in its own test
-//! binary because it reads the resident set of the whole process; only
-//! where `ClusterMem` maps its arenas itself (the `cfg` of `mem::sys`).
+//! A dropped arena must cost the next one nothing, and a job only the
+//! pages of the bytes it wrote. One test, alone in its own test binary,
+//! because it reads the resident set of the whole process; only where
+//! `ClusterMem` maps its arenas itself (the `cfg` of `mem::sys`).
 #![cfg(all(
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64", target_arch = "riscv64")
@@ -19,8 +20,13 @@ fn vm_rss_kib() -> u64 {
 /// raises the threshold to the size of the first mapped chunk it sees
 /// freed — so from the second arena on, each was carved from the heap
 /// and cleared by `calloc`: 20 MiB touched, and resident, per arena.
+///
+/// The L1 host array is the interleaved view, so a contiguous guest
+/// buffer is contiguous host memory: 256 KiB of operands make 64 or 65
+/// pages resident. In a bank-major array the same buffer would touch one
+/// word in every KiB: all 4 MiB of the L1.
 #[test]
-fn a_fresh_arena_after_a_dropped_one_touches_no_memory() {
+fn resident_memory_follows_what_jobs_touch() {
     let topo = Topology::terapool();
     let before = vm_rss_kib();
     for round in 0..6u32 {
@@ -33,4 +39,13 @@ fn a_fresh_arena_after_a_dropped_one_touches_no_memory() {
     assert_eq!(mem.read_u32(Topology::L2_BASE), 0);
     let grown = vm_rss_kib().saturating_sub(before);
     assert!(grown < 2048, "seven arenas, one page touched in each: VmRSS grew by {grown} KiB");
+
+    let before = vm_rss_kib();
+    let base = Topology::L1_BASE + 0x1_2340;
+    for addr in (base..base + (256 << 10)).step_by(4) {
+        mem.write_u32(addr, addr);
+    }
+    assert_eq!(mem.read_u32(base + 0x3_0000), base + 0x3_0000);
+    let grown = vm_rss_kib().saturating_sub(before);
+    assert!(grown < 1024, "256 KiB written into a fresh arena: VmRSS grew by {grown} KiB");
 }
