@@ -54,15 +54,13 @@
 //!   deletes), or any of them falls outside its baseline-relative band
 //!   (`--tol-speedup` for the ratios and shares, `--tol-ns` for the
 //!   adaptive per-instruction floor);
-//! * any superinstruction-fusion entry (`ns_per_inst_fused`,
-//!   `fast_speedup_fused`, `fused_pct` — written by the `mips
-//!   --fusion-report` leg) is **missing from the candidate** — the
-//!   fusion leg silently disappearing fails even against a pre-fusion
-//!   baseline — or the fused per-instruction floor exceeds the baseline
-//!   by more than `--tol-ns`, or the fused-vs-unfused wall-clock ratio
-//!   falls below the baseline-relative `--tol-speedup` band, or the
-//!   fused coverage fraction is zero / falls below the same band (a
-//!   zero `fused_pct` means lowering stopped forming pairs entirely);
+//! * any block-engine entry (`ns_per_inst_fused`, `fast_speedup_fused`
+//!   — written by the `mips --fusion-report` leg) is **missing from the
+//!   candidate** — the leg silently disappearing fails even against a
+//!   baseline without it — or the block engine's per-instruction floor
+//!   exceeds the baseline by more than `--tol-ns`, or its wall-clock
+//!   ratio over the per-instruction reference falls below the
+//!   baseline-relative `--tol-speedup` band;
 //! * any `stats_identical` flag in the candidate is not `true` (the
 //!   engines diverged — that is a correctness bug, zero tolerance).
 //!
@@ -142,15 +140,12 @@ struct Report {
     serve_p99_ns: Option<f64>,
     /// Serving-daemon cross-request artifact-cache hit rate (0..1).
     serve_cache_hit_rate: Option<f64>,
-    /// Fused fast-engine per-instruction floor (`--fusion-report` leg;
-    /// absent in pre-fusion reports).
+    /// Block-engine per-instruction floor on the MMSE workload
+    /// (`--fusion-report` leg; absent in older reports).
     ns_per_inst_fused: Option<f64>,
-    /// Fused-vs-unfused fast-engine wall-clock ratio on the MMSE
+    /// Block-engine vs per-instruction-loop wall-clock ratio on the MMSE
     /// workload.
     fast_speedup_fused: Option<f64>,
-    /// Dynamic fraction of retired instructions dispatched inside a
-    /// superinstruction (percent).
-    fused_pct: Option<f64>,
     /// Mean simulated cycles per scheduling window of the adaptive
     /// sharded engine on the barrier-skew guest (`--epoch-report` leg;
     /// absent in pre-adaptive reports).
@@ -210,7 +205,6 @@ fn parse(path: &str) -> Result<Report, String> {
         serve_cache_hit_rate: numbers_after(&json, "serve_cache_hit_rate").first().copied(),
         ns_per_inst_fused: numbers_after(&json, "ns_per_inst_fused").first().copied(),
         fast_speedup_fused: numbers_after(&json, "fast_speedup_fused").first().copied(),
-        fused_pct: numbers_after(&json, "fused_pct").first().copied(),
         avg_epoch_len: numbers_after(&json, "avg_epoch_len").first().copied(),
         extended_epoch_pct: numbers_after(&json, "extended_epoch_pct").first().copied(),
         ns_per_inst_event_adaptive: numbers_after(&json, "ns_per_inst_event_adaptive").first().copied(),
@@ -441,15 +435,13 @@ fn main() -> ExitCode {
         ));
     }
 
-    // Superinstruction-fusion entries: part of the smoke contract, so a
-    // candidate missing any of them fails outright — even against a
-    // pre-fusion baseline, where only the bands are waived.
-    for key in ["ns_per_inst_fused", "fast_speedup_fused", "fused_pct"] {
-        let present = match key {
-            "ns_per_inst_fused" => candidate.ns_per_inst_fused.is_some(),
-            "fast_speedup_fused" => candidate.fast_speedup_fused.is_some(),
-            _ => candidate.fused_pct.is_some(),
-        };
+    // Block-engine entries: part of the smoke contract, so a candidate
+    // missing either of them fails outright — even against a baseline
+    // without them, where only the bands are waived.
+    for (key, present) in [
+        ("ns_per_inst_fused", candidate.ns_per_inst_fused.is_some()),
+        ("fast_speedup_fused", candidate.fast_speedup_fused.is_some()),
+    ] {
         if !present {
             failures.push(format!("{key}: missing from the candidate (fusion-report leg disappeared)"));
         }
@@ -458,11 +450,11 @@ fn main() -> ExitCode {
         let ceiling = base * tol_ns;
         let status = if cand <= ceiling { "ok" } else { "REGRESSION" };
         println!(
-            "fused per-inst floor    ns/inst: baseline {base:>7.1}  candidate {cand:>7.1}  ceiling {ceiling:>7.1}  [{status}]"
+            "block per-inst floor    ns/inst: baseline {base:>7.1}  candidate {cand:>7.1}  ceiling {ceiling:>7.1}  [{status}]"
         );
         if cand > ceiling {
             failures.push(format!(
-                "fused per-instruction floor regressed: {cand:.1} ns > {ceiling:.1} ns \
+                "block-engine per-instruction floor regressed: {cand:.1} ns > {ceiling:.1} ns \
                  (baseline {base:.1} ns, factor {tol_ns})"
             ));
         }
@@ -471,28 +463,12 @@ fn main() -> ExitCode {
         let floor = base * (1.0 - tol_speedup);
         let status = if cand >= floor { "ok" } else { "REGRESSION" };
         println!(
-            "fused-vs-unfused fast  speedup: baseline {base:>7.3}x  candidate {cand:>7.3}x  floor {floor:>7.3}x  [{status}]"
+            "block-vs-reference     speedup: baseline {base:>7.3}x  candidate {cand:>7.3}x  floor {floor:>7.3}x  [{status}]"
         );
         if cand < floor {
             failures.push(format!(
-                "fused fast-engine speedup regressed: {cand:.3}x < {floor:.3}x \
+                "block-engine speedup regressed: {cand:.3}x < {floor:.3}x \
                  (baseline {base:.3}x, tolerance {tol_speedup})"
-            ));
-        }
-    }
-    if let (Some(base), Some(cand)) = (baseline.fused_pct, candidate.fused_pct) {
-        let floor = base * (1.0 - tol_speedup);
-        let ok = cand > 0.0 && cand >= floor;
-        let status = if ok { "ok" } else { "REGRESSION" };
-        println!(
-            "fused coverage          percent: baseline {base:>7.1}  candidate {cand:>7.1}  floor {floor:>7.1}  [{status}]"
-        );
-        if cand <= 0.0 {
-            failures.push("fused coverage is zero: lowering stopped forming superinstructions".into());
-        } else if cand < floor {
-            failures.push(format!(
-                "fused coverage regressed: {cand:.1}% < {floor:.1}% \
-                 (baseline {base:.1}%, tolerance {tol_speedup})"
             ));
         }
     }

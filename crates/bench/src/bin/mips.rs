@@ -30,12 +30,12 @@
 //! exact for the seeded sequence, since the one worker used here can
 //! never find a build in flight).
 //!
-//! `--fusion-report` additionally times the fast engine with
-//! superinstruction fusion + SPMD convergence on vs off (bit-identical
-//! results asserted) on the parallel-MMSE and OFDM-symbol workloads,
+//! `--fusion-report` additionally times the fast engine's block loop
+//! (basic-block dispatch + lane-major SPMD groups, `FusionMode::On`)
+//! against the per-instruction reference (`Off`), results asserted
+//! bit-identical, on the parallel-MMSE and OFDM-symbol workloads, and
 //! records `ns_per_inst_fused`, `fast_speedup_fused` and
-//! `symbol_speedup_fused`, and runs the instrumented profile pass for
-//! the dynamic uop-pair histogram and fused coverage (`fused_pct`).
+//! `symbol_speedup_fused`.
 //!
 //! `--epoch-report` additionally A/Bs the sharded cycle engine's
 //! adaptive epoch cadence against the fixed 4-cycle reference on the
@@ -626,12 +626,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         String::new()
     };
 
-    // --- Superinstruction fusion + SPMD convergence: the fused fast
-    // engine vs the unfused per-instruction interpreter on the same
-    // workloads, results asserted bit-identical, plus the instrumented
-    // profile pass for the dynamic uop-pair histogram and coverage. ---
+    // --- The block engine vs the per-instruction reference loop on the
+    // same workloads, results asserted bit-identical. ---
     let fusion_json = if std::env::args().any(|a| a == "--fusion-report") {
-        println!("\n=== Fast engine — superinstruction fusion + SPMD convergence ===");
+        println!("\n=== Fast engine — basic-block dispatch + lane-major SPMD vs per-instruction loop ===");
         println!(
             "workloads: parallel MMSE ({cores} cores) and OFDM symbol (NSC {nsc}), {n}x{n} {}, 1 host thread, best of {reps}\n",
             precision.paper_name()
@@ -648,19 +646,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for _ in 0..reps {
             let on = fused_scn.run_fast(1)?;
             let off = unfused_scn.run_fast(1)?;
-            assert!(on.verified && off.verified, "fusion runs diverged from the native model");
+            assert!(on.verified && off.verified, "block-engine A/B runs diverged from the native model");
             assert_eq!(
                 (on.instructions, on.cluster_cycles),
                 (off.instructions, off.cluster_cycles),
-                "fused fast engine must be bit-identical to the unfused interpreter"
+                "the block engine must be bit-identical to the per-instruction loop"
             );
             let son = sym_fused.run_symbol(sconfig.seed)?;
             let soff = sym_unfused.run_symbol(sconfig.seed)?;
-            assert!(son.verified && soff.verified, "symbol fusion runs diverged from the native model");
+            assert!(son.verified && soff.verified, "symbol A/B runs diverged from the native model");
             assert_eq!(
                 (son.instructions, son.cycles),
                 (soff.instructions, soff.cycles),
-                "fused symbol run must be bit-identical to the unfused interpreter"
+                "the block-engine symbol run must be bit-identical to the per-instruction loop"
             );
             mmse_insts = on.instructions;
             sym_insts = son.instructions;
@@ -672,17 +670,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let fast_speedup_fused = walls[1].as_secs_f64() / walls[0].as_secs_f64().max(1e-9);
         let symbol_speedup_fused = walls[3].as_secs_f64() / walls[2].as_secs_f64().max(1e-9);
         let ns_per_inst_fused = ns(walls[0], mmse_insts);
-
-        // Instrumented profile pass: unfused execution order with the
-        // fused table's dispatch decisions replayed, so the outcome stays
-        // bit-identical while every retired pair is counted.
-        let (pout, mut profile) = fused_scn.run_fast_profiled(1, fconfig.seed)?;
-        assert_eq!(pout.instructions, mmse_insts, "profiled run must retire the same instructions");
-        let (sout, sprofile) = sym_fused.run_symbol_profiled(sconfig.seed)?;
-        assert_eq!(sout.instructions, sym_insts, "profiled symbol run must retire the same instructions");
-        let fused_pct = profile.fused_pct();
-        let fused_pct_symbol = sprofile.fused_pct();
-        profile.merge(&sprofile);
 
         for (label, wall, insts) in [
             ("mmse_fused", walls[0], mmse_insts),
@@ -698,23 +685,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             );
         }
         println!(
-            "\nfusion speedup: {fast_speedup_fused:.2}x MMSE ({cores} cores, SPMD), \
+            "\nblock-engine speedup: {fast_speedup_fused:.2}x MMSE ({cores} cores, SPMD), \
              {symbol_speedup_fused:.2}x symbol (1 core) — identical results"
         );
-        println!(
-            "fused coverage: {fused_pct:.1}% of retired instructions (MMSE), {fused_pct_symbol:.1}% (symbol)"
-        );
-        println!("top dynamic pairs (merged):");
-        let mut pairs_json = String::new();
-        for (i, (a, b, count)) in profile.top_pairs(8).into_iter().enumerate() {
-            println!("  {a:?}+{b:?}: {count}");
-            if i > 0 {
-                pairs_json.push_str(",\n");
-            }
-            pairs_json.push_str(&format!("        {{\"pair\": \"{a:?}+{b:?}\", \"count\": {count}}}"));
-        }
         format!(
-            ",\n    {{\n      \"kind\": \"fusion\",\n      \"cores\": {cores}, \"nsc\": {nsc}, \"mimo\": {n}, \"precision\": \"{}\", \"reps\": {reps},\n      \"runs\": [\n        {{\"engine\": \"mmse_fused\", \"wall_s\": {:.6}, \"instructions\": {mmse_insts}, \"ns_per_inst\": {:.3}}},\n        {{\"engine\": \"mmse_unfused\", \"wall_s\": {:.6}, \"instructions\": {mmse_insts}, \"ns_per_inst\": {:.3}}},\n        {{\"engine\": \"symbol_fused\", \"wall_s\": {:.6}, \"instructions\": {sym_insts}, \"ns_per_inst\": {:.3}}},\n        {{\"engine\": \"symbol_unfused\", \"wall_s\": {:.6}, \"instructions\": {sym_insts}, \"ns_per_inst\": {:.3}}}\n      ],\n      \"ns_per_inst_fused\": {ns_per_inst_fused:.3},\n      \"fast_speedup_fused\": {fast_speedup_fused:.3},\n      \"symbol_speedup_fused\": {symbol_speedup_fused:.3},\n      \"fused_pct\": {fused_pct:.3},\n      \"fused_pct_symbol\": {fused_pct_symbol:.3},\n      \"top_pairs\": [\n{pairs_json}\n      ],\n      \"stats_identical\": true\n    }}",
+            ",\n    {{\n      \"kind\": \"fusion\",\n      \"cores\": {cores}, \"nsc\": {nsc}, \"mimo\": {n}, \"precision\": \"{}\", \"reps\": {reps},\n      \"runs\": [\n        {{\"engine\": \"mmse_fused\", \"wall_s\": {:.6}, \"instructions\": {mmse_insts}, \"ns_per_inst\": {:.3}}},\n        {{\"engine\": \"mmse_unfused\", \"wall_s\": {:.6}, \"instructions\": {mmse_insts}, \"ns_per_inst\": {:.3}}},\n        {{\"engine\": \"symbol_fused\", \"wall_s\": {:.6}, \"instructions\": {sym_insts}, \"ns_per_inst\": {:.3}}},\n        {{\"engine\": \"symbol_unfused\", \"wall_s\": {:.6}, \"instructions\": {sym_insts}, \"ns_per_inst\": {:.3}}}\n      ],\n      \"ns_per_inst_fused\": {ns_per_inst_fused:.3},\n      \"fast_speedup_fused\": {fast_speedup_fused:.3},\n      \"symbol_speedup_fused\": {symbol_speedup_fused:.3},\n      \"stats_identical\": true\n    }}",
             precision.paper_name(),
             walls[0].as_secs_f64(),
             ns(walls[0], mmse_insts),

@@ -55,7 +55,7 @@ fn parse_precision(s: &str) -> Option<Precision> {
     Precision::ALL.into_iter().find(|p| p.paper_name().eq_ignore_ascii_case(s))
 }
 
-/// Parses `--fusion on|off` (default: on — the fused fast engine).
+/// Parses `--fusion on|off` (default: on — the block engine).
 fn parse_fusion(args: &Args) -> Result<FusionMode, String> {
     match args.value("--fusion") {
         None | Some("on") => Ok(FusionMode::On),

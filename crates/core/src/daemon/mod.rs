@@ -411,7 +411,7 @@ pub struct DaemonConfig {
 
 impl Default for DaemonConfig {
     /// One worker, depth 64, four warm scenarios, permissive policy,
-    /// fused fast engine, adaptive epochs.
+    /// block fast engine, adaptive epochs.
     fn default() -> Self {
         Self {
             workers: 1,

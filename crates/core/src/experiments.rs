@@ -9,7 +9,7 @@ use std::error::Error;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use terasim_iss::{EpochMode, FusionMode, FusionProfile, RunConfig};
+use terasim_iss::{EpochMode, FusionMode, RunConfig};
 use terasim_kernels::{data, native, MmseKernel, Precision, ProblemLayout, C64};
 use terasim_phy::{BerPoint, ChannelKind, Mimo, Modulation, TxGenerator};
 use terasim_terapool::{ClusterMem, CycleSim, CycleStats, FastSim, MemPool, SimArtifacts, Topology};
@@ -327,41 +327,6 @@ impl ParallelScenario {
             mips: instructions as f64 / wall.as_secs_f64().max(1e-9) / 1e6,
             verified: verify(sim.memory(), &self.layout, &set),
         })
-    }
-
-    /// One fast-mode job with fusion-coverage instrumentation: returns the
-    /// outcome plus the dynamic uop-pair histogram and `fused_pct` merged
-    /// across all harts (the `mips --fusion-report` leg). Instrumented
-    /// execution order is unfused, so the outcome is bit-identical to
-    /// [`run_fast_seeded`](Self::run_fast_seeded) — but slower; don't use
-    /// its wall time for speed claims.
-    ///
-    /// # Errors
-    ///
-    /// Propagates guest traps.
-    pub fn run_fast_profiled(
-        &self,
-        host_threads: usize,
-        seed: u64,
-    ) -> Result<(FastOutcome, FusionProfile), Box<dyn Error>> {
-        let mut sim = FastSim::from_artifacts(Arc::clone(&self.arts));
-        let set = generate_problems(sim.memory(), &self.layout, seed);
-
-        let start = Instant::now();
-        let (result, prof) = sim.run_all_profiled(host_threads)?;
-        let wall = start.elapsed();
-
-        let instructions = result.total_instructions();
-        let outcome = FastOutcome {
-            wall,
-            cluster_cycles: result.cycles,
-            instructions,
-            raw_stalls: result.per_core.iter().map(|s| s.raw_stalls).sum(),
-            wfi_stalls: result.per_core.iter().map(|s| s.wfi_stalls).sum(),
-            mips: instructions as f64 / wall.as_secs_f64().max(1e-9) / 1e6,
-            verified: verify(sim.memory(), &self.layout, &set),
-        };
-        Ok((outcome, prof))
     }
 
     fn fast_job(
@@ -789,32 +754,6 @@ impl SymbolScenario {
             mips: instructions as f64 / wall.as_secs_f64().max(1e-9) / 1e6,
             verified: verify(sim.memory(), &self.layout, &set),
         })
-    }
-
-    /// One symbol job with fusion-coverage instrumentation (unfused
-    /// execution order, bit-identical outcome — see
-    /// [`ParallelScenario::run_fast_profiled`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates guest traps.
-    pub fn run_symbol_profiled(&self, seed: u64) -> Result<(BatchOutcome, FusionProfile), Box<dyn Error>> {
-        let mut sim = FastSim::from_artifacts(Arc::clone(&self.arts));
-        let set = generate_problems(sim.memory(), &self.layout, seed);
-
-        let start = Instant::now();
-        let (result, prof) = sim.run_cores_profiled(0..1, 1)?;
-        let wall = start.elapsed();
-
-        let instructions = result.total_instructions();
-        let outcome = BatchOutcome {
-            wall,
-            cycles: result.cycles,
-            instructions,
-            mips: instructions as f64 / wall.as_secs_f64().max(1e-9) / 1e6,
-            verified: verify(sim.memory(), &self.layout, &set),
-        };
-        Ok((outcome, prof))
     }
 
     fn symbol_outcome(&self, mut sim: FastSim, seed: u64) -> Result<BatchOutcome, Box<dyn Error>> {

@@ -1,134 +1,101 @@
-//! Macro-op fusion: superinstruction dispatch over the micro-op table.
+//! Basic-block dispatch: the fast engine's optimized loop.
 //!
-//! The pre-lowered [`UopProgram`] already removed per-step decoding; the
-//! remaining fast-mode cost is *dispatch* — one table fetch, one indirect
-//! call and one round of loop bookkeeping per instruction. This module
-//! removes half of it for the dominant dynamic pairs: a lowering-time
-//! peephole pass ([`FusedProgram::build`]) fuses adjacent instruction
-//! pairs — compare+branch loop ends, address-generation+load/store, the
-//! MAC chains of the unrolled dot-product kernels — into superinstruction
-//! kernels executed with a **single dispatch and a single budget check**.
+//! The pre-lowered [`UopProgram`] already removed per-step decoding; what
+//! the per-instruction loop of [`resume_lowered`](crate::resume_lowered)
+//! still pays on every instruction is *accounting* — a budget test, a
+//! table fetch, the `retired` and class-histogram bumps, a control-flow
+//! check and the `mcycle` publication. All of them are facts about a
+//! basic block, so [`BlockProgram::build`] cuts the lowered program into
+//! blocks once per artifact set and [`resume_blocks`] pays them once per
+//! block:
 //!
-//! Correctness contract (pinned by `tests/fusion.rs` and the in-module
-//! lockstep tests):
+//! - **Leaders** are the entry, every static branch or `jal` target, the
+//!   instruction after every block end, and every CSR instruction (so a
+//!   `csrr mcycle` / `minstret` always observes the estimate the
+//!   per-instruction loop would have published). A block **ends** after
+//!   control flow, `ecall`, `ebreak` or `wfi`, and is at most
+//!   [`u8::MAX`] instructions long (its class histogram counts in bytes).
+//! - **Per block** the loop does one PC→block lookup and one budget test
+//!   (`remaining ≥ len`), a straight run of kernel + scoreboard issue per
+//!   uop (the per-address latency branch is hoisted out by monomorphizing
+//!   on it), then one `retired` + histogram fold, one taken-branch check
+//!   on the terminator and one `mcycle` publication.
+//! - **Partial blocks fall back to the per-instruction step**: a block
+//!   entered mid-way (a `jalr` or resume target that is not a leader) or
+//!   straddling the budget boundary runs one uop at a time with exactly
+//!   the reference accounting; a uop that traps at position *k* folds the
+//!   executed prefix, publishes `mcycle` and returns the trap.
 //!
-//! - **Stats attribution is per constituent.** A fused pair issues both
-//!   instructions on the scoreboard individually, bumps `retired` and the
-//!   class histogram twice, and applies the taken-branch bubble exactly as
-//!   the unfused loop — [`RunStats`] is bit-identical to
-//!   [`resume_lowered`](crate::resume_lowered).
-//! - **Branch-into-the-middle falls back to the unfused table.** Fused
-//!   pairs live only at their head PC; the tail PC keeps its plain
-//!   single-uop slot, so any jump (including `jalr` with a runtime target)
-//!   into the middle executes unfused at the same PC.
-//! - **Traps fall out with per-constituent accounting.** A trap in the
-//!   tail leaves the head committed and accounted, exactly as if the two
-//!   had executed unfused.
-//! - **The budget boundary is exact.** A pair is dispatched only with two
-//!   instructions of headroom; at the boundary the head executes through
-//!   the single-uop path, so `StopReason::Budget` fires at the identical
-//!   retired count.
+//! Registers, memory, [`RunStats`], stop reason and trap state are
+//! therefore bit-identical to `resume_lowered` and to `Cpu::execute`
+//! (pinned by `tests/fusion.rs` and the lockstep tests below).
 //!
-//! CSR instructions never fuse (a `csrr mcycle`/`minstret` must observe
-//! the cycle estimate the unfused loop would have published); `ecall`,
-//! `ebreak` and `wfi` never *head* a pair (a pair head must be a plain
-//! fall-through instruction) but may be fused as tails.
-//!
-//! [`resume_spmd`] stacks the second dispatch-amortization lever on top:
-//! cluster drivers hand it a *group* of lanes (harts) converged on the
-//! same PC and it executes one fetched (super)instruction across all of
-//! them in a blocked inner loop — one dispatch amortized N ways, and N
-//! consecutive calls to the same kernel pointer, which is exactly what a
-//! branch-target predictor wants. Divergence (a branch that resolves
-//! differently per lane, a trap, a budget boundary) splits the group and
-//! the divergent lanes continue per-core.
+//! [`resume_spmd`] runs the same blocks across a *group* of lanes (harts)
+//! converged on one PC, **lane-major**: each lane executes the whole block
+//! before the next lane starts, so one lane's `Cpu`, `Scoreboard` and
+//! `RunStats` stay in L1 across the block while the lookup and budget test
+//! are still paid once per group. Divergence is checked once, at the
+//! block's terminator; a trap reports the lowest-indexed trapping lane,
+//! exactly what running the lanes one after another would report.
 
 use std::collections::VecDeque;
 
-use terasim_riscv::{AluOp, BranchOp, Inst, LoadOp, VfOp};
+use terasim_riscv::Inst;
 
 use crate::cpu::{Cpu, Outcome, Trap};
 use crate::mem::Memory;
 use crate::program::Program;
 use crate::runner::{finalize, RunConfig, RunStats, StopReason};
-use crate::timing::InstClass;
-use crate::timing::Scoreboard;
-use crate::uop::{self, LoweredUop, UopMeta, UopProgram};
+use crate::timing::{InstClass, Scoreboard};
+use crate::uop::{Kernel, Uop, UopProgram};
 
-/// A superinstruction kernel: executes a fused pair — both constituents'
-/// architectural effects *and* their per-constituent timing/statistics
-/// bookkeeping — behind one dispatch.
-pub type PairKernel<M> =
-    fn(&mut Cpu, &PairUop<M>, &mut M, &mut Scoreboard, &mut RunStats, &RunConfig) -> Result<Outcome, Trap>;
+/// Retired-instruction counts of one block, by [`InstClass::index`].
+type Histogram = [u8; InstClass::COUNT];
 
-/// A fused instruction pair: the superinstruction kernel plus copies of
-/// both constituent lowered uops (the kernels replay their exact unfused
-/// semantics and accounting).
-pub struct PairUop<M> {
-    /// The superinstruction kernel (specialized for dominant pairs,
-    /// generic otherwise).
-    pub exec: PairKernel<M>,
-    /// The head constituent (never a control-flow, CSR or system
-    /// instruction).
-    pub a: LoweredUop<M>,
-    /// The tail constituent (anything but a CSR instruction).
-    pub b: LoweredUop<M>,
+/// One text slot: what the block loop touches for every executed uop.
+struct Slot<M> {
+    exec: Kernel<M>,
+    uop: Uop,
+    srcs: [u8; 3],
+    dst: u8,
+    post_inc: u8,
+    /// Static result latency (loads: before per-address refinement).
+    lat: u32,
+    /// [`InstClass::index`] of the uop (per-instruction accounting).
+    class: u8,
+    /// Length of the block this slot leads; 0 when it leads none.
+    block_len: u8,
+    /// A data load: its effective address is `rs1`, plus `imm` unless
+    /// `ea_no_offset` (post-increment).
+    is_load: bool,
+    ea_no_offset: bool,
 }
 
-impl<M> Clone for PairUop<M> {
-    fn clone(&self) -> Self {
-        *self
-    }
+/// The kernel of an undecodable text slot: fetching it is the trap.
+fn illegal_fetch<M>(cpu: &mut Cpu, _: Uop, _: &mut M) -> Result<Outcome, Trap> {
+    Err(Trap::IllegalFetch { pc: cpu.pc() })
 }
 
-impl<M> Copy for PairUop<M> {}
-
-impl<M> std::fmt::Debug for PairUop<M> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PairUop").field("a", &self.a).field("b", &self.b).finish()
-    }
-}
-
-/// One slot of a [`FusedProgram`]: what dispatch finds at a PC.
-pub enum Slot<M> {
-    /// No decodable instruction (illegal fetch when reached).
-    Empty,
-    /// A plain single micro-op (not fused at this PC — including the tail
-    /// of a pair when jumped into directly).
-    Single(LoweredUop<M>),
-    /// A fused pair headed at this PC.
-    Pair(PairUop<M>),
-}
-
-impl<M> std::fmt::Debug for Slot<M> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Slot::Empty => f.write_str("Empty"),
-            Slot::Single(lu) => f.debug_tuple("Single").field(lu).finish(),
-            Slot::Pair(p) => f.debug_tuple("Pair").field(p).finish(),
-        }
-    }
-}
-
-/// The fused superinstruction table: the unfused [`UopProgram`] slots with
-/// eligible adjacent pairs overlaid as [`Slot::Pair`] at their head PC.
+/// The basic-block table: the lowered program in text order, each block a
+/// contiguous run of slots headed by its length and class histogram.
 ///
 /// Built once per scenario (cluster drivers cache it in their shared
-/// artifact set) by [`FusedProgram::build`]; immutable afterwards and
+/// artifact set) by [`BlockProgram::build`]; immutable afterwards and
 /// shareable across host threads like the table it derives from.
-pub struct FusedProgram<M> {
+pub struct BlockProgram<M> {
     entry: u32,
     text_base: u32,
     slots: Vec<Slot<M>>,
-    static_pairs: usize,
+    /// Per slot: the histogram of the block it leads (zero elsewhere).
+    hists: Vec<Histogram>,
 }
 
-impl<M> std::fmt::Debug for FusedProgram<M> {
+impl<M> std::fmt::Debug for BlockProgram<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FusedProgram")
+        f.debug_struct("BlockProgram")
             .field("entry", &self.entry)
             .field("len", &self.slots.len())
-            .field("static_pairs", &self.static_pairs)
+            .field("blocks", &self.blocks().count())
             .finish()
     }
 }
@@ -137,187 +104,205 @@ impl<M> std::fmt::Debug for FusedProgram<M> {
 // records only, immutable after construction.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<FusedProgram<crate::mem::DenseMemory>>();
+    assert_send_sync::<BlockProgram<crate::mem::DenseMemory>>();
 };
 
-/// A pair head must fall through unconditionally: no control flow (the
-/// tail would execute speculatively), no `ecall`/`wfi` (their outcome ends
-/// the dispatch before the tail), no `ebreak` (always traps; fusing it
-/// buys nothing), no CSR (the cycle-counter CSRs must observe the unfused
-/// publication points).
-fn fusable_head(inst: &Inst) -> bool {
-    !inst.is_control_flow() && !matches!(inst, Inst::Csr { .. } | Inst::Ecall | Inst::Ebreak | Inst::Wfi)
+/// A straight-line run the loop executes with one round of accounting:
+/// a whole block (with its histogram) or a single partial-block step.
+struct Run<'a, M> {
+    body: &'a [Slot<M>],
+    hist: Option<&'a Histogram>,
 }
 
-/// A pair tail may be anything whose observable effects do not depend on
-/// the per-instruction `mcycle` publication — i.e. anything but a CSR
-/// instruction. Control flow, `ecall` and `wfi` tails simply propagate
-/// their outcome out of the superinstruction.
-fn fusable_tail(inst: &Inst) -> bool {
-    !matches!(inst, Inst::Csr { .. })
+impl<M> Clone for Run<'_, M> {
+    fn clone(&self) -> Self {
+        *self
+    }
 }
 
-impl<M: Memory> FusedProgram<M> {
-    /// Runs the peephole fusion pass over an already-lowered table.
-    ///
-    /// Pairs are formed greedily left-to-right inside basic blocks only:
-    /// statically known branch/`jal` targets and fall-through successors
-    /// of control flow are *leaders* and never fused into a preceding
-    /// pair, which keeps loop back-edge targets pair-aligned. Runtime
-    /// targets (`jalr`) need no special casing — a jump into a pair's
-    /// middle fetches the tail's own single-uop slot.
+impl<M> Copy for Run<'_, M> {}
+
+impl<M: Memory> BlockProgram<M> {
+    /// Cuts an already-lowered table into basic blocks (leader and end
+    /// rules in the module docs).
     pub fn build(program: &Program, table: &UopProgram<M>) -> Self {
         let len = program.len();
         let base = program.text_base();
         let pc_of = |i: usize| base.wrapping_add(4 * i as u32);
+        let index_of =
+            |pc: u32| Some((pc.wrapping_sub(base) / 4) as usize).filter(|&i| pc & 3 == 0 && i < len);
 
-        // Leader marks: entry, static branch targets, CF fall-throughs.
         let mut leader = vec![false; len];
-        let entry_idx = (program.entry().wrapping_sub(base) / 4) as usize;
-        if entry_idx < len {
-            leader[entry_idx] = true;
+        if let Some(i) = index_of(program.entry()) {
+            leader[i] = true;
         }
         for i in 0..len {
             let Some(inst) = program.fetch(pc_of(i)) else {
                 continue;
             };
             if let Inst::Branch { offset, .. } | Inst::Jal { offset, .. } = inst {
-                let target = pc_of(i).wrapping_add(offset as u32);
-                let ti = (target.wrapping_sub(base) / 4) as usize;
-                if target & 3 == 0 && ti < len {
-                    leader[ti] = true;
+                if let Some(t) = index_of(pc_of(i).wrapping_add(offset as u32)) {
+                    leader[t] = true;
                 }
             }
-            if inst.is_control_flow() && i + 1 < len {
+            if matches!(inst, Inst::Csr { .. }) {
+                leader[i] = true;
+            }
+            let ends = inst.is_control_flow() || matches!(inst, Inst::Ecall | Inst::Ebreak | Inst::Wfi);
+            if ends && i + 1 < len {
                 leader[i + 1] = true;
             }
         }
 
         let mut slots: Vec<Slot<M>> = (0..len)
             .map(|i| match table.fetch(pc_of(i)) {
-                Some(lu) => Slot::Single(*lu),
-                None => Slot::Empty,
+                Some(lu) => {
+                    let m = &lu.meta;
+                    debug_assert!(!m.is_load || (m.ea_base, m.ea_offset) == (lu.uop.rs1, lu.uop.imm));
+                    Slot {
+                        exec: lu.exec,
+                        uop: lu.uop,
+                        srcs: m.srcs,
+                        dst: m.dst,
+                        post_inc: m.post_inc,
+                        lat: m.result_lat as u32,
+                        class: m.class.index() as u8,
+                        block_len: 0,
+                        is_load: m.is_load,
+                        ea_no_offset: m.ea_no_offset,
+                    }
+                }
+                // Never retires, so its class is never counted.
+                None => Slot {
+                    exec: illegal_fetch::<M>,
+                    uop: Uop::new(),
+                    srcs: [0; 3],
+                    dst: crate::uop::NO_REG,
+                    post_inc: crate::uop::NO_REG,
+                    lat: 0,
+                    class: 0,
+                    block_len: 0,
+                    is_load: false,
+                    ea_no_offset: true,
+                },
             })
             .collect();
 
-        let mut static_pairs = 0;
-        let mut i = 0;
-        while i + 1 < len {
-            let (Some(ia), Some(ib)) = (program.fetch(pc_of(i)), program.fetch(pc_of(i + 1))) else {
-                i += 1;
-                continue;
-            };
-            if leader[i + 1] || !fusable_head(&ia) || !fusable_tail(&ib) {
-                i += 1;
-                continue;
+        let mut hists = vec![[0u8; InstClass::COUNT]; len];
+        let mut start = 0;
+        while start < len {
+            let mut end = start + 1;
+            while end < len && !leader[end] && end - start < usize::from(u8::MAX) {
+                end += 1;
             }
-            let (Some(&a), Some(&b)) = (table.fetch(pc_of(i)), table.fetch(pc_of(i + 1))) else {
-                i += 1;
-                continue;
-            };
-            let exec = spec2::<M>(&ia, &ib).unwrap_or(pair_generic::<M>);
-            slots[i] = Slot::Pair(PairUop { exec, a, b });
-            static_pairs += 1;
-            i += 2;
+            slots[start].block_len = (end - start) as u8;
+            for s in &slots[start..end] {
+                hists[start][usize::from(s.class)] += 1;
+            }
+            start = end;
         }
 
-        Self { entry: program.entry(), text_base: base, slots, static_pairs }
+        Self { entry: program.entry(), text_base: base, slots, hists }
+    }
+}
+
+impl<M> BlockProgram<M> {
+    /// Every block as `(leader pc, length)`, in text order.
+    pub(crate) fn blocks(&self) -> impl Iterator<Item = (u32, usize)> + '_ {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.block_len > 0)
+            .map(|(i, s)| (self.text_base.wrapping_add(4 * i as u32), usize::from(s.block_len)))
     }
 
-    /// The program entry point.
-    pub fn entry(&self) -> u32 {
-        self.entry
-    }
-
-    /// Number of statically fused pairs (coverage diagnostics; the
-    /// *dynamic* coverage comes from [`resume_profiled`]).
-    pub fn static_pairs(&self) -> usize {
-        self.static_pairs
-    }
-
-    /// Fetches the dispatch slot at `pc` (`None` = illegal fetch).
-    #[inline]
-    pub fn fetch(&self, pc: u32) -> Option<&Slot<M>> {
+    /// What runs next at `pc` with `rem ≥ 1` instructions of budget left:
+    /// the block `pc` leads when it fits the budget, the single uop at
+    /// `pc` otherwise (`None` = illegal fetch).
+    #[inline(always)]
+    fn run_at(&self, pc: u32, rem: u64) -> Option<Run<'_, M>> {
         if pc & 3 != 0 {
             return None;
         }
         let idx = (pc.wrapping_sub(self.text_base) / 4) as usize;
-        match self.slots.get(idx) {
-            None | Some(Slot::Empty) => None,
-            Some(s) => Some(s),
+        let len = usize::from(self.slots.get(idx)?.block_len);
+        Some(if len != 0 && rem >= len as u64 {
+            Run { body: &self.slots[idx..idx + len], hist: Some(&self.hists[idx]) }
+        } else {
+            Run { body: &self.slots[idx..=idx], hist: None }
+        })
+    }
+}
+
+/// Per-instruction accounting of `body` (partial steps, trapped prefixes).
+fn fold_each<M>(stats: &mut RunStats, body: &[Slot<M>]) {
+    stats.retired += body.len() as u64;
+    for s in body {
+        stats.class_counts[usize::from(s.class)] += 1;
+    }
+}
+
+/// Accounting of a trap right after `prefix`, whose issues left the
+/// run's clock at `next`: the prefix is issued, retired and its estimate
+/// published, as the per-instruction loop leaves them.
+#[cold]
+fn trapped<M>(
+    cpu: &mut Cpu,
+    sb: &mut Scoreboard,
+    stats: &mut RunStats,
+    prefix: &[Slot<M>],
+    next: u64,
+    trap: Trap,
+) -> Trap {
+    sb.end_run(next, prefix.len() as u64);
+    fold_each(stats, prefix);
+    cpu.set_mcycle(sb.cycles());
+    trap
+}
+
+/// Executes one straight-line run on one hart with a single round of
+/// accounting; returns the outcome of its last uop (every earlier one
+/// falls through by construction).
+#[inline(always)]
+fn run_straight<M: Memory, const PER_ADDR: bool>(
+    cpu: &mut Cpu,
+    mem: &mut M,
+    sb: &mut Scoreboard,
+    stats: &mut RunStats,
+    config: &RunConfig,
+    run: Run<'_, M>,
+) -> Result<Outcome, Trap> {
+    let start = cpu.pc();
+    let mut out = Outcome::Continue;
+    let mut next = sb.cycles();
+    for (k, s) in run.body.iter().enumerate() {
+        // The effective address is read before execution (post-increment
+        // bases change), as in the per-instruction loop.
+        let latency = if PER_ADDR && s.is_load {
+            let base = cpu.reg_raw(s.uop.rs1);
+            mem.latency(if s.ea_no_offset { base } else { base.wrapping_add(s.uop.imm as u32) })
+        } else {
+            s.lat
+        };
+        out = match (s.exec)(cpu, s.uop, mem) {
+            Ok(out) => out,
+            Err(trap) => return Err(trapped(cpu, sb, stats, &run.body[..k], next, trap)),
+        };
+        next = sb.issue_in_run(next, s.srcs, s.dst, s.post_inc, latency);
+    }
+    sb.end_run(next, run.body.len() as u64);
+    match run.hist {
+        Some(hist) => {
+            stats.retired += run.body.len() as u64;
+            for (count, &n) in stats.class_counts.iter_mut().zip(hist) {
+                *count += u64::from(n);
+            }
         }
+        None => fold_each(stats, run.body),
     }
-}
-
-// --- Per-constituent execution steps -----------------------------------
-//
-// These replicate the `resume_lowered` loop body exactly; the `exec`
-// parameter is generic so specialized superinstructions pass the concrete
-// kernel function (statically dispatched and inlined) while the generic
-// pair passes the slot's function pointer.
-
-/// Load latency refinement, identical to the unfused loop: the effective
-/// address is computed *before* execution (post-increment bases change).
-#[inline(always)]
-fn latency_of<M: Memory>(cpu: &Cpu, meta: &UopMeta, mem: &M, config: &RunConfig) -> u32 {
-    if config.per_address_latency && meta.is_load {
-        let base = cpu.reg_raw(meta.ea_base);
-        let addr = if meta.ea_no_offset { base } else { base.wrapping_add(meta.ea_offset as u32) };
-        mem.latency(addr)
-    } else {
-        meta.result_lat as u32
-    }
-}
-
-/// Executes a pair head: guaranteed fall-through, so no control-flow check
-/// and no `mcycle` publication (the tail is never a CSR read).
-#[inline(always)]
-fn head_step<M: Memory, F>(
-    cpu: &mut Cpu,
-    lu: &LoweredUop<M>,
-    mem: &mut M,
-    sb: &mut Scoreboard,
-    stats: &mut RunStats,
-    config: &RunConfig,
-    exec: F,
-) -> Result<(), Trap>
-where
-    F: FnOnce(&mut Cpu, uop::Uop, &mut M) -> Result<Outcome, Trap>,
-{
-    let meta = &lu.meta;
-    let latency = latency_of(cpu, meta, mem, config);
-    exec(cpu, lu.uop, mem)?;
-    sb.issue_slots(meta.srcs, meta.dst, meta.post_inc, latency);
-    stats.retired += 1;
-    stats.class_counts[meta.class.index()] += 1;
-    Ok(())
-}
-
-/// Executes one full instruction step — the complete `resume_lowered` loop
-/// body: latency refinement, execution, scoreboard issue, statistics,
-/// taken-branch bubble, `mcycle` publication. Used for pair tails and for
-/// every unfused single step.
-#[inline(always)]
-fn full_step<M: Memory, F>(
-    cpu: &mut Cpu,
-    lu: &LoweredUop<M>,
-    mem: &mut M,
-    sb: &mut Scoreboard,
-    stats: &mut RunStats,
-    config: &RunConfig,
-    exec: F,
-) -> Result<Outcome, Trap>
-where
-    F: FnOnce(&mut Cpu, uop::Uop, &mut M) -> Result<Outcome, Trap>,
-{
-    let meta = &lu.meta;
-    let pc = cpu.pc();
-    let latency = latency_of(cpu, meta, mem, config);
-    let out = exec(cpu, lu.uop, mem)?;
-    sb.issue_slots(meta.srcs, meta.dst, meta.post_inc, latency);
-    stats.retired += 1;
-    stats.class_counts[meta.class.index()] += 1;
-    if meta.is_control_flow && cpu.pc() != pc.wrapping_add(4) {
+    // Only the last uop can redirect, so "left the fall-through" is
+    // exactly "a taken control-flow terminator".
+    if cpu.pc() != start.wrapping_add(4 * run.body.len() as u32) {
         sb.bubble(config.latency.taken_branch_penalty);
         stats.branch_bubbles += u64::from(config.latency.taken_branch_penalty);
     }
@@ -325,241 +310,65 @@ where
     Ok(out)
 }
 
-/// The generic fused pair: one dispatch, two (predictably sited) indirect
-/// constituent calls, merged loop bookkeeping.
-fn pair_generic<M: Memory>(
-    cpu: &mut Cpu,
-    p: &PairUop<M>,
-    mem: &mut M,
-    sb: &mut Scoreboard,
-    stats: &mut RunStats,
-    config: &RunConfig,
-) -> Result<Outcome, Trap> {
-    head_step(cpu, &p.a, mem, sb, stats, config, p.a.exec)?;
-    full_step(cpu, &p.b, mem, sb, stats, config, p.b.exec)
-}
-
-// Specialized superinstructions for the dominant static pairs of the
-// emitted PHY kernels (see the `--fusion-report` histogram): both
-// constituent kernels are called statically, so the whole pair compiles
-// to straight-line code behind a single dispatch.
-macro_rules! spec_pairs {
-    ($($name:ident: $ka:ident + $kb:ident;)+) => {$(
-        fn $name<M: Memory>(
-            cpu: &mut Cpu,
-            p: &PairUop<M>,
-            mem: &mut M,
-            sb: &mut Scoreboard,
-            stats: &mut RunStats,
-            config: &RunConfig,
-        ) -> Result<Outcome, Trap> {
-            head_step(cpu, &p.a, mem, sb, stats, config, uop::$ka::<M>)?;
-            full_step(cpu, &p.b, mem, sb, stats, config, uop::$kb::<M>)
-        }
-    )+};
-}
-
-spec_pairs! {
-    p_addi_beq: k_addi + k_beq;
-    p_addi_bne: k_addi + k_bne;
-    p_addi_blt: k_addi + k_blt;
-    p_addi_bge: k_addi + k_bge;
-    p_addi_bltu: k_addi + k_bltu;
-    p_addi_bgeu: k_addi + k_bgeu;
-    p_addi_addi: k_addi + k_addi;
-    p_addi_add: k_addi + k_add;
-    p_add_addi: k_add + k_addi;
-    p_add_add: k_add + k_add;
-    p_slli_add: k_slli + k_add;
-    p_slli_addi: k_slli + k_addi;
-    p_slli_srli: k_slli + k_srli;
-    p_srli_slli: k_srli + k_slli;
-    p_slli_or: k_slli + k_or;
-    p_add_lw: k_add + k_lw;
-    p_slli_lw: k_slli + k_lw;
-    p_addi_lw: k_addi + k_lw;
-    p_lw_addi: k_lw + k_addi;
-    p_lw_lw: k_lw + k_lw;
-    p_lwp_lwp: k_lw_post + k_lw_post;
-    p_lhp_lhp: k_lh_post + k_lh_post;
-    p_lhup_lhup: k_lhu_post + k_lhu_post;
-    p_lwp_cdotpc: k_lw_post + k_vfcdotpex_c_s_h;
-    p_lwp_dotp: k_lw_post + k_vfdotpex_s_h;
-    p_lwp_ndotp: k_lw_post + k_vfndotpex_s_h;
-    p_lwp_swap: k_lw_post + k_pv_swap_h;
-    p_cdotpc_lwp: k_vfcdotpex_c_s_h + k_lw_post;
-    p_dotp_lwp: k_vfdotpex_s_h + k_lw_post;
-    p_ndotp_lwp: k_vfndotpex_s_h + k_lw_post;
-    p_swap_dotp: k_pv_swap_h + k_vfdotpex_s_h;
-    p_fmaddh_fmaddh: k_fmadd_h + k_fmadd_h;
-    p_fmaddh_fnmsubh: k_fmadd_h + k_fnmsub_h;
-    p_lhp_fmaddh: k_lh_post + k_fmadd_h;
-    p_mul_add: k_mul + k_add;
-    p_mul_addi: k_mul + k_addi;
-    p_addi_mul: k_addi + k_mul;
-    p_mul_mul: k_mul + k_mul;
-    p_sw_addi: k_sw + k_addi;
-    p_addi_sw: k_addi + k_sw;
-}
-
-/// Selects a specialized superinstruction for a pair, if one exists.
-fn spec2<M: Memory>(a: &Inst, b: &Inst) -> Option<PairKernel<M>> {
-    let kern: PairKernel<M> = match (a, b) {
-        (Inst::OpImm { op: AluOp::Add, .. }, Inst::Branch { op, .. }) => match op {
-            BranchOp::Eq => p_addi_beq::<M>,
-            BranchOp::Ne => p_addi_bne::<M>,
-            BranchOp::Lt => p_addi_blt::<M>,
-            BranchOp::Ge => p_addi_bge::<M>,
-            BranchOp::Ltu => p_addi_bltu::<M>,
-            BranchOp::Geu => p_addi_bgeu::<M>,
-        },
-        (Inst::OpImm { op: AluOp::Add, .. }, Inst::OpImm { op: AluOp::Add, .. }) => p_addi_addi::<M>,
-        (Inst::OpImm { op: AluOp::Add, .. }, Inst::Op { op: AluOp::Add, .. }) => p_addi_add::<M>,
-        (Inst::Op { op: AluOp::Add, .. }, Inst::OpImm { op: AluOp::Add, .. }) => p_add_addi::<M>,
-        (Inst::Op { op: AluOp::Add, .. }, Inst::Op { op: AluOp::Add, .. }) => p_add_add::<M>,
-        (Inst::OpImm { op: AluOp::Sll, .. }, Inst::Op { op: AluOp::Add, .. }) => p_slli_add::<M>,
-        (Inst::OpImm { op: AluOp::Sll, .. }, Inst::OpImm { op: AluOp::Add, .. }) => p_slli_addi::<M>,
-        (Inst::OpImm { op: AluOp::Sll, .. }, Inst::OpImm { op: AluOp::Srl, .. }) => p_slli_srli::<M>,
-        (Inst::OpImm { op: AluOp::Srl, .. }, Inst::OpImm { op: AluOp::Sll, .. }) => p_srli_slli::<M>,
-        (Inst::OpImm { op: AluOp::Sll, .. }, Inst::Op { op: AluOp::Or, .. }) => p_slli_or::<M>,
-        (Inst::Op { op: AluOp::Add, .. }, Inst::Load { op: LoadOp::Lw, post_inc: false, .. }) => {
-            p_add_lw::<M>
-        }
-        (Inst::OpImm { op: AluOp::Sll, .. }, Inst::Load { op: LoadOp::Lw, post_inc: false, .. }) => {
-            p_slli_lw::<M>
-        }
-        (Inst::OpImm { op: AluOp::Add, .. }, Inst::Load { op: LoadOp::Lw, post_inc: false, .. }) => {
-            p_addi_lw::<M>
-        }
-        (Inst::Load { op: LoadOp::Lw, post_inc: false, .. }, Inst::OpImm { op: AluOp::Add, .. }) => {
-            p_lw_addi::<M>
-        }
-        (
-            Inst::Load { op: LoadOp::Lw, post_inc: false, .. },
-            Inst::Load { op: LoadOp::Lw, post_inc: false, .. },
-        ) => p_lw_lw::<M>,
-        (
-            Inst::Load { op: LoadOp::Lw, post_inc: true, .. },
-            Inst::Load { op: LoadOp::Lw, post_inc: true, .. },
-        ) => p_lwp_lwp::<M>,
-        (
-            Inst::Load { op: LoadOp::Lh, post_inc: true, .. },
-            Inst::Load { op: LoadOp::Lh, post_inc: true, .. },
-        ) => p_lhp_lhp::<M>,
-        (
-            Inst::Load { op: LoadOp::Lhu, post_inc: true, .. },
-            Inst::Load { op: LoadOp::Lhu, post_inc: true, .. },
-        ) => p_lhup_lhup::<M>,
-        (Inst::Load { op: LoadOp::Lw, post_inc: true, .. }, Inst::Vf { op, .. }) => match op {
-            VfOp::CdotpExCSH => p_lwp_cdotpc::<M>,
-            VfOp::DotpExSH => p_lwp_dotp::<M>,
-            VfOp::NDotpExSH => p_lwp_ndotp::<M>,
-            VfOp::SwapH => p_lwp_swap::<M>,
-            _ => return None,
-        },
-        (Inst::Vf { op, .. }, Inst::Load { op: LoadOp::Lw, post_inc: true, .. }) => match op {
-            VfOp::CdotpExCSH => p_cdotpc_lwp::<M>,
-            VfOp::DotpExSH => p_dotp_lwp::<M>,
-            VfOp::NDotpExSH => p_ndotp_lwp::<M>,
-            _ => return None,
-        },
-        (Inst::Vf { op: VfOp::SwapH, .. }, Inst::Vf { op: VfOp::DotpExSH, .. }) => p_swap_dotp::<M>,
-        (Inst::Load { op: LoadOp::Lh, post_inc: true, .. }, Inst::FpFma { .. }) => {
-            if matches!(b, Inst::FpFma { op: terasim_riscv::FmaOp::Madd, fmt: terasim_riscv::FpFmt::H, .. }) {
-                p_lhp_fmaddh::<M>
-            } else {
-                return None;
-            }
-        }
-        (Inst::FpFma { .. }, Inst::FpFma { .. }) => {
-            use terasim_riscv::{FmaOp, FpFmt};
-            match (a, b) {
-                (
-                    Inst::FpFma { op: FmaOp::Madd, fmt: FpFmt::H, .. },
-                    Inst::FpFma { op: FmaOp::Madd, fmt: FpFmt::H, .. },
-                ) => p_fmaddh_fmaddh::<M>,
-                (
-                    Inst::FpFma { op: FmaOp::Madd, fmt: FpFmt::H, .. },
-                    Inst::FpFma { op: FmaOp::Nmsub, fmt: FpFmt::H, .. },
-                ) => p_fmaddh_fnmsubh::<M>,
-                _ => return None,
-            }
-        }
-        (Inst::MulDiv { op: terasim_riscv::MulDivOp::Mul, .. }, _) => match b {
-            Inst::Op { op: AluOp::Add, .. } => p_mul_add::<M>,
-            Inst::OpImm { op: AluOp::Add, .. } => p_mul_addi::<M>,
-            Inst::MulDiv { op: terasim_riscv::MulDivOp::Mul, .. } => p_mul_mul::<M>,
-            _ => return None,
-        },
-        (Inst::OpImm { op: AluOp::Add, .. }, Inst::MulDiv { op: terasim_riscv::MulDivOp::Mul, .. }) => {
-            p_addi_mul::<M>
-        }
-        (
-            Inst::Store { op: terasim_riscv::StoreOp::Sw, post_inc: false, .. },
-            Inst::OpImm { op: AluOp::Add, .. },
-        ) => p_sw_addi::<M>,
-        (
-            Inst::OpImm { op: AluOp::Add, .. },
-            Inst::Store { op: terasim_riscv::StoreOp::Sw, post_inc: false, .. },
-        ) => p_addi_sw::<M>,
-        _ => return None,
+/// Finalizes the hart's statistics when `out` stops it.
+#[inline(always)]
+fn stop_on(out: Outcome, cpu: &mut Cpu, sb: &Scoreboard, stats: &mut RunStats) -> Option<StopReason> {
+    let stop = match out {
+        Outcome::Continue => return None,
+        Outcome::Exit { code } => StopReason::Exit { code },
+        Outcome::Wfi => StopReason::Wfi,
     };
-    Some(kern)
+    finalize(stats, sb, cpu, stop);
+    Some(stop)
 }
 
 // --- Drivers -----------------------------------------------------------
 
-/// As [`resume_lowered`](crate::resume_lowered) over the fused
-/// superinstruction table: bit-identical results and statistics, roughly
-/// half the dispatches on fused-dense code.
+/// As [`resume_lowered`](crate::resume_lowered) over the block table:
+/// bit-identical results and statistics, with the loop's accounting paid
+/// once per block instead of once per instruction.
 ///
 /// # Errors
 ///
-/// Propagates any [`Trap`] raised by the guest, with the same
-/// per-constituent accounting as the unfused loop.
-pub fn resume_fused<M: Memory>(
+/// Propagates any [`Trap`] raised by the guest, with the executed prefix
+/// of the trapping block accounted exactly as the per-instruction loop.
+pub fn resume_blocks<M: Memory>(
     cpu: &mut Cpu,
-    fp: &FusedProgram<M>,
+    bp: &BlockProgram<M>,
+    mem: &mut M,
+    config: &RunConfig,
+    sb: &mut Scoreboard,
+    stats: &mut RunStats,
+) -> Result<StopReason, Trap> {
+    if config.per_address_latency {
+        resume_impl::<M, true>(cpu, bp, mem, config, sb, stats)
+    } else {
+        resume_impl::<M, false>(cpu, bp, mem, config, sb, stats)
+    }
+}
+
+fn resume_impl<M: Memory, const PER_ADDR: bool>(
+    cpu: &mut Cpu,
+    bp: &BlockProgram<M>,
     mem: &mut M,
     config: &RunConfig,
     sb: &mut Scoreboard,
     stats: &mut RunStats,
 ) -> Result<StopReason, Trap> {
     if cpu.pc() == 0 {
-        cpu.set_pc(fp.entry);
+        cpu.set_pc(bp.entry);
     }
-
     loop {
-        if stats.retired >= config.max_instructions {
+        let rem = config.max_instructions.saturating_sub(stats.retired);
+        if rem == 0 {
             finalize(stats, sb, cpu, StopReason::Budget);
             return Ok(StopReason::Budget);
         }
         let pc = cpu.pc();
-        let out = match fp.fetch(pc) {
-            Some(Slot::Pair(p)) => {
-                if config.max_instructions - stats.retired >= 2 {
-                    (p.exec)(cpu, p, mem, sb, stats, config)?
-                } else {
-                    // Budget boundary: execute the head alone so Budget
-                    // fires at the exact retired count.
-                    full_step(cpu, &p.a, mem, sb, stats, config, p.a.exec)?
-                }
-            }
-            Some(Slot::Single(lu)) => full_step(cpu, lu, mem, sb, stats, config, lu.exec)?,
-            _ => return Err(Trap::IllegalFetch { pc }),
-        };
-
-        match out {
-            Outcome::Continue => {}
-            Outcome::Exit { code } => {
-                let stop = StopReason::Exit { code };
-                finalize(stats, sb, cpu, stop);
-                return Ok(stop);
-            }
-            Outcome::Wfi => {
-                finalize(stats, sb, cpu, StopReason::Wfi);
-                return Ok(StopReason::Wfi);
-            }
+        let run = bp.run_at(pc, rem).ok_or(Trap::IllegalFetch { pc })?;
+        let out = run_straight::<M, PER_ADDR>(cpu, mem, sb, stats, config, run)?;
+        if let Some(stop) = stop_on(out, cpu, sb, stats) {
+            return Ok(stop);
         }
     }
 }
@@ -578,71 +387,105 @@ pub struct Lane<'a, M> {
 }
 
 /// Runs a set of lanes to their next stop (exit, `wfi` park, budget),
-/// executing converged lanes in lockstep: lanes at the same PC form a
-/// group, each fetched (super)instruction is dispatched once and applied
-/// across the whole group, and per-lane timing/statistics are accounted
-/// exactly as the per-core loop would. Lanes whose branches resolve
-/// differently split into subgroups (singletons continue through
-/// [`resume_fused`]); every result is bit-identical to running each lane
-/// alone.
+/// executing converged lanes as a group: lanes at the same PC share one
+/// block lookup and budget test per block and run the block lane-major,
+/// with per-lane timing and statistics accounted exactly as the per-core
+/// loop would. Lanes whose terminators resolve differently split into
+/// subgroups (singletons continue through [`resume_blocks`]); every result
+/// is bit-identical to running each lane alone.
 ///
 /// Returns one [`StopReason`] per lane, in input order.
 ///
 /// # Errors
 ///
-/// Returns the first [`Trap`] raised by any lane (lane order within a
-/// group, group order by lowest lane index). Partial state is abandoned,
-/// exactly as cluster drivers treat a trapped run.
+/// Returns the [`Trap`] of the lowest-indexed trapping lane — the trap
+/// running the lanes one after another in input order reports. Lanes
+/// below it still run to their stop; lanes above it are abandoned, as
+/// cluster drivers abandon a trapped run.
 pub fn resume_spmd<M: Memory>(
     lanes: &mut [Lane<'_, M>],
-    fp: &FusedProgram<M>,
+    bp: &BlockProgram<M>,
+    config: &RunConfig,
+) -> Result<Vec<StopReason>, Trap> {
+    if config.per_address_latency {
+        spmd_impl::<M, true>(lanes, bp, config)
+    } else {
+        spmd_impl::<M, false>(lanes, bp, config)
+    }
+}
+
+fn spmd_impl<M: Memory, const PER_ADDR: bool>(
+    lanes: &mut [Lane<'_, M>],
+    bp: &BlockProgram<M>,
     config: &RunConfig,
 ) -> Result<Vec<StopReason>, Trap> {
     let mut stops: Vec<StopReason> = vec![StopReason::Budget; lanes.len()];
     for lane in lanes.iter_mut() {
         if lane.cpu.pc() == 0 {
-            lane.cpu.set_pc(fp.entry);
+            lane.cpu.set_pc(bp.entry);
         }
     }
-
-    // Initial convergence groups: lanes sharing a PC, lowest lane first.
     let mut work: VecDeque<Vec<usize>> = VecDeque::new();
-    {
-        let mut parts: Vec<(u32, Vec<usize>)> = Vec::new();
-        for (i, lane) in lanes.iter().enumerate() {
-            let pc = lane.cpu.pc();
-            match parts.iter_mut().find(|(q, _)| *q == pc) {
-                Some((_, v)) => v.push(i),
-                None => parts.push((pc, vec![i])),
-            }
-        }
-        parts.sort_by_key(|(_, v)| v[0]);
-        work.extend(parts.into_iter().map(|(_, v)| v));
-    }
+    split_by_pc(lanes, 0..lanes.len(), &mut work);
 
-    while let Some(group) = work.pop_front() {
-        if group.len() == 1 {
-            let l = &mut lanes[group[0]];
-            stops[group[0]] = resume_fused(l.cpu, fp, l.mem, config, l.sb, l.stats)?;
-            continue;
+    // The lowest-indexed trap so far; lanes at or above it never run again.
+    let mut trap: Option<(usize, Trap)> = None;
+    while let Some(mut group) = work.pop_front() {
+        if let Some((t, _)) = trap {
+            group.retain(|&i| i < t);
         }
-        run_group(lanes, &group, fp, config, &mut stops, &mut work)?;
+        match group.len() {
+            0 => {}
+            1 => {
+                let i = group[0];
+                let l = &mut lanes[i];
+                match resume_impl::<M, PER_ADDR>(l.cpu, bp, l.mem, config, l.sb, l.stats) {
+                    Ok(stop) => stops[i] = stop,
+                    Err(t) => trap = Some((i, t)),
+                }
+            }
+            _ => run_group::<M, PER_ADDR>(lanes, group, bp, config, &mut stops, &mut work, &mut trap),
+        }
     }
-    Ok(stops)
+    match trap {
+        Some((_, t)) => Err(t),
+        None => Ok(stops),
+    }
 }
 
-/// Lockstep execution of one convergence group until it stops, splits, or
-/// nears the instruction budget (then lanes finish per-core for exact
-/// budget semantics).
-fn run_group<M: Memory>(
+/// Partitions `members` by PC into convergence groups, queued in order of
+/// their lowest lane.
+fn split_by_pc<M>(
+    lanes: &[Lane<'_, M>],
+    members: impl IntoIterator<Item = usize>,
+    work: &mut VecDeque<Vec<usize>>,
+) {
+    let mut parts: Vec<(u32, Vec<usize>)> = Vec::new();
+    for i in members {
+        let pc = lanes[i].cpu.pc();
+        match parts.iter_mut().find(|(q, _)| *q == pc) {
+            Some((_, v)) => v.push(i),
+            None => parts.push((pc, vec![i])),
+        }
+    }
+    parts.sort_by_key(|(_, v)| v[0]);
+    work.extend(parts.into_iter().map(|(_, v)| v));
+}
+
+/// Lane-major execution of one convergence group (lanes ascending) until
+/// it stops, splits, or traps.
+fn run_group<M: Memory, const PER_ADDR: bool>(
     lanes: &mut [Lane<'_, M>],
-    group: &[usize],
-    fp: &FusedProgram<M>,
+    mut group: Vec<usize>,
+    bp: &BlockProgram<M>,
     config: &RunConfig,
     stops: &mut [StopReason],
     work: &mut VecDeque<Vec<usize>>,
-) -> Result<(), Trap> {
+    trap: &mut Option<(usize, Trap)>,
+) {
     let mut pc = lanes[group[0]].cpu.pc();
+    // Lanes of a group retire the same instructions, so the smallest
+    // remaining budget bounds every lane.
     let mut rem: u64 = group
         .iter()
         .map(|&i| config.max_instructions.saturating_sub(lanes[i].stats.retired))
@@ -650,214 +493,59 @@ fn run_group<M: Memory>(
         .unwrap_or(0);
 
     loop {
-        if rem < 2 {
-            // Near the budget: per-core execution gets the boundary exact.
-            for &i in group {
+        if rem == 0 {
+            // A lane is at its budget: each lane finishes alone, its own
+            // boundary exact.
+            for &i in &group {
                 let l = &mut lanes[i];
-                stops[i] = resume_fused(l.cpu, fp, l.mem, config, l.sb, l.stats)?;
-            }
-            return Ok(());
-        }
-        let Some(slot) = fp.fetch(pc) else {
-            return Err(Trap::IllegalFetch { pc });
-        };
-        let (cf, cost, out) = match slot {
-            Slot::Pair(p) => {
-                let mut out = Outcome::Continue;
-                for &i in group {
-                    let l = &mut lanes[i];
-                    out = (p.exec)(l.cpu, p, l.mem, l.sb, l.stats, config)?;
-                }
-                (p.b.meta.is_control_flow, 2u64, out)
-            }
-            Slot::Single(lu) => {
-                let mut out = Outcome::Continue;
-                for &i in group {
-                    let l = &mut lanes[i];
-                    out = full_step(l.cpu, lu, l.mem, l.sb, l.stats, config, lu.exec)?;
-                }
-                (lu.meta.is_control_flow, 1u64, out)
-            }
-            Slot::Empty => return Err(Trap::IllegalFetch { pc }),
-        };
-        rem -= cost;
-
-        // The fetched instruction is the same for every lane, so the
-        // outcome *kind* is uniform (`ecall` exits everywhere, `wfi`
-        // parks everywhere); only exit codes are per-lane.
-        match out {
-            Outcome::Continue => {}
-            Outcome::Exit { .. } => {
-                for &i in group {
-                    let l = &mut lanes[i];
-                    let stop = StopReason::Exit { code: l.cpu.reg_raw(10) };
-                    finalize(l.stats, l.sb, l.cpu, stop);
-                    stops[i] = stop;
-                }
-                return Ok(());
-            }
-            Outcome::Wfi => {
-                for &i in group {
-                    let l = &mut lanes[i];
-                    finalize(l.stats, l.sb, l.cpu, StopReason::Wfi);
-                    stops[i] = StopReason::Wfi;
-                }
-                return Ok(());
-            }
-        }
-
-        if cf {
-            let next = lanes[group[0]].cpu.pc();
-            if group.iter().any(|&i| lanes[i].cpu.pc() != next) {
-                // Divergence: partition by PC and requeue; singletons run
-                // per-core, converged subsets keep lockstepping.
-                let mut parts: Vec<(u32, Vec<usize>)> = Vec::new();
-                for &i in group {
-                    let p = lanes[i].cpu.pc();
-                    match parts.iter_mut().find(|(q, _)| *q == p) {
-                        Some((_, v)) => v.push(i),
-                        None => parts.push((p, vec![i])),
+                match resume_impl::<M, PER_ADDR>(l.cpu, bp, l.mem, config, l.sb, l.stats) {
+                    Ok(stop) => stops[i] = stop,
+                    Err(t) => {
+                        *trap = Some((i, t));
+                        return;
                     }
                 }
-                parts.sort_by_key(|(_, v)| v[0]);
-                work.extend(parts.into_iter().map(|(_, v)| v));
-                return Ok(());
             }
-            pc = next;
-        } else {
-            pc = pc.wrapping_add(4 * cost as u32);
+            return;
         }
-    }
-}
-
-// --- Profiling ---------------------------------------------------------
-
-/// Dynamic fusion profile: the adjacent-pair histogram and fused-dispatch
-/// coverage of one (or many merged) runs. Collected by
-/// [`resume_profiled`]; drives pair-selection tuning via the
-/// `mips --fusion-report` bench leg.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FusionProfile {
-    /// `pair_counts[a][b]`: dynamic occurrences of a class-`b` instruction
-    /// retiring immediately after a class-`a` instruction on the same
-    /// hart (indices per [`InstClass::index`]).
-    pub pair_counts: [[u64; InstClass::COUNT]; InstClass::COUNT],
-    /// Instructions the fused table dispatches inside a superinstruction.
-    pub fused_retired: u64,
-    /// Total retired instructions observed.
-    pub total_retired: u64,
-}
-
-impl Default for FusionProfile {
-    fn default() -> Self {
-        Self { pair_counts: [[0; InstClass::COUNT]; InstClass::COUNT], fused_retired: 0, total_retired: 0 }
-    }
-}
-
-impl FusionProfile {
-    /// Merges another profile (e.g. another hart's) into this one.
-    pub fn merge(&mut self, other: &FusionProfile) {
-        for (a, b) in self.pair_counts.iter_mut().zip(other.pair_counts.iter()) {
-            for (x, y) in a.iter_mut().zip(b.iter()) {
-                *x += y;
-            }
-        }
-        self.fused_retired += other.fused_retired;
-        self.total_retired += other.total_retired;
-    }
-
-    /// Percentage of retired instructions dispatched fused (0–100).
-    pub fn fused_pct(&self) -> f64 {
-        if self.total_retired == 0 {
-            0.0
-        } else {
-            100.0 * self.fused_retired as f64 / self.total_retired as f64
-        }
-    }
-
-    /// The `k` most frequent dynamic class pairs, descending.
-    pub fn top_pairs(&self, k: usize) -> Vec<(InstClass, InstClass, u64)> {
-        let mut all: Vec<(InstClass, InstClass, u64)> = Vec::new();
-        for (ai, a) in InstClass::ALL.iter().enumerate() {
-            for (bi, b) in InstClass::ALL.iter().enumerate() {
-                let n = self.pair_counts[ai][bi];
-                if n > 0 {
-                    all.push((*a, *b, n));
-                }
-            }
-        }
-        all.sort_by_key(|pair| std::cmp::Reverse(pair.2));
-        all.truncate(k);
-        all
-    }
-}
-
-/// As [`resume_lowered`](crate::resume_lowered) (unfused execution order,
-/// bit-identical results) while recording the dynamic adjacent-pair
-/// histogram and the coverage the fused table *would* achieve. Slow path —
-/// benchmarking legs only.
-///
-/// # Errors
-///
-/// Propagates any [`Trap`] raised by the guest.
-pub fn resume_profiled<M: Memory>(
-    cpu: &mut Cpu,
-    fp: &FusedProgram<M>,
-    mem: &mut M,
-    config: &RunConfig,
-    sb: &mut Scoreboard,
-    stats: &mut RunStats,
-    prof: &mut FusionProfile,
-) -> Result<StopReason, Trap> {
-    if cpu.pc() == 0 {
-        cpu.set_pc(fp.entry);
-    }
-    let mut prev: Option<usize> = None;
-    // Remaining instructions of the fused dispatch the coverage walk is
-    // inside (mirrors the fetch decisions `resume_fused` would make on
-    // the identical PC stream).
-    let mut pending: u64 = 0;
-    loop {
-        if stats.retired >= config.max_instructions {
-            finalize(stats, sb, cpu, StopReason::Budget);
-            return Ok(StopReason::Budget);
-        }
-        let pc = cpu.pc();
-        let lu = match fp.fetch(pc) {
-            Some(Slot::Pair(p)) => {
-                if pending == 0 && config.max_instructions - stats.retired >= 2 {
-                    prof.fused_retired += 2;
-                    pending = 2;
-                }
-                &p.a
-            }
-            Some(Slot::Single(lu)) => lu,
-            _ => return Err(Trap::IllegalFetch { pc }),
+        let Some(run) = bp.run_at(pc, rem) else {
+            *trap = Some((group[0], Trap::IllegalFetch { pc }));
+            return;
         };
-        if pending == 0 {
-            pending = 1;
-        }
-        let out = full_step(cpu, lu, mem, sb, stats, config, lu.exec)?;
-        pending -= 1;
-        let class = lu.meta.class.index();
-        prof.total_retired += 1;
-        if let Some(p) = prev {
-            prof.pair_counts[p][class] += 1;
-        }
-        prev = Some(class);
 
-        match out {
-            Outcome::Continue => {}
-            Outcome::Exit { code } => {
-                let stop = StopReason::Exit { code };
-                finalize(stats, sb, cpu, stop);
-                return Ok(stop);
+        let mut next: Option<u32> = None;
+        let mut diverged = false;
+        let mut stopped = false;
+        for pos in 0..group.len() {
+            let i = group[pos];
+            let l = &mut lanes[i];
+            match run_straight::<M, PER_ADDR>(l.cpu, l.mem, l.sb, l.stats, config, run) {
+                Ok(out) => {
+                    // The block is the same for every lane, so an `ecall`
+                    // or `wfi` terminator stops every lane.
+                    if let Some(stop) = stop_on(out, l.cpu, l.sb, l.stats) {
+                        stops[i] = stop;
+                        stopped = true;
+                    }
+                }
+                Err(t) => {
+                    *trap = Some((i, t));
+                    group.truncate(pos);
+                    break;
+                }
             }
-            Outcome::Wfi => {
-                finalize(stats, sb, cpu, StopReason::Wfi);
-                return Ok(StopReason::Wfi);
-            }
+            let end = l.cpu.pc();
+            diverged |= *next.get_or_insert(end) != end;
         }
+        let Some(next) = next.filter(|_| !stopped) else {
+            return;
+        };
+        if diverged {
+            split_by_pc(lanes, group, work);
+            return;
+        }
+        rem -= run.body.len() as u64;
+        pc = next;
     }
 }
 
@@ -878,32 +566,34 @@ mod tests {
         Program::translate(&image).unwrap()
     }
 
-    /// Runs the same program fused and unfused with the given budget and
-    /// asserts full-state bit-identity (registers, memory, stats, stop).
+    /// Runs the same program through the block loop and the
+    /// per-instruction loop with the given budget and asserts full-state
+    /// bit-identity (registers, memory, stats, stop).
     fn differential(build: impl FnOnce(&mut Assembler), max_instructions: u64) {
         let program = program_of(build);
         let config = RunConfig { max_instructions, ..RunConfig::default() };
         let table: UopProgram<DenseMemory> = UopProgram::lower(&program, &config.latency);
-        let fused = FusedProgram::build(&program, &table);
+        let blocks = BlockProgram::build(&program, &table);
 
         let mut cpu_u = Cpu::new(0);
-        let mut cpu_f = Cpu::new(0);
+        let mut cpu_b = Cpu::new(0);
         let mut mem_u = DenseMemory::new(0, 0x1000);
-        let mut mem_f = DenseMemory::new(0, 0x1000);
+        let mut mem_b = DenseMemory::new(0, 0x1000);
         let mut sb_u = Scoreboard::new();
-        let mut sb_f = Scoreboard::new();
+        let mut sb_b = Scoreboard::new();
         let mut st_u = RunStats::default();
-        let mut st_f = RunStats::default();
+        let mut st_b = RunStats::default();
 
         let ru = resume_lowered(&mut cpu_u, &table, &mut mem_u, &config, &mut sb_u, &mut st_u);
-        let rf = resume_fused(&mut cpu_f, &fused, &mut mem_f, &config, &mut sb_f, &mut st_f);
-        assert_eq!(ru, rf, "stop/trap diverged");
-        assert_eq!(st_u, st_f, "stats diverged");
-        assert_eq!(cpu_u.pc(), cpu_f.pc(), "pc diverged");
+        let rb = resume_blocks(&mut cpu_b, &blocks, &mut mem_b, &config, &mut sb_b, &mut st_b);
+        assert_eq!(ru, rb, "stop/trap diverged");
+        assert_eq!(st_u, st_b, "stats diverged");
+        assert_eq!(cpu_u.pc(), cpu_b.pc(), "pc diverged");
+        assert_eq!(cpu_u.mcycle, cpu_b.mcycle, "published mcycle diverged");
         for r in 0..32u8 {
-            assert_eq!(cpu_u.reg_raw(r), cpu_f.reg_raw(r), "x{r} diverged");
+            assert_eq!(cpu_u.reg_raw(r), cpu_b.reg_raw(r), "x{r} diverged");
         }
-        assert_eq!(mem_u.read_bytes(0, 0x1000), mem_f.read_bytes(0, 0x1000), "memory diverged");
+        assert_eq!(mem_u.read_bytes(0, 0x1000), mem_b.read_bytes(0, 0x1000), "memory diverged");
     }
 
     #[test]
@@ -928,16 +618,16 @@ mod tests {
 
     #[test]
     fn jump_into_pair_tail_uses_unfused_slot() {
-        // `jal` over the pair head lands mid-pair; the tail executes via
-        // its own single slot.
+        // `jal` lands on a leader; the instructions after it form one
+        // block that the loop runs whole.
         differential(
             |a| {
                 let mid = a.new_label();
                 a.li(Reg::T0, 5);
                 a.j(mid);
-                a.addi(Reg::T0, Reg::T0, 100); // pair head, skipped
+                a.addi(Reg::T0, Reg::T0, 100); // skipped
                 a.bind(mid);
-                a.addi(Reg::T0, Reg::T0, 1); // potential pair tail
+                a.addi(Reg::T0, Reg::T0, 1);
                 a.addi(Reg::T1, Reg::T0, 2);
             },
             u64::MAX,
@@ -946,14 +636,14 @@ mod tests {
 
     #[test]
     fn trap_mid_pair_accounts_head() {
-        // The second load faults (out of DenseMemory range): the head of
-        // the pair must stay committed and accounted identically.
+        // The second load faults (out of DenseMemory range) mid-block:
+        // the executed prefix stays committed and accounted identically.
         differential(
             |a| {
                 a.li(Reg::A1, 0x100);
                 a.lui(Reg::A2, 0x7000_0000u32 as i32);
-                a.lw(Reg::A3, 0, Reg::A1); // pair head: fine
-                a.lw(Reg::A4, 0, Reg::A2); // pair tail: faults
+                a.lw(Reg::A3, 0, Reg::A1); // fine
+                a.lw(Reg::A4, 0, Reg::A2); // faults
             },
             u64::MAX,
         );
@@ -980,8 +670,8 @@ mod tests {
 
     #[test]
     fn csr_reads_never_fuse() {
-        // mcycle/minstret reads must observe the per-instruction
-        // publication; the pass refuses to fuse them and results match.
+        // mcycle/minstret reads lead their blocks, so they observe the
+        // estimate the per-instruction loop publishes.
         differential(
             |a| {
                 a.nop().nop().nop();
@@ -991,6 +681,53 @@ mod tests {
             },
             u64::MAX,
         );
+    }
+
+    #[test]
+    fn leaders_start_blocks_and_blocks_tile_the_text() {
+        let program = program_of(|a| {
+            a.li(Reg::T0, 3);
+            a.csrr(Reg::A0, terasim_riscv::csr::MCYCLE);
+            let top = a.new_label();
+            let skip = a.new_label();
+            a.bind(top);
+            a.addi(Reg::T0, Reg::T0, -1);
+            a.beqz(Reg::T0, skip);
+            a.nop();
+            a.csrr(Reg::A1, terasim_riscv::csr::MINSTRET);
+            a.nop();
+            a.bind(skip);
+            a.bnez(Reg::T0, top);
+            a.wfi();
+            a.nop();
+        });
+        let table: UopProgram<DenseMemory> = UopProgram::lower(&program, &RunConfig::default().latency);
+        let blocks = BlockProgram::build(&program, &table);
+        let starts: Vec<u32> = blocks.blocks().map(|(pc, _)| pc).collect();
+
+        // Blocks are contiguous and cover the whole text.
+        let mut pc = program.text_base();
+        for (start, len) in blocks.blocks() {
+            assert_eq!(start, pc, "gap or overlap at {start:#x}");
+            pc = start.wrapping_add(4 * len as u32);
+        }
+        assert_eq!(pc, program.text_base().wrapping_add(4 * program.len() as u32));
+
+        for i in 0..program.len() {
+            let at = program.text_base().wrapping_add(4 * i as u32);
+            let inst = program.fetch(at).unwrap();
+            if let Inst::Branch { offset, .. } | Inst::Jal { offset, .. } = inst {
+                let target = at.wrapping_add(offset as u32);
+                assert!(starts.contains(&target), "branch target {target:#x} is mid-block");
+            }
+            if matches!(inst, Inst::Csr { .. }) {
+                assert!(starts.contains(&at), "CSR at {at:#x} is mid-block");
+            }
+            if inst.is_control_flow() || matches!(inst, Inst::Wfi | Inst::Ecall) {
+                let (start, len) = blocks.blocks().find(|&(s, l)| s <= at && at < s + 4 * l as u32).unwrap();
+                assert_eq!(at, start + 4 * (len as u32 - 1), "{inst} at {at:#x} does not end its block");
+            }
+        }
     }
 
     #[test]
@@ -1012,7 +749,7 @@ mod tests {
         });
         let config = RunConfig::default();
         let table: UopProgram<DenseMemory> = UopProgram::lower(&program, &config.latency);
-        let fused = FusedProgram::build(&program, &table);
+        let blocks = BlockProgram::build(&program, &table);
 
         let run_ref = |hart: u32| {
             let mut cpu = Cpu::new(hart);
@@ -1034,7 +771,7 @@ mod tests {
             .zip(sts.iter_mut())
             .map(|(((cpu, mem), sb), stats)| Lane { cpu, mem, sb, stats })
             .collect();
-        let stops = resume_spmd(&mut lanes, &fused, &config).unwrap();
+        let stops = resume_spmd(&mut lanes, &blocks, &config).unwrap();
 
         for hart in 0..4u32 {
             let (rc, rm, rst, rstop) = run_ref(hart);
@@ -1050,34 +787,5 @@ mod tests {
                 "hart {hart} memory diverged"
             );
         }
-    }
-
-    #[test]
-    fn profile_counts_cover_all_retirements() {
-        let program = program_of(|a| {
-            a.li(Reg::T0, 8);
-            let top = a.new_label();
-            a.bind(top);
-            a.addi(Reg::T0, Reg::T0, -1);
-            a.bnez(Reg::T0, top);
-        });
-        let config = RunConfig::default();
-        let table: UopProgram<DenseMemory> = UopProgram::lower(&program, &config.latency);
-        let fused = FusedProgram::build(&program, &table);
-        let mut cpu = Cpu::new(0);
-        let mut mem = DenseMemory::new(0, 0x1000);
-        let mut sb = Scoreboard::new();
-        let mut st = RunStats::default();
-        let mut prof = FusionProfile::default();
-        resume_profiled(&mut cpu, &fused, &mut mem, &config, &mut sb, &mut st, &mut prof).unwrap();
-        assert_eq!(prof.total_retired, st.retired);
-        // The addi+bnez loop body fuses: coverage must be substantial.
-        assert!(prof.fused_retired > st.retired / 2, "{prof:?}");
-        assert!(prof.fused_pct() > 50.0);
-        let pairs = prof.top_pairs(3);
-        assert!(!pairs.is_empty());
-        // Adjacency counts: every retirement except the first follows one.
-        let total: u64 = prof.pair_counts.iter().flatten().sum();
-        assert_eq!(total, st.retired - 1);
     }
 }

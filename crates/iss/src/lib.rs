@@ -63,9 +63,7 @@ mod timing;
 pub mod uop;
 
 pub use cpu::{Cpu, Outcome, Trap};
-pub use fuse::{
-    resume_fused, resume_profiled, resume_spmd, FusedProgram, FusionProfile, Lane, PairKernel, PairUop,
-};
+pub use fuse::{resume_blocks, resume_spmd, BlockProgram, Lane};
 pub use mem::{DenseMemory, MemError, Memory};
 pub use program::{Program, TranslateError};
 pub use runner::{

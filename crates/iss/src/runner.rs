@@ -14,22 +14,23 @@ use crate::program::Program;
 use crate::timing::{InstClass, LatencyModel, Scoreboard};
 use crate::uop::UopProgram;
 
-/// Whether the fast engine dispatches through the fused superinstruction
-/// table ([`FusedProgram`](crate::fuse::FusedProgram)) or the plain
-/// per-uop table.
+/// Whether the fast engine runs the basic-block engine or the plain
+/// per-instruction loop.
 ///
-/// Fusion is a pure dispatch optimization: both modes are bit-identical in
-/// every observable effect (registers, memory, [`RunStats`], stop reason,
-/// traps) — the differential suites pin this. The knob exists so every
-/// binary can A/B the two paths and so CI exercises `Off` explicitly.
+/// The block engine is a pure accounting optimization: both modes are
+/// bit-identical in every observable effect (registers, memory,
+/// [`RunStats`], stop reason, traps) — the differential suites pin this.
+/// The knob exists so every binary can A/B the two paths and so CI
+/// exercises `Off` explicitly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FusionMode {
-    /// Plain per-uop dispatch ([`resume_lowered`]): one fetch and one
-    /// indirect call per instruction. The retained reference path.
+    /// Per-instruction dispatch and accounting ([`resume_lowered`]). The
+    /// retained reference path.
     Off,
-    /// Superinstruction dispatch
-    /// ([`resume_fused`](crate::fuse::resume_fused)) plus, in cluster
-    /// drivers, SPMD convergence execution
+    /// The block engine: basic-block dispatch
+    /// ([`resume_blocks`](crate::fuse::resume_blocks) over a
+    /// [`BlockProgram`](crate::fuse::BlockProgram)) plus, in cluster
+    /// drivers, lane-major SPMD groups
     /// ([`resume_spmd`](crate::fuse::resume_spmd)).
     #[default]
     On,
@@ -71,8 +72,8 @@ pub struct RunConfig {
     /// when `false`, the uniform conservative `latency.load` is used
     /// (the paper's Banshee configuration). Ablation D2 toggles this.
     pub per_address_latency: bool,
-    /// Dispatch mode: fused superinstruction table or the plain per-uop
-    /// table. Bit-identical either way; `On` is the fast default.
+    /// Dispatch mode: the block engine or the plain per-instruction loop.
+    /// Bit-identical either way; `On` is the fast default.
     pub fusion: FusionMode,
     /// Epoch cadence of the sharded cycle engine. Ignored by the ISS;
     /// carried here so scenario descriptions and artifact digests agree
@@ -175,8 +176,8 @@ pub fn run_core(
     let table = UopProgram::lower(program, &config.latency);
     match config.fusion {
         FusionMode::On => {
-            let fused = crate::fuse::FusedProgram::build(program, &table);
-            crate::fuse::resume_fused(cpu, &fused, mem, config, &mut sb, &mut stats)?;
+            let blocks = crate::fuse::BlockProgram::build(program, &table);
+            crate::fuse::resume_blocks(cpu, &blocks, mem, config, &mut sb, &mut stats)?;
         }
         FusionMode::Off => {
             resume_lowered(cpu, &table, mem, config, &mut sb, &mut stats)?;

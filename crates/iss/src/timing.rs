@@ -266,18 +266,44 @@ impl Scoreboard {
     /// destination slot), so all three `max`es run unconditionally.
     #[inline]
     pub fn issue_slots(&mut self, srcs: [u8; 3], dst: u8, post_inc: u8, latency: u32) -> u64 {
+        let next = self.issue_in_run(self.next_issue, srcs, dst, post_inc, latency);
+        self.end_run(next, 1);
+        next - 1
+    }
+
+    /// Issues one uop of a straight-line run — the block engine's form of
+    /// [`issue_slots`](Self::issue_slots), which is a run of one: the
+    /// issue clock is the caller's `next`, kept out of memory across the
+    /// run, and RAW stalls are counted once per run by
+    /// [`end_run`](Self::end_run). Returns the clock after the issue.
+    #[inline(always)]
+    pub(crate) fn issue_in_run(
+        &mut self,
+        next: u64,
+        srcs: [u8; 3],
+        dst: u8,
+        post_inc: u8,
+        latency: u32,
+    ) -> u64 {
         let [a, b, c] = srcs.map(|src| self.ready[(src & 31) as usize]);
-        let t = self.next_issue.max(a).max(b).max(c);
-        self.raw_stalls += t - self.next_issue;
+        let t = next.max(a).max(b).max(c);
         if dst != crate::uop::NO_REG {
             self.ready[(dst & 31) as usize] = t + u64::from(latency);
         }
         if post_inc != crate::uop::NO_REG {
-            // The incremented base comes from the ALU path: ready next cycle.
             self.ready[(post_inc & 31) as usize] = t + 1;
         }
-        self.next_issue = t + 1;
-        t
+        t + 1
+    }
+
+    /// Ends a run of `issued` [`issue_in_run`](Self::issue_in_run) issues
+    /// that started at [`cycles`](Self::cycles) and left the clock at
+    /// `next`. Each issue advances the clock by one cycle plus its stall,
+    /// so the run stalled for `next - start - issued` cycles.
+    #[inline(always)]
+    pub(crate) fn end_run(&mut self, next: u64, issued: u64) {
+        self.raw_stalls += next - self.next_issue - issued;
+        self.next_issue = next;
     }
 
     /// Inserts `n` pipeline bubbles (taken-branch penalty).
@@ -394,6 +420,10 @@ mod tests {
         };
         let latency = LatencyModel::default();
         let (mut by_inst, mut by_slots) = (Scoreboard::new(), Scoreboard::new());
+        // The block engine's form: runs of random length, closed before
+        // every bubble.
+        let mut by_run = Scoreboard::new();
+        let (mut clock, mut run_len) = (0, 0);
         let (mut x0_srcs, mut x0_dsts, mut post_incs) = (0, 0, 0);
         for _ in 0..20_000 {
             // Eight registers, `x0` among them, so sources, destinations
@@ -422,6 +452,16 @@ mod tests {
             assert_eq!(by_slots.raw_stalls(), by_inst.raw_stalls(), "{inst}");
             assert_eq!(by_slots.drain_cycles(), by_inst.drain_cycles(), "{inst}");
             assert_eq!(by_slots.ready, by_inst.ready, "{inst}");
+            clock = by_run.issue_in_run(clock, meta.srcs, meta.dst, meta.post_inc, lat);
+            run_len += 1;
+            assert_eq!(by_run.ready, by_inst.ready, "{inst}");
+            let bubble = next() % 16 == 0;
+            if bubble || next() % 5 == 0 {
+                by_run.end_run(clock, run_len);
+                run_len = 0;
+                assert_eq!(by_run.raw_stalls(), by_inst.raw_stalls(), "{inst}");
+                assert_eq!(by_run.cycles(), by_inst.cycles(), "{inst}");
+            }
             let reads_x0 = match inst {
                 Inst::Jal { .. } => false,
                 Inst::Load { .. } | Inst::OpImm { .. } => rs1 == Reg::Zero,
@@ -431,9 +471,11 @@ mod tests {
             x0_dsts +=
                 u32::from(rd == Reg::Zero && !matches!(inst, Inst::Store { .. } | Inst::Branch { .. }));
             post_incs += u32::from(inst.post_inc_dst().is_some());
-            if next() % 16 == 0 {
+            if bubble {
                 by_inst.bubble(2);
                 by_slots.bubble(2);
+                by_run.bubble(2);
+                clock = by_run.cycles();
             }
         }
         assert_eq!(by_inst.ready[0], 0, "x0's slot is never written: unused `srcs` entries read it");

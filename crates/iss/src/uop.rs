@@ -104,7 +104,7 @@ pub struct Uop {
 }
 
 impl Uop {
-    const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         Self { rd: 0, rs1: 0, rs2: 0, rs3: 0, imm: 0 }
     }
 }
@@ -341,7 +341,7 @@ fn k_jalr<M: Memory>(cpu: &mut Cpu, u: Uop, _mem: &mut M) -> Result<Outcome, Tra
 
 macro_rules! branch_kernels {
     ($($name:ident: |$a:ident, $b:ident| $taken:expr;)+) => {$(
-        pub(crate) fn $name<M: Memory>(cpu: &mut Cpu, u: Uop, _mem: &mut M) -> Result<Outcome, Trap> {
+        fn $name<M: Memory>(cpu: &mut Cpu, u: Uop, _mem: &mut M) -> Result<Outcome, Trap> {
             let ($a, $b) = (cpu.reg_raw(u.rs1), cpu.reg_raw(u.rs2));
             if $taken {
                 cpu.retire_jump(cpu.pc().wrapping_add(u.imm as u32));
@@ -364,14 +364,14 @@ branch_kernels! {
 
 macro_rules! load_kernels {
     ($($plain:ident / $post:ident: $size:expr, |$raw:ident| $cvt:expr;)+) => {$(
-        pub(crate) fn $plain<M: Memory>(cpu: &mut Cpu, u: Uop, mem: &mut M) -> Result<Outcome, Trap> {
+        fn $plain<M: Memory>(cpu: &mut Cpu, u: Uop, mem: &mut M) -> Result<Outcome, Trap> {
             let addr = cpu.reg_raw(u.rs1).wrapping_add(u.imm as u32);
             let $raw = mem.load(addr, $size).map_err(|err| Trap::Mem { pc: cpu.pc(), err })?;
             cpu.set_reg_raw(u.rd, $cvt);
             cpu.retire_next();
             Ok(Outcome::Continue)
         }
-        pub(crate) fn $post<M: Memory>(cpu: &mut Cpu, u: Uop, mem: &mut M) -> Result<Outcome, Trap> {
+        fn $post<M: Memory>(cpu: &mut Cpu, u: Uop, mem: &mut M) -> Result<Outcome, Trap> {
             let base = cpu.reg_raw(u.rs1);
             let $raw = mem.load(base, $size).map_err(|err| Trap::Mem { pc: cpu.pc(), err })?;
             cpu.set_reg_raw(u.rd, $cvt);
@@ -392,13 +392,13 @@ load_kernels! {
 
 macro_rules! store_kernels {
     ($($plain:ident / $post:ident: $size:expr;)+) => {$(
-        pub(crate) fn $plain<M: Memory>(cpu: &mut Cpu, u: Uop, mem: &mut M) -> Result<Outcome, Trap> {
+        fn $plain<M: Memory>(cpu: &mut Cpu, u: Uop, mem: &mut M) -> Result<Outcome, Trap> {
             let addr = cpu.reg_raw(u.rs1).wrapping_add(u.imm as u32);
             mem.store(addr, $size, cpu.reg_raw(u.rs2)).map_err(|err| Trap::Mem { pc: cpu.pc(), err })?;
             cpu.retire_next();
             Ok(Outcome::Continue)
         }
-        pub(crate) fn $post<M: Memory>(cpu: &mut Cpu, u: Uop, mem: &mut M) -> Result<Outcome, Trap> {
+        fn $post<M: Memory>(cpu: &mut Cpu, u: Uop, mem: &mut M) -> Result<Outcome, Trap> {
             let base = cpu.reg_raw(u.rs1);
             mem.store(base, $size, cpu.reg_raw(u.rs2)).map_err(|err| Trap::Mem { pc: cpu.pc(), err })?;
             cpu.set_reg_raw(u.rs1, base.wrapping_add(u.imm as u32));
@@ -416,13 +416,13 @@ store_kernels! {
 
 macro_rules! alu_kernels {
     ($($imm:ident / $reg:ident: $op:expr;)+) => {$(
-        pub(crate) fn $imm<M: Memory>(cpu: &mut Cpu, u: Uop, _mem: &mut M) -> Result<Outcome, Trap> {
+        fn $imm<M: Memory>(cpu: &mut Cpu, u: Uop, _mem: &mut M) -> Result<Outcome, Trap> {
             let v = alu($op, cpu.reg_raw(u.rs1), u.imm as u32);
             cpu.set_reg_raw(u.rd, v);
             cpu.retire_next();
             Ok(Outcome::Continue)
         }
-        pub(crate) fn $reg<M: Memory>(cpu: &mut Cpu, u: Uop, _mem: &mut M) -> Result<Outcome, Trap> {
+        fn $reg<M: Memory>(cpu: &mut Cpu, u: Uop, _mem: &mut M) -> Result<Outcome, Trap> {
             let v = alu($op, cpu.reg_raw(u.rs1), cpu.reg_raw(u.rs2));
             cpu.set_reg_raw(u.rd, v);
             cpu.retire_next();
@@ -446,7 +446,7 @@ alu_kernels! {
 
 macro_rules! muldiv_kernels {
     ($($name:ident: $op:expr;)+) => {$(
-        pub(crate) fn $name<M: Memory>(cpu: &mut Cpu, u: Uop, _mem: &mut M) -> Result<Outcome, Trap> {
+        fn $name<M: Memory>(cpu: &mut Cpu, u: Uop, _mem: &mut M) -> Result<Outcome, Trap> {
             let v = muldiv($op, cpu.reg_raw(u.rs1), cpu.reg_raw(u.rs2));
             cpu.set_reg_raw(u.rd, v);
             cpu.retire_next();
@@ -490,7 +490,7 @@ fn k_sc_w<M: Memory>(cpu: &mut Cpu, u: Uop, mem: &mut M) -> Result<Outcome, Trap
 
 macro_rules! amo_kernels {
     ($($name:ident: $op:expr;)+) => {$(
-        pub(crate) fn $name<M: Memory>(cpu: &mut Cpu, u: Uop, mem: &mut M) -> Result<Outcome, Trap> {
+        fn $name<M: Memory>(cpu: &mut Cpu, u: Uop, mem: &mut M) -> Result<Outcome, Trap> {
             let old = mem
                 .amo($op, cpu.reg_raw(u.rs1), cpu.reg_raw(u.rs2))
                 .map_err(|err| Trap::Mem { pc: cpu.pc(), err })?;
@@ -515,7 +515,7 @@ amo_kernels! {
 
 macro_rules! csr_kernels {
     ($($name:ident: $op:expr, $imm_form:expr;)+) => {$(
-        pub(crate) fn $name<M: Memory>(cpu: &mut Cpu, u: Uop, _mem: &mut M) -> Result<Outcome, Trap> {
+        fn $name<M: Memory>(cpu: &mut Cpu, u: Uop, _mem: &mut M) -> Result<Outcome, Trap> {
             let addr = u.imm as u16;
             let old = cpu.read_csr(addr);
             cpu.set_reg_raw(u.rd, old);
@@ -550,7 +550,7 @@ csr_kernels! {
 
 macro_rules! fp_arith_kernels {
     ($($name:ident: $op:expr, $fmt:expr;)+) => {$(
-        pub(crate) fn $name<M: Memory>(cpu: &mut Cpu, u: Uop, _mem: &mut M) -> Result<Outcome, Trap> {
+        fn $name<M: Memory>(cpu: &mut Cpu, u: Uop, _mem: &mut M) -> Result<Outcome, Trap> {
             let v = fp_arith($op, $fmt, cpu.reg_raw(u.rs1), cpu.reg_raw(u.rs2));
             cpu.set_reg_raw(u.rd, v);
             cpu.retire_next();
@@ -582,7 +582,7 @@ fp_arith_kernels! {
 
 macro_rules! fp_un_kernels {
     ($($name:ident: $op:expr, $fmt:expr;)+) => {$(
-        pub(crate) fn $name<M: Memory>(cpu: &mut Cpu, u: Uop, _mem: &mut M) -> Result<Outcome, Trap> {
+        fn $name<M: Memory>(cpu: &mut Cpu, u: Uop, _mem: &mut M) -> Result<Outcome, Trap> {
             let v = fp_un($op, $fmt, cpu.reg_raw(u.rs1));
             cpu.set_reg_raw(u.rd, v);
             cpu.retire_next();
@@ -604,7 +604,7 @@ fp_un_kernels! {
 
 macro_rules! fp_fma_kernels {
     ($($name:ident: $op:expr, $fmt:expr;)+) => {$(
-        pub(crate) fn $name<M: Memory>(cpu: &mut Cpu, u: Uop, _mem: &mut M) -> Result<Outcome, Trap> {
+        fn $name<M: Memory>(cpu: &mut Cpu, u: Uop, _mem: &mut M) -> Result<Outcome, Trap> {
             let v = fp_fma($op, $fmt, cpu.reg_raw(u.rs1), cpu.reg_raw(u.rs2), cpu.reg_raw(u.rs3));
             cpu.set_reg_raw(u.rd, v);
             cpu.retire_next();
@@ -626,7 +626,7 @@ fp_fma_kernels! {
 
 macro_rules! fp_cmp_kernels {
     ($($name:ident: $op:expr, $fmt:expr;)+) => {$(
-        pub(crate) fn $name<M: Memory>(cpu: &mut Cpu, u: Uop, _mem: &mut M) -> Result<Outcome, Trap> {
+        fn $name<M: Memory>(cpu: &mut Cpu, u: Uop, _mem: &mut M) -> Result<Outcome, Trap> {
             let v = fp_cmp($op, $fmt, cpu.reg_raw(u.rs1), cpu.reg_raw(u.rs2));
             cpu.set_reg_raw(u.rd, v);
             cpu.retire_next();
@@ -646,7 +646,7 @@ fp_cmp_kernels! {
 
 macro_rules! vf_kernels {
     ($($name:ident: $op:expr;)+) => {$(
-        pub(crate) fn $name<M: Memory>(cpu: &mut Cpu, u: Uop, _mem: &mut M) -> Result<Outcome, Trap> {
+        fn $name<M: Memory>(cpu: &mut Cpu, u: Uop, _mem: &mut M) -> Result<Outcome, Trap> {
             let v = vf($op, cpu.reg_raw(u.rd), cpu.reg_raw(u.rs1), cpu.reg_raw(u.rs2));
             cpu.set_reg_raw(u.rd, v);
             cpu.retire_next();
@@ -678,7 +678,7 @@ vf_kernels! {
 
 macro_rules! pv_kernels {
     ($($name:ident: $op:expr;)+) => {$(
-        pub(crate) fn $name<M: Memory>(cpu: &mut Cpu, u: Uop, _mem: &mut M) -> Result<Outcome, Trap> {
+        fn $name<M: Memory>(cpu: &mut Cpu, u: Uop, _mem: &mut M) -> Result<Outcome, Trap> {
             let v = pv($op, cpu.reg_raw(u.rd), cpu.reg_raw(u.rs1), cpu.reg_raw(u.rs2));
             cpu.set_reg_raw(u.rd, v);
             cpu.retire_next();

@@ -193,6 +193,34 @@ fn f64_narrowing_exhaustive_grid() {
     }
 }
 
+/// `F16::from_f32` against the reference on every one of the 2^32 `f32`
+/// encodings, split over the host's threads. Ignored by default (seconds
+/// in release, minutes in debug); run it with
+/// `cargo test --release -p terasim-softfloat --test fastpath -- --ignored`.
+#[test]
+#[ignore = "exhaustive 2^32 sweep; run with --ignored in release"]
+fn f32_narrowing_exhaustive_all_inputs() {
+    let threads = std::thread::available_parallelism().map_or(1, usize::from) as u64;
+    let span = (1u64 << 32).div_ceil(threads);
+    let first_mismatch = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads)
+            .map(|t| {
+                s.spawn(move || {
+                    let end = ((t + 1) * span).min(1 << 32);
+                    (t * span..end).map(|bits| bits as u32).find(|&bits| {
+                        let x = f32::from_bits(bits);
+                        F16::from_f32(x).to_bits() != reference::h_from_f32(x).to_bits()
+                    })
+                })
+            })
+            .collect();
+        workers.into_iter().find_map(|w| w.join().expect("sweep thread panicked"))
+    });
+    if let Some(bits) = first_mismatch {
+        panic!("F16::from_f32 differs from the reference at {bits:#010x}");
+    }
+}
+
 #[test]
 fn random_f32_and_f64_narrowing_sweep() {
     let mut rng = Rng::new(0x5eed_f00d);

@@ -52,7 +52,7 @@
 use std::sync::{Arc, OnceLock};
 
 use terasim_iss::uop::UopProgram;
-use terasim_iss::{EpochMode, FusedProgram, FusionMode, LatencyModel, Program, RunConfig, TranslateError};
+use terasim_iss::{BlockProgram, EpochMode, FusionMode, LatencyModel, Program, RunConfig, TranslateError};
 use terasim_riscv::Image;
 
 use crate::cycle::{ReachMap, RunTables};
@@ -74,10 +74,10 @@ pub struct SimArtifacts {
     cycle_latency: LatencyModel,
     /// Lowered table for the fast mode's per-core memory view.
     fast_table: OnceLock<Arc<UopProgram<CoreMem>>>,
-    /// Fused superinstruction table derived from `fast_table` (lowered on
-    /// first fusion-enabled run; shared across jobs and, through the
-    /// daemon's artifact cache, across requests).
-    fast_fused: OnceLock<Arc<FusedProgram<CoreMem>>>,
+    /// Basic-block table derived from `fast_table` (cut on the first
+    /// block-engine run; shared across jobs and, through the daemon's
+    /// artifact cache, across requests).
+    fast_blocks: OnceLock<Arc<BlockProgram<CoreMem>>>,
     /// Lowered table + hop/bank-decode tables for the cycle engines.
     cycle_tables: OnceLock<RunTables>,
     /// Static local-only reachability map (adaptive epoch scheduling).
@@ -144,7 +144,7 @@ impl SimArtifacts {
             fast_config,
             cycle_latency: LatencyModel::default(),
             fast_table: OnceLock::new(),
-            fast_fused: OnceLock::new(),
+            fast_blocks: OnceLock::new(),
             cycle_tables: OnceLock::new(),
             reach: OnceLock::new(),
         }))
@@ -263,12 +263,12 @@ impl SimArtifacts {
         self.fast_table.get_or_init(|| Arc::new(UopProgram::lower(&self.program, &self.fast_config.latency)))
     }
 
-    /// The shared fused superinstruction table (built on first use from
-    /// the shared fast table — results are bit-identical to the unfused
-    /// table, so fusion-on and fusion-off jobs can share one artifact
+    /// The shared basic-block table (cut on first use from the shared
+    /// fast table — results are bit-identical to the per-instruction
+    /// loop, so `FusionMode::On` and `Off` jobs can share one artifact
     /// set).
-    pub(crate) fn fast_fused(&self) -> &Arc<FusedProgram<CoreMem>> {
-        self.fast_fused.get_or_init(|| Arc::new(FusedProgram::build(&self.program, self.fast_table())))
+    pub(crate) fn fast_blocks(&self) -> &Arc<BlockProgram<CoreMem>> {
+        self.fast_blocks.get_or_init(|| Arc::new(BlockProgram::build(&self.program, self.fast_table())))
     }
 
     /// The shared cycle-engine tables (lowered on first use under the

@@ -12,8 +12,8 @@ use std::sync::Arc;
 
 use terasim_iss::uop::UopProgram;
 use terasim_iss::{
-    resume_lowered, resume_profiled, resume_spmd, Cpu, FusedProgram, FusionMode, FusionProfile, Lane,
-    Program, RunConfig, RunStats, Scoreboard, StopReason, Trap,
+    resume_lowered, resume_spmd, BlockProgram, Cpu, FusionMode, Lane, Program, RunConfig, RunStats,
+    Scoreboard, StopReason, Trap,
 };
 use terasim_riscv::Image;
 
@@ -78,18 +78,44 @@ fn state_of(stop: StopReason) -> HartState {
     }
 }
 
-/// How a scheduling round executes its runnable harts.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Engine {
-    /// Per-hart unfused interpretation (`FusionMode::Off`).
-    Unfused,
-    /// Fused superinstruction dispatch with SPMD convergence: harts of a
-    /// chunk that sit on the same PC stream execute in lockstep, one
-    /// dispatch amortized across the group (`FusionMode::On`).
-    Spmd,
-    /// Unfused execution order with fusion-coverage instrumentation
-    /// (bench reporting only).
-    Profiled,
+/// The code a scheduling round runs its harts over.
+enum Code {
+    /// The per-instruction reference loop (`FusionMode::Off`).
+    Lowered(Arc<UopProgram<CoreMem>>),
+    /// The block engine with lane-major SPMD groups: harts of a chunk on
+    /// the same PC share each block's dispatch (`FusionMode::On`).
+    Blocks(Arc<BlockProgram<CoreMem>>),
+}
+
+/// Runs one chunk of runnable harts to their next stop.
+fn run_chunk(batch: &mut [&mut Hart], code: &Code, config: &RunConfig) -> Result<(), Trap> {
+    match code {
+        Code::Lowered(table) => {
+            for hart in batch.iter_mut() {
+                let stop = resume_lowered(
+                    &mut hart.cpu,
+                    table,
+                    &mut hart.mem,
+                    config,
+                    &mut hart.sb,
+                    &mut hart.stats,
+                )?;
+                hart.state = state_of(stop);
+            }
+        }
+        Code::Blocks(blocks) => {
+            let mut lanes: Vec<Lane<'_, CoreMem>> = batch
+                .iter_mut()
+                .map(|h| Lane { cpu: &mut h.cpu, mem: &mut h.mem, sb: &mut h.sb, stats: &mut h.stats })
+                .collect();
+            let stops = resume_spmd(&mut lanes, blocks, config)?;
+            drop(lanes);
+            for (hart, stop) in batch.iter_mut().zip(stops) {
+                hart.state = state_of(stop);
+            }
+        }
+    }
+    Ok(())
 }
 
 /// The fast (Banshee-equivalent) cluster simulator.
@@ -110,8 +136,8 @@ pub struct FastSim {
     /// departs from the artifacts' latency model (lazily, on the first
     /// run, so reconfiguring never pays for a table it discards).
     local_table: Option<Arc<UopProgram<CoreMem>>>,
-    /// Job-private fused table, mirroring `local_table`.
-    local_fused: Option<Arc<FusedProgram<CoreMem>>>,
+    /// Job-private block table, mirroring `local_table`.
+    local_blocks: Option<Arc<BlockProgram<CoreMem>>>,
     /// Always `Some` until drop, where a pooled job's arena is *taken*
     /// and handed back to the pool by value — ownership transfers, so the
     /// parked handle is immediately recyclable (never aliased by this
@@ -175,7 +201,7 @@ impl FastSim {
         Self {
             arts,
             local_table: None,
-            local_fused: None,
+            local_blocks: None,
             mem: Some(mem),
             config,
             pool: None,
@@ -195,7 +221,7 @@ impl FastSim {
     /// used.
     pub fn set_config(&mut self, config: RunConfig) {
         self.local_table = None;
-        self.local_fused = None;
+        self.local_blocks = None;
         self.config = config;
     }
 
@@ -249,20 +275,20 @@ impl FastSim {
         table
     }
 
-    /// The fused superinstruction table for the current configuration,
-    /// mirroring [`table`](Self::table): the artifacts' shared fused table
-    /// when the latency models agree, a job-private build otherwise.
-    fn fused(&mut self) -> Arc<FusedProgram<CoreMem>> {
-        if let Some(fused) = &self.local_fused {
-            return Arc::clone(fused);
+    /// The basic-block table for the current configuration, mirroring
+    /// [`table`](Self::table): the artifacts' shared block table when the
+    /// latency models agree, a job-private build otherwise.
+    fn blocks(&mut self) -> Arc<BlockProgram<CoreMem>> {
+        if let Some(blocks) = &self.local_blocks {
+            return Arc::clone(blocks);
         }
         if self.arts.fast_config().latency == self.config.latency {
-            return Arc::clone(self.arts.fast_fused());
+            return Arc::clone(self.arts.fast_blocks());
         }
         let table = self.table();
-        let fused = Arc::new(FusedProgram::build(self.arts.program(), &table));
-        self.local_fused = Some(Arc::clone(&fused));
-        fused
+        let blocks = Arc::new(BlockProgram::build(self.arts.program(), &table));
+        self.local_blocks = Some(Arc::clone(&blocks));
+        blocks
     }
 
     /// Runs every hart to completion using `host_threads` worker threads.
@@ -293,50 +319,6 @@ impl FastSim {
         &mut self,
         cores: std::ops::Range<u32>,
         host_threads: usize,
-    ) -> Result<ClusterResult, Trap> {
-        let engine = match self.config.fusion {
-            FusionMode::On => Engine::Spmd,
-            FusionMode::Off => Engine::Unfused,
-        };
-        let mut prof = FusionProfile::default();
-        self.run_cores_with(cores, host_threads, engine, &mut prof)
-    }
-
-    /// As [`run_all`](Self::run_all), additionally recording the dynamic
-    /// fusion profile (adjacent uop-pair histogram and fused-dispatch
-    /// coverage) merged across all harts. Executes in unfused order with
-    /// instrumentation — meant for bench reporting (`mips
-    /// --fusion-report`), not for timed runs.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`Trap`] raised by any hart.
-    pub fn run_all_profiled(&mut self, host_threads: usize) -> Result<(ClusterResult, FusionProfile), Trap> {
-        self.run_cores_profiled(0..self.arts.topology().num_cores(), host_threads)
-    }
-
-    /// As [`run_all_profiled`](Self::run_all_profiled) over a contiguous
-    /// subset of harts.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`Trap`] raised by any hart.
-    pub fn run_cores_profiled(
-        &mut self,
-        cores: std::ops::Range<u32>,
-        host_threads: usize,
-    ) -> Result<(ClusterResult, FusionProfile), Trap> {
-        let mut prof = FusionProfile::default();
-        let result = self.run_cores_with(cores, host_threads, Engine::Profiled, &mut prof)?;
-        Ok((result, prof))
-    }
-
-    fn run_cores_with(
-        &mut self,
-        cores: std::ops::Range<u32>,
-        host_threads: usize,
-        engine: Engine,
-        profile: &mut FusionProfile,
     ) -> Result<ClusterResult, Trap> {
         assert!(host_threads > 0, "need at least one host thread");
         assert!(cores.end <= self.arts.topology().num_cores(), "core range out of bounds");
@@ -376,90 +358,25 @@ impl FastSim {
                 if runnable.is_empty() {
                     break;
                 }
-                let table = match engine {
-                    Engine::Unfused => Some(self.table()),
-                    Engine::Spmd | Engine::Profiled => None,
-                };
-                let fused = match engine {
-                    Engine::Unfused => None,
-                    Engine::Spmd | Engine::Profiled => Some(self.fused()),
+                let code = match self.config.fusion {
+                    FusionMode::On => Code::Blocks(self.blocks()),
+                    FusionMode::Off => Code::Lowered(self.table()),
                 };
                 let config = &self.config;
                 let chunk = runnable.len().div_ceil(host_threads).max(1);
-                let first_trap = std::thread::scope(|s| {
-                    let mut handles = Vec::new();
-                    for batch in runnable.chunks_mut(chunk) {
-                        let table = table.clone();
-                        let fused = fused.clone();
-                        handles.push(s.spawn(move || -> Result<FusionProfile, Trap> {
-                            let mut prof = FusionProfile::default();
-                            match engine {
-                                Engine::Unfused => {
-                                    let table = table.as_ref().expect("unfused table present");
-                                    for hart in batch.iter_mut() {
-                                        let stop = resume_lowered(
-                                            &mut hart.cpu,
-                                            table,
-                                            &mut hart.mem,
-                                            config,
-                                            &mut hart.sb,
-                                            &mut hart.stats,
-                                        )?;
-                                        hart.state = state_of(stop);
-                                    }
-                                }
-                                Engine::Spmd => {
-                                    // Converged lanes of this chunk run in
-                                    // lockstep over the fused table; lanes
-                                    // that diverge continue per-core.
-                                    let fused = fused.as_ref().expect("fused table present");
-                                    let mut lanes: Vec<Lane<'_, CoreMem>> = batch
-                                        .iter_mut()
-                                        .map(|h| Lane {
-                                            cpu: &mut h.cpu,
-                                            mem: &mut h.mem,
-                                            sb: &mut h.sb,
-                                            stats: &mut h.stats,
-                                        })
-                                        .collect();
-                                    let stops = resume_spmd(&mut lanes, fused, config)?;
-                                    drop(lanes);
-                                    for (hart, stop) in batch.iter_mut().zip(stops) {
-                                        hart.state = state_of(stop);
-                                    }
-                                }
-                                Engine::Profiled => {
-                                    let fused = fused.as_ref().expect("fused table present");
-                                    for hart in batch.iter_mut() {
-                                        let stop = resume_profiled(
-                                            &mut hart.cpu,
-                                            fused,
-                                            &mut hart.mem,
-                                            config,
-                                            &mut hart.sb,
-                                            &mut hart.stats,
-                                            &mut prof,
-                                        )?;
-                                        hart.state = state_of(stop);
-                                    }
-                                }
-                            }
-                            Ok(prof)
-                        }));
-                    }
-                    let mut first: Option<Trap> = None;
-                    for h in handles {
-                        match h.join().expect("simulation thread panicked") {
-                            Ok(p) => profile.merge(&p),
-                            Err(trap) => {
-                                first.get_or_insert(trap);
-                            }
-                        }
-                    }
-                    first
-                });
-                if let Some(trap) = first_trap {
-                    return Err(trap);
+                if runnable.len() <= chunk {
+                    // One chunk: run it here rather than on a spawned worker.
+                    run_chunk(&mut runnable, &code, config)?;
+                } else {
+                    let code = &code;
+                    // The first trap in chunk order, as a serial run reports.
+                    std::thread::scope(|s| {
+                        let handles: Vec<_> = runnable
+                            .chunks_mut(chunk)
+                            .map(|batch| s.spawn(move || run_chunk(batch, code, config)))
+                            .collect();
+                        handles.into_iter().try_for_each(|h| h.join().expect("simulation thread panicked"))
+                    })?;
                 }
             }
 

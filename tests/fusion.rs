@@ -1,13 +1,14 @@
-//! Superinstruction-fusion differentials: the fused fast engine
-//! ([`FusionMode::On`] — macro-op pairs dispatched as one superinstruction
-//! plus SPMD convergence groups across harts) must be **bit-identical** —
-//! registers, memory, [`RunStats`], stop reason — to the unfused
-//! per-instruction interpreter ([`FusionMode::Off`]) and to the retained
-//! seed `Cpu::execute` loop ([`resume_core`]), on every workload class:
-//! straight-line code, loops, budget boundaries landing mid-pair,
-//! trapping and deadlocking fault guests, batches at every worker count
-//! (pooled and unpooled), and SPMD groups that are forced to diverge by
-//! per-hart branches on `mhartid`.
+//! Block-engine differentials: the fast engine's block loop
+//! ([`FusionMode::On`] — basic-block dispatch plus lane-major SPMD groups
+//! across harts) must be **bit-identical** — registers, memory,
+//! [`RunStats`], stop reason, trap — to the per-instruction loop
+//! ([`FusionMode::Off`]) and to the retained seed `Cpu::execute` loop
+//! ([`resume_core`]), on every workload class: straight-line code, loops,
+//! budget boundaries landing inside blocks, traps at every position of a
+//! block, `jalr` into the middle of a block, cycle-counter reads around
+//! blocks, per-address latency, trapping and deadlocking fault guests,
+//! batches at every worker count (pooled and unpooled), and SPMD groups
+//! that are forced to diverge or to trap by per-hart values of `mhartid`.
 
 use std::sync::Arc;
 
@@ -15,22 +16,53 @@ use terasim::experiments::{self, BatchConfig, SymbolScenario};
 use terasim::faults;
 use terasim::serve::{BatchRunner, JobError};
 use terasim_iss::{
-    resume_core, resume_fused, resume_lowered, Cpu, DenseMemory, FusedProgram, FusionMode, Program,
-    RunConfig, RunStats, Scoreboard, StopReason, Trap, UopProgram,
+    resume_blocks, resume_core, resume_lowered, BlockProgram, Cpu, DenseMemory, FusionMode, MemError, Memory,
+    Program, RunConfig, RunStats, Scoreboard, StopReason, Trap, UopProgram,
 };
 use terasim_kernels::Precision;
-use terasim_riscv::{csr, Assembler, Image, Reg, Segment};
+use terasim_riscv::{csr, AmoOp, Assembler, Image, Inst, Reg, Segment};
 use terasim_terapool::{ClusterResult, FastSim, Topology};
 
-// --- ISS level: seed interpreter vs unfused table vs fused table -------
+// --- ISS level: seed interpreter vs per-instruction loop vs blocks -----
+
+const TEXT: u32 = 0x8000_0000;
 
 fn program_of(build: impl FnOnce(&mut Assembler)) -> Program {
-    let mut a = Assembler::new(0x8000_0000);
+    let mut a = Assembler::new(TEXT);
     build(&mut a);
     a.ecall();
-    let mut image = Image::new(0x8000_0000);
-    image.push_segment(Segment::from_words(0x8000_0000, &a.finish().unwrap()));
+    let mut image = Image::new(TEXT);
+    image.push_segment(Segment::from_words(TEXT, &a.finish().unwrap()));
     Program::translate(&image).unwrap()
+}
+
+/// [`DenseMemory`] with an address-dependent load latency, so the
+/// per-address refinement is observable in the cycle estimate.
+struct Numa(DenseMemory);
+
+impl Memory for Numa {
+    fn load(&mut self, addr: u32, size: u32) -> Result<u32, MemError> {
+        self.0.load(addr, size)
+    }
+
+    fn store(&mut self, addr: u32, size: u32, value: u32) -> Result<(), MemError> {
+        self.0.store(addr, size, value)
+    }
+
+    fn amo(&mut self, op: AmoOp, addr: u32, value: u32) -> Result<u32, MemError> {
+        self.0.amo(op, addr, value)
+    }
+
+    fn latency(&self, addr: u32) -> u32 {
+        1 + (addr >> 2) % 13
+    }
+}
+
+#[derive(Clone, Copy, Debug)]
+enum Engine {
+    Seed,
+    Lowered,
+    Blocks,
 }
 
 struct IssRun {
@@ -42,58 +74,60 @@ struct IssRun {
 }
 
 /// One hart's full final state under the chosen engine.
-fn iss_run(
-    program: &Program,
-    hartid: u32,
-    budget: u64,
-    engine: &str, // "seed" | "unfused" | "fused"
-) -> IssRun {
-    let config = RunConfig { max_instructions: budget, ..RunConfig::default() };
+fn iss_run(program: &Program, hartid: u32, config: &RunConfig, engine: Engine) -> IssRun {
     let mut cpu = Cpu::new(hartid);
-    let mut mem = DenseMemory::new(0, 0x1000);
+    let mut mem = Numa(DenseMemory::new(0, 0x1000));
     let mut sb = Scoreboard::new();
     let mut stats = RunStats::default();
+    let table: UopProgram<Numa> = UopProgram::lower(program, &config.latency);
     let stop = match engine {
-        "seed" => resume_core(&mut cpu, program, &mut mem, &config, &mut sb, &mut stats),
-        "unfused" => {
-            let table: UopProgram<DenseMemory> = UopProgram::lower(program, &config.latency);
-            resume_lowered(&mut cpu, &table, &mut mem, &config, &mut sb, &mut stats)
-        }
-        _ => {
-            let table: UopProgram<DenseMemory> = UopProgram::lower(program, &config.latency);
-            let fused = FusedProgram::build(program, &table);
-            resume_fused(&mut cpu, &fused, &mut mem, &config, &mut sb, &mut stats)
+        Engine::Seed => resume_core(&mut cpu, program, &mut mem, config, &mut sb, &mut stats),
+        Engine::Lowered => resume_lowered(&mut cpu, &table, &mut mem, config, &mut sb, &mut stats),
+        Engine::Blocks => {
+            let blocks = BlockProgram::build(program, &table);
+            resume_blocks(&mut cpu, &blocks, &mut mem, config, &mut sb, &mut stats)
         }
     };
     let mut regs = [0u32; 32];
     for (r, slot) in Reg::ALL.into_iter().zip(regs.iter_mut()) {
         *slot = cpu.reg(r);
     }
-    IssRun { stop, stats, pc: cpu.pc(), regs, mem: mem.read_bytes(0, 0x1000).to_vec() }
+    IssRun { stop, stats, pc: cpu.pc(), regs, mem: mem.0.read_bytes(0, 0x1000).to_vec() }
 }
 
-/// Three-way full-state differential over a budget sweep (budgets chosen
-/// to land both before and inside fused pairs) and several hart IDs.
-fn differential3(build: impl Fn(&mut Assembler) + Copy) {
+/// Three-way full-state differential over the given budgets, several
+/// hart IDs and both latency modes.
+fn differential_with(build: impl Fn(&mut Assembler) + Copy, budgets: &[u64]) {
     let program = program_of(build);
-    for hartid in [0u32, 1, 3] {
-        for budget in [u64::MAX, 100, 9, 6, 5, 3, 2, 1] {
-            let seed = iss_run(&program, hartid, budget, "seed");
-            for engine in ["unfused", "fused"] {
-                let got = iss_run(&program, hartid, budget, engine);
-                let tag = format!("hart {hartid}, budget {budget}, {engine}");
-                assert_eq!(seed.stop, got.stop, "stop/trap diverged ({tag})");
-                assert_eq!(seed.stats, got.stats, "RunStats diverged ({tag})");
-                assert_eq!(seed.pc, got.pc, "pc diverged ({tag})");
-                assert_eq!(seed.regs, got.regs, "registers diverged ({tag})");
-                assert_eq!(seed.mem, got.mem, "memory diverged ({tag})");
+    for per_address_latency in [false, true] {
+        for hartid in [0u32, 1, 3] {
+            for &budget in budgets {
+                let config =
+                    RunConfig { max_instructions: budget, per_address_latency, ..RunConfig::default() };
+                let seed = iss_run(&program, hartid, &config, Engine::Seed);
+                for engine in [Engine::Lowered, Engine::Blocks] {
+                    let got = iss_run(&program, hartid, &config, engine);
+                    let tag = format!(
+                        "hart {hartid}, budget {budget}, per-address {per_address_latency}, {engine:?}"
+                    );
+                    assert_eq!(seed.stop, got.stop, "stop/trap diverged ({tag})");
+                    assert_eq!(seed.stats, got.stats, "RunStats diverged ({tag})");
+                    assert_eq!(seed.pc, got.pc, "pc diverged ({tag})");
+                    assert_eq!(seed.regs, got.regs, "registers diverged ({tag})");
+                    assert_eq!(seed.mem, got.mem, "memory diverged ({tag})");
+                }
             }
         }
     }
 }
 
-/// Loops, address generation, loads/stores and compare-branches — the
-/// shapes the peephole pass fuses most densely.
+/// [`differential_with`] over a budget sweep that lands before, inside
+/// and after the guests' blocks.
+fn differential3(build: impl Fn(&mut Assembler) + Copy) {
+    differential_with(build, &[u64::MAX, 100, 9, 6, 5, 3, 2, 1]);
+}
+
+/// Loops, address generation, loads/stores and compare-branches.
 #[test]
 fn alu_loop_guest_identical_across_all_three_engines() {
     differential3(|a| {
@@ -112,7 +146,7 @@ fn alu_loop_guest_identical_across_all_three_engines() {
 
 /// Post-increment load + SIMD dot-product MAC chain (the PHY kernels'
 /// inner loop) with a branch on `mhartid` so different harts take
-/// different paths through the same fused table.
+/// different paths through the same block table.
 #[test]
 fn mac_chain_with_hartid_divergence_identical_across_all_three_engines() {
     differential3(|a| {
@@ -131,17 +165,118 @@ fn mac_chain_with_hartid_divergence_identical_across_all_three_engines() {
     });
 }
 
-/// A guest that traps mid-pair: the second load faults outside the
-/// memory range. Partial state — including the committed pair head —
-/// must be identical on all three engines.
+/// A guest that traps mid-block: the second load faults outside the
+/// memory range. Partial state — including the committed prefix — must
+/// be identical on all three engines.
 #[test]
 fn trapping_guest_partial_state_identical_across_all_three_engines() {
     differential3(|a| {
         a.li(Reg::A1, 0x100);
         a.lui(Reg::A2, 0x7000_0000u32 as i32);
-        a.lw(Reg::A3, 0, Reg::A1); // pair head: fine
-        a.lw(Reg::A4, 0, Reg::A2); // pair tail: faults
+        a.lw(Reg::A3, 0, Reg::A1); // fine
+        a.lw(Reg::A4, 0, Reg::A2); // faults
         a.addi(Reg::A5, Reg::A4, 1); // never reached
+    });
+}
+
+/// The straight-line body shared by the block-edge tests: eight memory
+/// uops — any of which can be made to fault — with a post-increment and
+/// store-after-load dependencies (RAW stalls, latency-refined loads).
+fn eight_uop_body(a: &mut Assembler, faulting: Option<usize>) {
+    let base = |k: usize| if faulting == Some(k) { Reg::A2 } else { Reg::A1 };
+    a.lw(Reg::A3, 0, base(0));
+    a.lw(Reg::A4, 4, base(1));
+    a.p_lw(Reg::A5, 4, base(2));
+    a.sw(Reg::A3, 0x40, base(3));
+    a.lh(Reg::A6, 2, base(4));
+    a.sh(Reg::A6, 0x44, base(5));
+    a.lw(Reg::A7, 0x40, base(6));
+    a.sw(Reg::A7, 0x48, base(7));
+}
+
+/// Budgets 1 … block length + 2 across a multi-uop block (three
+/// prologue uops, then the ten-uop loop body), and into its second entry.
+#[test]
+fn budgets_across_a_block_identical() {
+    let budgets: Vec<u64> = (1..=3 + 10 + 2).chain([20, 25, u64::MAX]).collect();
+    differential_with(
+        |a| {
+            a.li(Reg::A1, 0x100);
+            a.lui(Reg::A2, 0x7000_0000u32 as i32);
+            a.li(Reg::T0, 3);
+            let top = a.new_label();
+            a.bind(top);
+            eight_uop_body(a, None);
+            a.addi(Reg::T0, Reg::T0, -1);
+            a.bnez(Reg::T0, top);
+        },
+        &budgets,
+    );
+}
+
+/// A trap at each uop position of one block: the executed prefix is
+/// retired, issued and published exactly as the per-instruction loop
+/// leaves it — whether the block runs whole or as partial steps.
+#[test]
+fn trap_at_every_position_of_a_block_identical() {
+    for k in 0..8 {
+        let build = |a: &mut Assembler| {
+            a.li(Reg::A1, 0x100);
+            a.lui(Reg::A2, 0x7000_0000u32 as i32);
+            a.csrr(Reg::T0, csr::MINSTRET); // leads the block under test
+            eight_uop_body(a, Some(k));
+        };
+        differential_with(build, &[3 + k as u64, 4 + k as u64, u64::MAX]);
+        let run = iss_run(&program_of(build), 0, &RunConfig::default(), Engine::Blocks);
+        assert!(matches!(run.stop, Err(Trap::Mem { .. })), "position {k}: {:?}", run.stop);
+        assert_eq!(run.stats.retired, 3 + k as u64, "position {k}");
+    }
+}
+
+/// `jalr` into the middle of a block: the tail runs as partial steps,
+/// and the loop back to the block's leader runs whole again.
+#[test]
+fn jalr_into_the_middle_of_a_block_identical() {
+    differential3(|a| {
+        a.li(Reg::T1, 3);
+        let top = a.new_label();
+        a.bind(top);
+        // pc: top + 0 auipc, +4 addi, +8 jalr, +12 block leader, +16 target
+        a.inst(Inst::Auipc { rd: Reg::T0, imm: 0 });
+        a.addi(Reg::T0, Reg::T0, 16);
+        a.inst(Inst::Jalr { rd: Reg::Ra, rs1: Reg::T0, offset: 0 });
+        a.addi(Reg::A0, Reg::A0, 100); // skipped
+        a.addi(Reg::A0, Reg::A0, 1); // jalr target
+        a.lw(Reg::A3, 0x100, Reg::Zero);
+        a.add(Reg::A0, Reg::A0, Reg::A3);
+        a.addi(Reg::T1, Reg::T1, -1);
+        a.bnez(Reg::T1, top);
+        a.sw(Reg::Ra, 0x200, Reg::Zero);
+    });
+}
+
+/// `csrr mcycle` / `minstret` at a loop head, in the middle of
+/// straight-line code right after a load-use stall, and after the loop:
+/// every read sees the estimate the per-instruction loop publishes.
+#[test]
+fn cycle_counter_reads_around_blocks_identical() {
+    differential3(|a| {
+        a.li(Reg::T0, 4);
+        a.li(Reg::A1, 0x100);
+        let top = a.new_label();
+        a.bind(top);
+        a.csrr(Reg::A0, csr::MCYCLE);
+        a.lw(Reg::A3, 0, Reg::A1);
+        a.add(Reg::A4, Reg::A3, Reg::A0); // stalls on the load
+        a.csrr(Reg::A2, csr::MCYCLE);
+        a.csrr(Reg::A5, csr::MINSTRET);
+        a.sw(Reg::A2, 0x200, Reg::A1);
+        a.sw(Reg::A5, 0x300, Reg::A1);
+        a.addi(Reg::A1, Reg::A1, 4);
+        a.addi(Reg::T0, Reg::T0, -1);
+        a.bnez(Reg::T0, top);
+        a.csrr(Reg::A5, csr::MCYCLE);
+        a.csrr(Reg::A6, csr::MINSTRET);
     });
 }
 
@@ -317,18 +452,80 @@ fn spmd_forced_divergence_identical_at_16_and_512_cores() {
     }
 }
 
-/// The profiled engine (instrumented unfused order with the fused
-/// table's dispatch decisions replayed) is also bit-identical, and its
-/// pair histogram covers every retirement.
+// --- Cluster level: trap order of an SPMD group -------------------------
+
+/// `dst` = `valid`, or `valid` + the unmapped base on hart `hart` alone —
+/// branch-free, so the harts stay in one convergence group.
+fn fault_on_hart(a: &mut Assembler, dst: Reg, valid: Reg, unmapped: Reg, hart: i32) {
+    a.addi(Reg::T1, Reg::T0, -hart); // 0 on `hart`
+    a.sltu(Reg::T1, Reg::Zero, Reg::T1); // 0 on `hart`, else 1
+    a.addi(Reg::T1, Reg::T1, -1); // all ones on `hart`, else 0
+    a.and(Reg::T1, Reg::T1, unmapped);
+    a.add(dst, valid, Reg::T1);
+}
+
+const UNMAPPED: u32 = 0x3000_0000;
+
+/// Harts 3 and 5 fault in one block — hart 5 at an earlier uop than hart
+/// 3. With `split`, harts 0, 1 and 5 first branch away from the rest, so
+/// hart 5 faults in a group that runs before hart 3's.
+fn trap_order_image(split: bool) -> Image {
+    let mut a = Assembler::new(Topology::L2_BASE);
+    a.csrr(Reg::T0, csr::MHARTID);
+    a.slli(Reg::S1, Reg::T0, 2);
+    a.li(Reg::S4, UNMAPPED as i32);
+    fault_on_hart(&mut a, Reg::S2, Reg::S1, Reg::S4, 5);
+    fault_on_hart(&mut a, Reg::S3, Reg::S1, Reg::S4, 3);
+    if split {
+        let late = a.new_label();
+        a.addi(Reg::T1, Reg::T0, -5);
+        a.sltu(Reg::T1, Reg::Zero, Reg::T1); // 0 on hart 5
+        a.slti(Reg::T2, Reg::T0, 2); // 1 on harts 0, 1
+        a.sub(Reg::T1, Reg::T1, Reg::T2); // 0 on harts 0, 1, 5
+        a.bnez(Reg::T1, late);
+        a.lw(Reg::A4, 0, Reg::S2); // faults on hart 5
+        a.ecall();
+        a.bind(late);
+        a.lw(Reg::A3, 0x100, Reg::S1);
+        a.addi(Reg::A5, Reg::A3, 1);
+        a.lw(Reg::A6, 0, Reg::S3); // faults on hart 3
+    } else {
+        a.lw(Reg::A3, 0x100, Reg::S1);
+        a.lw(Reg::A4, 0, Reg::S2); // faults on hart 5
+        a.addi(Reg::A5, Reg::A3, 1);
+        a.lw(Reg::A6, 0, Reg::S3); // faults on hart 3
+    }
+    a.sw(Reg::A6, 0x200, Reg::S1);
+    a.ecall();
+    let mut image = Image::new(Topology::L2_BASE);
+    image.push_segment(Segment::from_words(Topology::L2_BASE, &a.finish().unwrap()));
+    image
+}
+
+/// Lanes that trap at different positions of one block (and in different
+/// groups) report the lowest-indexed trapping lane — hart 3, although hart
+/// 5's faulting uop comes first — exactly as `FusionMode::Off`, which runs
+/// the harts one after another, at one and two host threads.
 #[test]
-fn profiled_engine_identical_and_histogram_covers_all_retirements() {
-    let config = BatchConfig { n: 4, precision: Precision::Half16, nsc: 2, seed: 5, unroll: 2 };
-    let on = SymbolScenario::prepare_with_fusion(&config, FusionMode::On).unwrap();
-    let base = on.run_symbol(config.seed).unwrap();
-    let (out, prof) = on.run_symbol_profiled(config.seed).unwrap();
-    assert_eq!(symbol_key(&out), symbol_key(&base), "profiled run diverged");
-    let paired: u64 = prof.pair_counts.iter().flatten().sum();
-    assert_eq!(paired + 1, prof.total_retired, "every retirement after the first forms one pair");
-    assert!(prof.fused_retired > 0 && prof.fused_retired <= prof.total_retired);
-    assert!(prof.fused_pct() > 0.0);
+fn spmd_group_traps_report_the_lowest_lane_like_fusion_off() {
+    let topo = Topology::scaled(16);
+    for split in [false, true] {
+        let arts = terasim_terapool::SimArtifacts::build(topo, &trap_order_image(split)).unwrap();
+        for host_threads in [1, 2] {
+            let traps: Vec<Trap> = [FusionMode::On, FusionMode::Off]
+                .into_iter()
+                .map(|fusion| {
+                    let mut sim = fast_sim_with_fusion(&arts, fusion);
+                    sim.run_cores(0..16, host_threads).expect_err("harts 3 and 5 fault")
+                })
+                .collect();
+            let tag = format!("split {split}, {host_threads} host threads");
+            assert_eq!(traps[0], traps[1], "On and Off report different traps ({tag})");
+            assert!(
+                matches!(traps[0], Trap::Mem { err: MemError::Unmapped { addr }, .. } if addr == UNMAPPED + 12),
+                "not hart 3's trap ({tag}): {:?}",
+                traps[0]
+            );
+        }
+    }
 }
