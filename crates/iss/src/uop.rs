@@ -155,7 +155,7 @@ pub struct UopMeta {
     /// sharded cycle engine builds on this bit: an instruction stream is
     /// *local-only* while every reachable uop has `local_only` set.
     pub local_only: bool,
-    /// Eligible for the quiescent-stretch slim issue path: local-only,
+    /// Eligible for the cycle engine's elided run step: local-only,
     /// no FPU/divider structural hazard, and a single-cycle result, so
     /// issuing it can neither stall nor leave a latency shadow that later
     /// full-path bookkeeping would have to see.

@@ -129,6 +129,9 @@ pub(super) struct DomainEngine {
     /// epoch driver can abort the run with the globally *earliest* trap —
     /// the same one the sequential full scan would hit first.
     pub(super) trap: Option<(u64, u32, Trap)>,
+    /// Instructions retired inside solo drives so far (folded into the
+    /// run's [`super::EpochReport`] once, when the run ends).
+    pub(super) solo_instructions: u64,
     /// Static reachability map — present when the run uses adaptive
     /// epoch scheduling, absent on fixed cadence (no horizon tracking,
     /// no elision, the retained reference behaviour).
@@ -158,8 +161,11 @@ pub(super) struct DomainEngine {
 pub(super) struct WindowOpts {
     /// Base epoch length (the fixed-cadence grid unit).
     pub(super) epoch: u64,
-    /// Extended window: the quiescent-stretch slim issue path may be
-    /// used for provably-local single-cycle uops.
+    /// Extended window: cores issue through the elided run step
+    /// ([`CycleSim::issue_run`]) — straight runs of provably-local
+    /// single-cycle uops skip the scoreboard, a solo core issues each
+    /// run whole (clipped to the window end), and every other core one
+    /// uop at a time. Base windows issue every uop on the full path.
     pub(super) elide: bool,
     /// Sole-active window: on the first deferred request, trim the
     /// window end back to the request's base-cadence boundary so the
@@ -194,6 +200,7 @@ impl DomainEngine {
             parked: Vec::new(),
             outbox: Vec::new(),
             trap: None,
+            solo_instructions: 0,
             reach,
             horizon: 0,
             wheel,
@@ -213,8 +220,19 @@ impl DomainEngine {
     /// sole-active window ([`WindowOpts::trim`]) was trimmed back by a
     /// deferred request.
     ///
-    /// On a trap the error is recorded in `self.trap`; the epoch driver
-    /// aborts the run deterministically at the boundary.
+    /// A core is *solo* when it is the domain's only event before `end`:
+    /// the last bit of the current cycle, nothing due next cycle, and
+    /// nothing queued in the wheel or before `end` in its overflow. Wakes
+    /// only arrive at boundaries, so it stays alone until `end`, and the
+    /// engine drives it in a tight loop instead — issuing at
+    /// `max(wake_at, now + 1)` without touching the wheel or the ready
+    /// bitmaps, whole straight runs at a time in extended windows — until
+    /// its next issue lies at or beyond `end` or it parks, finishes or
+    /// traps. It leaves the queues exactly as the per-event steps would.
+    ///
+    /// On a trap the error is recorded in `self.trap`, tagged with the
+    /// trapping issue's cycle; the epoch driver aborts the run
+    /// deterministically at the boundary.
     pub(super) fn run_epoch(
         &mut self,
         sim: &CycleSim,
@@ -235,6 +253,9 @@ impl DomainEngine {
             self.wheel.drain_slot_into(start, &mut self.cur);
         }
 
+        // Per-window invariants, hoisted out of the issue loop.
+        let mut defer = Defer { domain: self.domain, topo: sim.topology(), outbox: &mut self.outbox };
+        let trim_to = |now: u64| now / opts.epoch * opts.epoch + opts.epoch;
         loop {
             // Process every core scheduled for `self.now`, in ascending
             // local id — which is ascending global id within the domain.
@@ -245,27 +266,46 @@ impl DomainEngine {
                     let local = (w * 64) as u32 + bits.trailing_zeros();
                     bits ^= bit;
                     let ctx = &mut self.ctxs[local as usize];
-                    let mut defer =
-                        Defer { domain: self.domain, topo: sim.topology(), outbox: &mut self.outbox };
-                    let issued = if opts.elide {
-                        sim.issue_quiescent(
+                    let solo = bits == 0
+                        && self.nxt_count == 0
+                        && self.wheel.pending == 0
+                        && self.cur[w + 1..].iter().all(|&b| b == 0)
+                        && self.wheel.next_overflow().is_none_or(|at| at >= end);
+                    // One issue, or a whole solo drive (see above). The
+                    // sole-window trim is re-applied after every solo
+                    // issue: the first deferral pulls `end` in, and the
+                    // drive stops at it.
+                    let first = ctx.stats.instructions;
+                    let issued = loop {
+                        let max_len = match (opts.elide, solo) {
+                            (false, _) => 0,
+                            (true, false) => 1,
+                            (true, true) => end - self.now,
+                        };
+                        let issued = sim.issue_run(
                             ctx,
                             tables,
                             &mut self.icaches,
                             &mut self.banks,
                             self.now,
+                            max_len,
                             Some(&mut defer),
-                        )
-                    } else {
-                        sim.issue_fast(
-                            ctx,
-                            tables,
-                            &mut self.icaches,
-                            &mut self.banks,
-                            self.now,
-                            Some(&mut defer),
-                        )
+                        );
+                        if !solo || issued.is_err() {
+                            break issued;
+                        }
+                        if opts.trim && !defer.outbox.is_empty() {
+                            end = end.min(trim_to(self.now));
+                        }
+                        let wake = ctx.wake_at.max(self.now + 1);
+                        if ctx.state != CoreState::Ready || wake >= end {
+                            break issued;
+                        }
+                        self.now = wake;
                     };
+                    if solo {
+                        self.solo_instructions += ctx.stats.instructions - first;
+                    }
                     if let Err(trap) = issued {
                         self.trap = Some((self.now, self.core_base + local, trap));
                         return self.now;
@@ -294,8 +334,8 @@ impl DomainEngine {
             // use, so the first one shrinks the window back to its
             // issue cycle's boundary. (Multi-active extended windows
             // never defer — the epoch driver's horizon guarantees it.)
-            if opts.trim && !self.outbox.is_empty() {
-                end = end.min(self.now / opts.epoch * opts.epoch + opts.epoch);
+            if opts.trim && !defer.outbox.is_empty() {
+                end = end.min(trim_to(self.now));
             }
 
             // Advance to the next cycle with work, clamped to the epoch.

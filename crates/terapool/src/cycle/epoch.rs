@@ -183,8 +183,8 @@ fn serve(x: &XRequest, book: Option<&mut DomainBanks>, mem: &mut TurboMem) -> Re
 /// Source half of one deferred request: the scoreboard correction and
 /// destination writeback on its issuing core.
 fn settle(x: &XRequest, reply: &Reply, ctx: &mut CoreCtx<TurboMem>) {
-    // The corrections rewrite scoreboard entries behind the slim path's
-    // cached bound; force the next quiescent issue to rescan.
+    // The corrections rewrite scoreboard entries behind the run step's
+    // cached bound; force its next issue to rescan.
     ctx.hazard_until = u64::MAX;
     // WAW guard: touch rd (value and scoreboard) only while this request
     // is still rd's last writer — a later same-epoch writer wins, exactly
@@ -247,7 +247,7 @@ struct Window {
     /// `Some(d)`: only domain `d` has any event before `end`; it runs
     /// alone with trim-on-defer while the rest fast-forward.
     sole: Option<usize>,
-    /// Extended grant: the quiescent-stretch slim issue path is allowed.
+    /// Extended grant: the elided run step is allowed.
     extended: bool,
 }
 
@@ -657,12 +657,15 @@ pub(super) fn run_sharded(sim: &CycleSim, cores: u32, threads: usize) -> Result<
         exit
     });
 
+    let engines: Vec<DomainEngine> = shards.engines.into_iter().map(PhaseCell::into_inner).collect();
+    sim.epoch_counters
+        .solo_instructions
+        .store(engines.iter().map(|e| e.solo_instructions).sum(), Ordering::Relaxed);
     if let Exit::Trapped = exit {
         let trap = shards.phase_trap.into_trap().or_else(|| shards.replay_trap.into_trap());
         return Err(trap.expect("a raised trap slot holds its trap"));
     }
-    let ctxs: Vec<CoreCtx<TurboMem>> =
-        shards.engines.into_iter().flat_map(|engine| engine.into_inner().ctxs).collect();
+    let ctxs: Vec<CoreCtx<TurboMem>> = engines.into_iter().flat_map(|engine| engine.ctxs).collect();
     let mut res = CycleSim::result_of(&ctxs);
     res.cancelled = matches!(exit, Exit::Cancelled);
     Ok(res)

@@ -25,7 +25,8 @@
 //!
 //! # Scheduling
 //!
-//! Three schedulers drive the same per-instruction model:
+//! Three schedulers drive the same per-instruction model (the sharded
+//! engine also issues whole straight runs, below):
 //!
 //! * [`CycleSim::run`] — the **event-driven** engine: a double-buffered
 //!   ready bitmap for the dominant issue-again-next-cycle case backed by a
@@ -50,6 +51,23 @@
 //!   `(issue cycle, core id)` order restricted to that target
 //!   ([`epoch`]). Results are bit-identical for every host thread count,
 //!   including 1.
+//!
+//!   Two shortcuts inside a domain change nothing in the results. A core
+//!   that is its domain's only event before the window end is *solo*:
+//!   wakes only arrive at boundaries, so the domain drives it in a tight
+//!   loop at `max(wake_at, now + 1)` without the wheel or the ready
+//!   bitmaps. In windows the adaptive epoch driver extended (no
+//!   possibly-remote uop can issue there), cores issue through
+//!   [`CycleSim::issue_run`]: a *straight run* — consecutive
+//!   [`UopMeta::elide_ok`] uops up to the next control flow, never a CSR
+//!   or `System` uop, looked up per PC in [`RunTables`] — skips the
+//!   scoreboard while the core's hazard bound has passed. A solo core
+//!   issues each run whole, clipped to the window end and the
+//!   instruction budget, with one budget test, one hazard test and one
+//!   `mcycle` publication, and still one I$ probe and WAW update per uop.
+//!   Every other core issues runs one uop at a time.
+//!   [`EpochReport::solo_instructions`] counts what the solo drives
+//!   retired.
 //! * [`CycleSim::run_naive`] — the full-scan scheduler, retained as the
 //!   semantic reference: every core context is rescanned on every event
 //!   step. The `differential`/`parallel` integration tests pin all three
@@ -202,6 +220,11 @@ pub struct EpochReport {
     pub trimmed: u64,
     /// Simulated cycles covered by all windows together.
     pub cycles: u64,
+    /// Instructions retired inside *solo drives*: stretches in which a
+    /// core was its domain's only event before the window end and was
+    /// stepped without the ready queue (see the module docs,
+    /// *Scheduling*).
+    pub solo_instructions: u64,
 }
 
 impl EpochReport {
@@ -236,6 +259,7 @@ struct EpochCounters {
     extended: AtomicU64,
     trimmed: AtomicU64,
     cycles: AtomicU64,
+    solo_instructions: AtomicU64,
 }
 
 impl EpochCounters {
@@ -244,6 +268,7 @@ impl EpochCounters {
         self.extended.store(0, Ordering::Relaxed);
         self.trimmed.store(0, Ordering::Relaxed);
         self.cycles.store(0, Ordering::Relaxed);
+        self.solo_instructions.store(0, Ordering::Relaxed);
     }
 
     fn record(&self, extended: bool, trimmed: bool, span: u64) {
@@ -259,6 +284,7 @@ impl EpochCounters {
             extended: self.extended.load(Ordering::Relaxed),
             trimmed: self.trimmed.load(Ordering::Relaxed),
             cycles: self.cycles.load(Ordering::Relaxed),
+            solo_instructions: self.solo_instructions.load(Ordering::Relaxed),
         }
     }
 }
@@ -292,7 +318,7 @@ struct CoreCtx<M> {
     lsu_free: [u64; LSU_DEPTH],
     state: CoreState,
     stats: CycleStats,
-    /// Upper bound on every hazard the quiescent-stretch slim path skips
+    /// Upper bound on every hazard the elided run step skips
     /// checking (`reg_ready`, `lsu_free`, `fpu_busy_until`): while it is
     /// `≤ now`, an elidable uop provably stalls for `+0` cycles on every
     /// class and the full checks can be skipped. `u64::MAX` means
@@ -396,13 +422,23 @@ impl FastICache {
 
 /// Hot-path lookup tables derived from the topology and program: the
 /// fully lowered micro-op table (kernel pointers + operand records +
-/// timing metadata, resolved once at load — see [`terasim_iss::uop`])
-/// plus the topology-derived hop table and shift-based bank decode.
+/// timing metadata, resolved once at load — see [`terasim_iss::uop`]),
+/// the straight-run table, plus the topology-derived hop table and
+/// shift-based bank decode.
 ///
 /// Immutable after construction and shared read-only by every engine (and
 /// every job of a batch) through [`SimArtifacts::cycle_tables`].
 pub(crate) struct RunTables {
     uops: UopProgram<TurboMem>,
+    /// Per text slot: the length (saturating at 255) of the *straight
+    /// run* starting there — consecutive [`UopMeta::elide_ok`] uops up to
+    /// and including the first control-flow uop. 0 where no run starts:
+    /// an ineligible or undecoded slot, a CSR access (it can read
+    /// `mcycle`, which a run publishes only once, at its end) or a
+    /// `System` uop (`wfi`, `ecall`, `ebreak`, `fence`). Indexed per PC,
+    /// so entering a run in its middle (a `jalr`) still finds the rest.
+    runs: Vec<u8>,
+    text_base: u32,
     /// `request_latency` for every (core tile, bank tile) pair.
     hops: Vec<u8>,
     num_tiles: u32,
@@ -413,6 +449,21 @@ pub(crate) struct RunTables {
 impl RunTables {
     pub(crate) fn new(topo: Topology, program: &Program, latency: &LatencyModel) -> Self {
         let uops = UopProgram::lower(program, latency);
+
+        // One backward pass: a run is its first uop plus the run after it,
+        // unless that uop is control flow (a run ends at its terminator).
+        let text_base = program.text_base();
+        let mut runs = vec![0u8; program.len()];
+        for i in (0..runs.len()).rev() {
+            let pc = text_base.wrapping_add(4 * i as u32);
+            let (Some(inst), Some(lu)) = (program.fetch(pc), uops.fetch(pc)) else { continue };
+            let meta = &lu.meta;
+            if !meta.elide_ok || meta.class == InstClass::System || matches!(inst, Inst::Csr { .. }) {
+                continue;
+            }
+            runs[i] =
+                if meta.is_control_flow { 1 } else { runs.get(i + 1).map_or(1, |&n| n.saturating_add(1)) };
+        }
 
         let num_tiles = topo.num_tiles();
         let mut hops = vec![0u8; (num_tiles * num_tiles) as usize];
@@ -431,7 +482,17 @@ impl RunTables {
             }
         }
 
-        Self { uops, hops, num_tiles, decode: L1Decode::new(topo) }
+        Self { uops, runs, text_base, hops, num_tiles, decode: L1Decode::new(topo) }
+    }
+
+    /// Length of the straight run starting at `pc` (0: none starts there).
+    #[inline]
+    fn run_len(&self, pc: u32) -> u64 {
+        if pc & 3 != 0 {
+            return 0;
+        }
+        let idx = (pc.wrapping_sub(self.text_base) / 4) as usize;
+        self.runs.get(idx).map_or(0, |&n| u64::from(n))
     }
 
     #[inline]
@@ -556,7 +617,7 @@ fn defer_issue<M: Memory>(
     if post_inc != NO_REG {
         ctx.reg_ready[post_inc as usize] = now + 1;
     }
-    // In-flight request: force the slim path to rescan (and, until the
+    // In-flight request: force the run step to rescan (and, until the
     // boundary replay corrects `lsu_free`, refuse) before eliding.
     ctx.hazard_until = u64::MAX;
     ctx.wake_at = now + 1;
@@ -1551,7 +1612,7 @@ impl CycleSim {
         if meta.is_div_sqrt {
             ctx.fpu_busy_until = now + meta.result_lat;
         }
-        // Scoreboard rewritten: the slim path must rescan before eliding.
+        // Scoreboard rewritten: the run step must rescan before eliding.
         ctx.hazard_until = u64::MAX;
 
         ctx.wake_at = now + 1;
@@ -1578,42 +1639,58 @@ impl CycleSim {
         Ok(meta.is_mem)
     }
 
-    /// The quiescent-stretch issue path, used inside *extended* windows
-    /// (the epoch driver has already proven no possibly-remote uop can
-    /// issue there). Provably-local single-cycle uops
-    /// ([`UopMeta::elide_ok`]) skip the RAW/FPU/LSU hazard checks and the
-    /// scoreboard writes of [`CycleSim::issue_fast`] — each of which
-    /// provably contributes `+0` to every stall counter while
+    /// The issue step of the sharded engine's domains: issues the
+    /// straight run starting at the core's PC ([`RunTables::runs`]), at
+    /// most `max_len` uops of it, one per cycle from `now`. `max_len` is
+    /// 0 in base windows (every uop takes the full path), 1 for a core
+    /// sharing its domain, and the distance to the window end for a solo
+    /// core in an extended window — where the epoch driver has already
+    /// proven no possibly-remote uop can issue.
+    ///
+    /// Run uops skip the RAW/FPU/LSU hazard checks and the scoreboard
+    /// writes of [`CycleSim::issue_fast`] — each of which provably
+    /// contributes `+0` to every stall counter while
     /// [`CoreCtx::hazard_until`] has passed — and reconstruct the exact
-    /// same statistics and architectural state. Everything else (memory,
-    /// FPU, multi-cycle results, a live hazard bound) delegates to the
-    /// full path, including local-L1 traffic inside sole-active windows.
-    fn issue_quiescent(
+    /// same statistics and architectural state: the budget and hazard
+    /// tests hold for the whole run, every uop still probes the tile I$
+    /// (a miss at position *k* ends the run there with the per-uop
+    /// refill accounting), bumps its WAW counters, and only the last
+    /// retired uop's cycle is published as `mcycle` — no run uop reads
+    /// it. The taken-branch penalty is checked once, on the terminator.
+    /// No run uop can trap (no memory access, no `ebreak`), so a trap
+    /// raised here belongs to the cycle `now`.
+    ///
+    /// Everything else (memory, FPU, multi-cycle results, CSR and
+    /// `System` uops, a live hazard bound) takes the full path, including
+    /// local-L1 traffic inside sole-active windows.
+    #[allow(clippy::too_many_arguments)]
+    fn issue_run(
         &self,
         ctx: &mut CoreCtx<TurboMem>,
         tables: &RunTables,
         icaches: &mut [FastICache],
         banks: &mut DomainBanks,
         now: u64,
+        max_len: u64,
         defer: Option<&mut Defer>,
     ) -> Result<bool, Trap> {
+        // Base windows (`max_len == 0`) skip even the table lookup: they
+        // are the dense-traffic common case.
+        let pc = ctx.cpu.pc();
+        let run = if max_len == 0 { 0 } else { tables.run_len(pc).min(max_len) };
+        if run == 0 {
+            return self.issue_fast(ctx, tables, icaches, banks, now, defer);
+        }
         if ctx.stats.instructions >= self.max_instructions {
             ctx.state = CoreState::Done;
             ctx.budget_hit = true;
             ctx.stats.done_at = now;
             return Ok(false);
         }
-
-        let pc = ctx.cpu.pc();
-        let lu = tables.uops.fetch(pc).ok_or(Trap::IllegalFetch { pc })?;
-        let meta = &lu.meta;
-        if !meta.elide_ok {
-            return self.issue_fast(ctx, tables, icaches, banks, now, defer);
-        }
         if ctx.hazard_until == u64::MAX {
             // Lazy rescan after the full path or the boundary replay
             // touched the scoreboard: cache an upper bound over every
-            // hazard the slim path skips. An in-flight deferred request
+            // hazard the run skips. An in-flight deferred request
             // keeps its `lsu_free` lower bound beyond the (trimmed)
             // window end, so elision stays off until the replay corrects
             // it — the bound is conservative exactly where it must be.
@@ -1630,48 +1707,47 @@ impl CycleSim {
             return self.issue_fast(ctx, tables, icaches, banks, now, defer);
         }
 
-        // Fetch through the shared tile I$ — refills are real stalls and
-        // are counted exactly as on the full path.
-        let tile = banks.local_tile(ctx.tile);
-        if !icaches[tile].access(pc) {
-            ctx.stats.stall_ins += self.icache_refill;
-            ctx.wake_at = now + self.icache_refill;
-            return Ok(false);
-        }
-
         // All hazard checks elided (`+0` stalls by the bound above):
-        // execute, retire, and keep the WAW counters exact — the
-        // boundary replay's write-back guard depends on them. The
-        // skipped `reg_ready` writes are sound: a `result_lat ≤ 1` value
-        // is ready by `now + 1`, and no later issue can observe a stale
-        // entry as anything but "ready in the past".
-        let outcome = (lu.exec)(&mut ctx.cpu, lu.uop, &mut ctx.mem)?;
-        ctx.stats.instructions += 1;
-        ctx.cpu.set_mcycle(now);
-        ctx.note_reg_writes(meta.dst, meta.post_inc);
-        ctx.hazard_until = now + 1;
-
-        ctx.wake_at = now + 1;
-        if meta.is_control_flow && ctx.cpu.pc() != pc.wrapping_add(4) {
-            ctx.wake_at = now + 1 + u64::from(self.latency().taken_branch_penalty);
+        // fetch through the shared tile I$ — refills are real stalls,
+        // counted exactly as on the full path — execute, and keep the WAW
+        // counters exact: the boundary replay's write-back guard depends
+        // on them. The skipped `reg_ready` writes are sound: a
+        // `result_lat ≤ 1` value is ready by the next cycle, and no later
+        // issue can observe a stale entry as anything but "ready in the
+        // past".
+        let len = run.min(self.max_instructions - ctx.stats.instructions);
+        let icache = &mut icaches[banks.local_tile(ctx.tile)];
+        let mut retired = 0;
+        let mut last_pc = pc;
+        while retired < len {
+            let pc = ctx.cpu.pc();
+            if !icache.access(pc) {
+                ctx.stats.stall_ins += self.icache_refill;
+                break;
+            }
+            let lu = tables.uops.fetch(pc).ok_or(Trap::IllegalFetch { pc })?;
+            let outcome = (lu.exec)(&mut ctx.cpu, lu.uop, &mut ctx.mem)?;
+            debug_assert!(matches!(outcome, Outcome::Continue), "run uops never stop the core");
+            ctx.note_reg_writes(lu.meta.dst, lu.meta.post_inc);
+            retired += 1;
+            last_pc = pc;
         }
 
-        match outcome {
-            Outcome::Continue => {}
-            Outcome::Exit { .. } => {
-                ctx.state = CoreState::Done;
-                ctx.stats.done_at = now + 1;
-            }
-            Outcome::Wfi => {
-                if self.mem().take_wake(ctx.cpu.hart_id()) {
-                    // Wake already pending: fall through immediately.
-                } else {
-                    ctx.state = CoreState::Parked;
-                    ctx.parked_at = now + 1;
-                    ctx.wake_at = u64::MAX;
-                }
-            }
+        let at = now + retired;
+        if retired > 0 {
+            ctx.stats.instructions += retired;
+            ctx.cpu.set_mcycle(at - 1);
+            ctx.hazard_until = at;
         }
+        ctx.wake_at = if retired < len {
+            // I$ miss at position `retired`: the core refetches after the
+            // refill, exactly as a per-uop issue at cycle `at` would.
+            at + self.icache_refill
+        } else if ctx.cpu.pc() != last_pc.wrapping_add(4) {
+            at + u64::from(self.latency().taken_branch_penalty)
+        } else {
+            at
+        };
         Ok(false)
     }
 }
@@ -1752,6 +1828,28 @@ mod tests {
         assert!(result.cycles > 12, "cycles include stalls and penalties");
         assert!(!result.deadlocked);
         assert!(result.parked.is_empty());
+    }
+
+    #[test]
+    fn straight_runs_end_at_control_flow_and_skip_csr_memory_system() {
+        let image = image_of(|a| {
+            let top = a.new_label();
+            a.bind(top);
+            a.addi(Reg::T0, Reg::T0, 1); // 0: run of 3, up to the branch
+            a.addi(Reg::T1, Reg::T1, 1); // 1: 2 (a run entered mid-way)
+            a.bnez(Reg::T0, top); // 2: the terminator alone
+            a.csrr(Reg::T2, terasim_riscv::csr::MCYCLE); // 3: CSR, no run
+            a.addi(Reg::T3, Reg::T3, 1); // 4: 1, cut by the load
+            a.lw(Reg::T4, 0, Reg::Zero); // 5: memory, no run
+            a.wfi(); // 6: System, no run
+        }); // 7: `ecall`, no run
+        let topo = Topology::scaled(8);
+        let arts = SimArtifacts::build(topo, &image).unwrap();
+        let tables = RunTables::new(topo, arts.program(), arts.cycle_latency());
+        let runs: Vec<u64> = (0..8).map(|i| tables.run_len(Topology::L2_BASE + 4 * i)).collect();
+        assert_eq!(runs, [3, 2, 1, 0, 1, 0, 0, 0]);
+        assert_eq!(tables.run_len(Topology::L2_BASE + 2), 0, "misaligned PC");
+        assert_eq!(tables.run_len(Topology::L2_BASE + 4 * 8), 0, "past the text");
     }
 
     #[test]

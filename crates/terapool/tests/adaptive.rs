@@ -3,7 +3,8 @@
 //! while its cores stay provably local, and the first deferred (cross
 //! -domain) access inside a grant trims the window back to the next
 //! base boundary — with results bit-identical to the fixed cadence and
-//! the full-scan reference throughout.
+//! the full-scan reference throughout — and a core alone in its domain
+//! is driven solo.
 
 use std::sync::Arc;
 
@@ -87,6 +88,41 @@ fn sole_active_grants_extend_and_trim() {
             "round {round} differs from fixed"
         );
     }
+}
+
+/// The barrier-skew shape (hart 0 spins while every other hart parks in
+/// `wfi`, then wakes them all): hart 0 is its domain's only event for
+/// almost the whole run, so nearly every retired instruction must come
+/// from a solo drive — the share `EpochReport::solo_instructions`
+/// reports.
+#[test]
+fn skew_guest_retires_solo() {
+    let topo = Topology::scaled(512);
+    let image = image_of(|a| {
+        a.csrr(Reg::T0, csr::MHARTID);
+        let waker = a.new_label();
+        let done = a.new_label();
+        a.beqz(Reg::T0, waker);
+        a.wfi();
+        a.j(done);
+        a.bind(waker);
+        a.li(Reg::T1, 200_000);
+        let top = a.new_label();
+        a.bind(top);
+        a.add(Reg::T4, Reg::T4, Reg::T1);
+        a.addi(Reg::T1, Reg::T1, -1);
+        a.bnez(Reg::T1, top);
+        a.li(Reg::T2, Topology::CTRL_WAKE_ALL as i32);
+        a.sw(Reg::T2, 0, Reg::T2);
+        a.bind(done);
+    });
+    let mut sim = CycleSim::from_artifacts(arts_for(topo, &image, EpochMode::Adaptive));
+    let result = sim.run(512).unwrap();
+    assert!(!result.deadlocked, "every hart must be woken");
+    let retired: u64 = result.per_core.iter().map(|s| s.instructions).sum();
+    let solo = sim.epoch_report().solo_instructions;
+    assert!(solo <= retired, "solo {solo} > retired {retired}");
+    assert!(solo * 100 >= retired * 99, "solo drives retired only {solo} of {retired} instructions");
 }
 
 /// Full-occupancy pure-int guests never defer, so the multi-active

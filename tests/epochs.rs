@@ -1,8 +1,9 @@
 //! Differential validation of the **adaptive epoch scheduler**: under
 //! `EpochMode::Adaptive` the sharded cycle engine grants extended (and
 //! trims over-long) synchronization windows wherever the quiescence
-//! predicate allows, and the quiescent-stretch fast path elides per-uop
-//! bookkeeping inside them — all of which must be *invisible* in results.
+//! predicate allows, and the elided run step skips per-uop bookkeeping
+//! inside them (whole straight runs at a time for a core alone in its
+//! domain) — all of which must be *invisible* in results.
 //!
 //! Every guest here runs under both cadences and is pinned bit-identical
 //! to the fixed-cadence full-scan reference (`run_naive`): per-core
@@ -68,14 +69,14 @@ fn run_one(
     cores: u32,
     mode: &str,
     pooled: bool,
-    seed: &dyn Fn(&CycleSim),
+    seed: &dyn Fn(&mut CycleSim),
 ) -> (Result<CycleResult, Trap>, Vec<u32>) {
     let mut sim = if pooled {
         CycleSim::from_pool(&MemPool::new(Arc::clone(arts)))
     } else {
         CycleSim::from_artifacts(Arc::clone(arts))
     };
-    seed(&sim);
+    seed(&mut sim);
     let result = match mode {
         "event" => sim.run(cores),
         "naive" => sim.run_naive(cores),
@@ -121,8 +122,13 @@ fn assert_same(
 /// Runs the guest under both cadences — event engine, sharded engine at
 /// 1/2/4/8 host threads, pooled event + pooled 4-thread legs — and pins
 /// every outcome against the fixed-cadence `run_naive` reference.
-fn assert_cadence_invisible(cores: u32, image: &Image, seed: impl Fn(&CycleSim)) {
-    let topo = Topology::scaled(cores);
+/// `seed` prepares each simulator (memory contents, run knobs).
+fn assert_cadence_invisible(cores: u32, image: &Image, seed: impl Fn(&mut CycleSim)) {
+    assert_cadence_invisible_on(Topology::scaled(cores), cores, image, seed);
+}
+
+/// [`assert_cadence_invisible`] on an explicit (e.g. I$-shrunk) topology.
+fn assert_cadence_invisible_on(topo: Topology, cores: u32, image: &Image, seed: impl Fn(&mut CycleSim)) {
     assert!(topo.num_domains() > 1, "topology must shard");
     let fixed = arts_for(topo, image, EpochMode::Fixed);
     let adaptive = arts_for(topo, image, EpochMode::Adaptive);
@@ -293,5 +299,226 @@ fn trap_state_identical_across_cadences() {
         let a_ = run_one(&adaptive, topo, cores, mode, false, &|_| {});
         assert!(a_.0.is_err(), "{mode}: guest must trap");
         assert_same(&format!("trap/{mode}"), &a_, &f);
+    }
+}
+
+// --- Solo stretches -----------------------------------------------------
+//
+// A core that is its domain's only event before the window end is driven
+// without the ready queue, and in extended windows it issues whole
+// straight runs (consecutive elision-eligible uops up to the next control
+// flow) at a time. The guests below aim at each rule of that path: the
+// CSR cut in the run table, the per-uop I$ probe, the budget and
+// window-end clips, the in-loop trim and the trap's cycle tag.
+
+/// A straight run of `len` dependent ALU uops on `t4` — no memory, no
+/// CSR, so it stays one run up to the next control-flow uop.
+fn emit_straight(a: &mut Assembler, len: usize) {
+    for i in 0..len {
+        a.addi(Reg::T4, Reg::T4, i as i32 + 1);
+    }
+}
+
+/// A countdown loop of `iters` iterations whose body is a straight run of
+/// `body` uops plus the counter update and the back branch.
+fn emit_run_loop(a: &mut Assembler, iters: i32, body: usize) {
+    a.li(Reg::T1, iters);
+    let top = a.new_label();
+    a.bind(top);
+    emit_straight(a, body);
+    a.addi(Reg::T1, Reg::T1, -1);
+    a.bnez(Reg::T1, top);
+}
+
+/// Only hart 0 works: everybody else exits at once, so hart 0 runs solo
+/// in sole-active extended windows for the rest of the guest.
+fn solo_image(body: impl FnOnce(&mut Assembler)) -> Image {
+    image_of(|a| {
+        let out = a.new_label();
+        a.csrr(Reg::T0, csr::MHARTID);
+        a.bnez(Reg::T0, out);
+        body(a);
+        a.bind(out);
+    })
+}
+
+/// `csrr mcycle` inside a solo spin body: a run publishes `mcycle` only
+/// at its end, so the run table must cut runs at every CSR access.
+#[test]
+fn solo_mcycle_read_mid_body() {
+    let image = solo_image(|a| {
+        a.li(Reg::T1, 150);
+        let top = a.new_label();
+        a.bind(top);
+        emit_straight(a, 3);
+        a.csrr(Reg::T5, csr::MCYCLE);
+        a.add(Reg::T6, Reg::T6, Reg::T5);
+        a.xor(Reg::A0, Reg::A0, Reg::T5);
+        a.addi(Reg::T1, Reg::T1, -1);
+        a.bnez(Reg::T1, top);
+        a.sw(Reg::T6, 0x100, Reg::Zero);
+        a.sw(Reg::A0, 0x104, Reg::Zero);
+    });
+    assert_cadence_invisible(512, &image, |_| {});
+}
+
+/// A spin body three I$ lines long on a two-set I$: lines one and three
+/// of the body evict each other, so every iteration refills mid-run.
+#[test]
+fn solo_runs_refill_mid_run() {
+    let mut topo = Topology::scaled(512);
+    topo.icache_bytes = 2 * topo.icache_line;
+    let line_insts = (topo.icache_line / 4) as usize;
+    let image = solo_image(|a| {
+        emit_run_loop(a, 40, 3 * line_insts);
+        a.sw(Reg::T4, 0x100, Reg::Zero);
+    });
+    assert_cadence_invisible_on(topo, 512, &image, |_| {});
+}
+
+/// `max_instructions` tripping at every position of a 9-uop solo run.
+#[test]
+fn solo_budget_trips_mid_run() {
+    let image = solo_image(|a| {
+        emit_run_loop(a, 100, 7);
+        a.sw(Reg::T4, 0x100, Reg::Zero);
+    });
+    for budget in 400..409 {
+        assert_cadence_invisible(512, &image, |sim| sim.max_instructions = budget);
+    }
+}
+
+/// A `jalr` into the middle of a run: the first pass enters the loop body
+/// at its head, every later pass four uops in. The run table is per PC,
+/// so the interior entry still issues the rest of the run whole.
+#[test]
+fn solo_jalr_into_run_interior() {
+    let image = solo_image(|a| {
+        a.li(Reg::T1, 60);
+        let done = a.new_label();
+        emit_straight(a, 4);
+        let interior = a.pc();
+        emit_straight(a, 5);
+        a.addi(Reg::T1, Reg::T1, -1);
+        a.beqz(Reg::T1, done);
+        a.li(Reg::T5, interior as i32);
+        a.inst(Inst::Jalr { rd: Reg::Zero, rs1: Reg::T5, offset: 0 });
+        a.bind(done);
+        a.sw(Reg::T4, 0x100, Reg::Zero);
+    });
+    assert_cadence_invisible(512, &image, |_| {});
+}
+
+/// Solo runs clipped at every offset from a window end. Hart 0 walks a
+/// tail of never-fetched I$ lines alone; each line opens with a branch
+/// hart 0 falls through, so each run is the rest of a line plus the
+/// first probe of the next one. A group-0 waker publishes the wake-all
+/// at a pad-shifted cycle, which trims the sole window there, and hart
+/// 0's tile neighbours 1–7 wake at that boundary, jump into tail lines
+/// 1–7 and take the branch out. Whoever probes a line first takes its
+/// refill, so a run that overran the boundary would have taken the next
+/// line's refill away from the neighbour that owns it.
+#[test]
+fn solo_runs_end_at_every_window_offset() {
+    let topo = Topology::scaled(512);
+    let line = topo.icache_line;
+    let neighbours = topo.cores_per_tile as i32; // harts 1.. share hart 0's tile
+    for (waker_spin, pad) in [40, 48].into_iter().flat_map(|s| (0..12).map(move |p| (s, p))) {
+        let image = image_of(|a| {
+            let (spinner, sleeper, wake, out) = (a.new_label(), a.new_label(), a.new_label(), a.new_label());
+            a.csrr(Reg::T0, csr::MHARTID);
+            a.beqz(Reg::T0, spinner);
+            a.li(Reg::T1, neighbours);
+            a.bltu(Reg::T0, Reg::T1, sleeper);
+            a.beq(Reg::T0, Reg::T1, wake); // the first hart of tile 1
+            a.j(out);
+
+            a.bind(spinner);
+            emit_run_loop(a, 10, 10);
+            while a.pc() % line != 0 {
+                a.nop();
+            }
+            let tail = a.pc();
+            for _ in 0..24 {
+                a.bnez(Reg::T0, out); // taken by a neighbour: one probe, then exit
+                emit_straight(a, line as usize / 4 - 1);
+            }
+            a.j(out);
+
+            // The jump target is ready before the `wfi`, and the jump
+            // shares its line, so a neighbour probes its tail line three
+            // cycles after it wakes.
+            a.bind(sleeper);
+            a.slli(Reg::T5, Reg::T0, line.trailing_zeros() as i32);
+            a.li(Reg::T6, tail as i32);
+            a.add(Reg::T5, Reg::T5, Reg::T6);
+            while a.pc() % line == line - 4 {
+                a.nop();
+            }
+            a.wfi();
+            a.inst(Inst::Jalr { rd: Reg::Zero, rs1: Reg::T5, offset: 0 });
+
+            a.bind(wake);
+            a.li(Reg::T1, waker_spin);
+            emit_spin(a, Reg::T2, Reg::T1);
+            for _ in 0..pad {
+                a.nop();
+            }
+            a.li(Reg::A5, Topology::CTRL_WAKE_ALL as i32);
+            a.li(Reg::A2, 1);
+            a.sw(Reg::A2, 0, Reg::A5);
+            a.bind(out);
+        });
+        assert_cadence_invisible_on(topo, 512, &image, |_| {});
+    }
+}
+
+/// A solo core defers a cross-group AMO right after a run and consumes
+/// the result at once: the deferral must trim the sole window inside the
+/// solo drive, so the boundary replay lands before the dependent `add`.
+#[test]
+fn solo_defer_after_run_trims() {
+    let topo = Topology::scaled(512);
+    let remote = 4 * topo.banks_per_group();
+    let image = solo_image(|a| {
+        a.li(Reg::T2, 1);
+        for round in 0..4u32 {
+            a.li(Reg::A1, (remote + 4 * round) as i32);
+            emit_run_loop(a, 30 + round as i32, 5);
+            a.amoadd_w(Reg::A2, Reg::T2, Reg::A1);
+            a.add(Reg::A3, Reg::A2, Reg::T4);
+            a.sw(Reg::A3, 0x200 + 4 * round as i32, Reg::Zero);
+        }
+    });
+    assert_cadence_invisible_on(topo, 512, &image, |sim| {
+        for round in 0..4 {
+            sim.memory().write_u32(remote + 4 * round, 1000 * (round + 1));
+        }
+    });
+}
+
+/// Solo stretches that trap: hart 0 and hart 256 each spin alone in their
+/// group and hit `ebreak` a few cycles apart, inside one extended
+/// multi-active window. The reported trap must be the earlier one, so
+/// each must carry the cycle it was raised at, not its drive's start.
+#[test]
+fn solo_traps_carry_their_cycle() {
+    for (n0, n1) in [(61, 60), (62, 60), (60, 61)] {
+        let image = image_of(|a| {
+            let (second, out) = (a.new_label(), a.new_label());
+            a.csrr(Reg::T0, csr::MHARTID);
+            a.li(Reg::T1, 256);
+            a.beq(Reg::T0, Reg::T1, second);
+            a.bnez(Reg::T0, out);
+            a.li(Reg::T1, n0);
+            emit_spin(a, Reg::T2, Reg::T1);
+            a.inst(Inst::Ebreak);
+            a.bind(second);
+            a.li(Reg::T1, n1);
+            emit_spin(a, Reg::T2, Reg::T1);
+            a.inst(Inst::Ebreak);
+            a.bind(out);
+        });
+        assert_cadence_invisible(512, &image, |_| {});
     }
 }
