@@ -1,8 +1,8 @@
 //! Criterion micro-benchmarks of the softfloat substrate: these
 //! operations dominate the inner loops of both the ISS FPU and the native
 //! DUT models, so their throughput bounds overall simulation speed. The
-//! per-instruction ns floor this measures in isolation is what
-//! `BENCH_cycle.json` reports end-to-end (`ns_per_inst`).
+//! benchmark's `terapool.{fast,cycle}_ns_per_inst` layer metrics are the
+//! same floor measured end to end.
 //!
 //! The `*_reference` entries time the retained generic implementations
 //! (`ops::reference`) next to the table/fast-path versions, so the

@@ -1,4 +1,4 @@
-//! Ablation D2 (DESIGN.md): the fast simulator's memory-latency model.
+//! Ablation: the fast simulator's memory-latency model.
 //!
 //! The paper's Banshee assigns *every* memory access the conservative
 //! worst-case non-contended latency (9 cycles). This ablation compares

@@ -1,4 +1,4 @@
-//! Ablation D4 (DESIGN.md): operand placement in the shared L1.
+//! Ablation: operand placement in the shared L1.
 //!
 //! The paper's Figure 4 places vectors at consecutive interleaved
 //! addresses so concurrent cores fetch from *different* banks. This

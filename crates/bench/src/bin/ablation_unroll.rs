@@ -1,4 +1,4 @@
-//! Ablation D3 (DESIGN.md): kernel loop unrolling.
+//! Ablation: kernel loop unrolling.
 //!
 //! The paper: "Loops are unrolled to minimize RAW stalls, with increasing
 //! benefits at higher problem sizes." This sweep runs the cycle-accurate
@@ -64,6 +64,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!();
     println!("Note: unrolling removes loop-counter overhead; the dual accumulation chains that break");
-    println!("RAW dependences are present at every unroll factor (kernel design, DESIGN.md D3).");
+    println!("RAW dependences are present at every unroll factor (the kernel's design, not the unroll).");
     Ok(())
 }

@@ -3,7 +3,7 @@
 //! Every binary accepts `--full` to run at paper scale (1024 cores, all
 //! MIMO sizes, NSC = 1638); the default is a reduced configuration that
 //! preserves the figures' *shape* on a laptop. The active scale is always
-//! printed so `EXPERIMENTS.md` can record it.
+//! printed in the banner so a recorded output states it.
 //!
 //! The sweep binaries no longer hand-roll their own parallel loops: every
 //! multi-configuration sweep is a batch of jobs on
@@ -22,13 +22,19 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parses the process arguments.
+    /// Parses the process arguments: `--full` or nothing. Any other
+    /// argument exits with status 2 and names it, rather than running
+    /// at a scale nobody asked for.
     pub fn from_args() -> Self {
-        if std::env::args().any(|a| a == "--full") {
-            Scale::Full
-        } else {
-            Scale::Reduced
+        let mut scale = Scale::Reduced;
+        for arg in std::env::args().skip(1) {
+            if arg != "--full" {
+                eprintln!("error: unknown argument {arg:?} (the only flag is --full)");
+                std::process::exit(2);
+            }
+            scale = Scale::Full;
         }
+        scale
     }
 
     /// Simulated cluster cores for the parallel experiments.
@@ -95,32 +101,6 @@ pub fn min_sec(d: Duration) -> String {
     } else {
         format!("{s:.2}s")
     }
-}
-
-/// `--name value` command-line argument, parsed as `T`; `default` when
-/// the flag is absent or its value does not parse.
-fn arg<T: std::str::FromStr>(name: &str, default: T) -> T {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Integer command-line argument with default (`--name value`).
-pub fn arg_u32(name: &str, default: u32) -> u32 {
-    arg(name, default)
-}
-
-/// String command-line argument with default (`--name value`).
-pub fn arg_str(name: &str, default: &str) -> String {
-    arg(name, default.to_string())
-}
-
-/// Float command-line argument with default (`--name value`).
-pub fn arg_f64(name: &str, default: f64) -> f64 {
-    arg(name, default)
 }
 
 #[cfg(test)]

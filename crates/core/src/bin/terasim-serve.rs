@@ -7,8 +7,7 @@
 //!
 //! ```text
 //! terasim-serve [--workers N] [--depth N] [--cache N] [--requests N]
-//!               [--rate R] [--seed S] [--budget B] [--fusion on|off]
-//!               [--epochs fixed|adaptive] [--check]
+//!               [--rate R] [--seed S] [--budget B] [--check]
 //! ```
 //!
 //! `--rate 0` (the default) saturates the admission queue to measure
@@ -21,29 +20,10 @@ use std::process::ExitCode;
 
 use terasim::daemon::{open_loop, standard_mix, Daemon, DaemonConfig};
 use terasim::serve::RunPolicy;
-use terasim_iss::{EpochMode, FusionMode};
 
-struct Args(Vec<String>);
-
-impl Args {
-    fn value(&self, name: &str) -> Option<&str> {
-        self.0.iter().position(|a| a == name).and_then(|i| self.0.get(i + 1)).map(String::as_str)
-    }
-
-    fn has(&self, name: &str) -> bool {
-        self.0.iter().any(|a| a == name)
-    }
-
-    /// The flag's value parsed as `T`, or `default` when absent. A value
-    /// that is present but malformed is a hard error naming the flag —
-    /// never silently replaced by the default.
-    fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
-        match self.value(name) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("invalid value for {name}: {v:?}")),
-        }
-    }
-}
+#[path = "common/args.rs"]
+mod args;
+use args::Args;
 
 macro_rules! flag {
     ($args:expr, $name:expr, $default:expr) => {
@@ -57,14 +37,22 @@ macro_rules! flag {
     };
 }
 
+const USAGE: &str = "usage: terasim-serve [--workers N] [--depth N] [--cache N] [--requests N] [--rate R] [--seed S] [--budget B] [--check]";
+
 fn main() -> ExitCode {
-    let args = Args(std::env::args().skip(1).collect());
-    if args.has("--help") || args.has("-h") {
-        eprintln!(
-            "usage: terasim-serve [--workers N] [--depth N] [--cache N] [--requests N] [--rate R] [--seed S] [--budget B] [--fusion on|off] [--epochs fixed|adaptive] [--check]"
-        );
-        return ExitCode::FAILURE;
-    }
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let flags = ["--workers", "--depth", "--cache", "--requests", "--rate", "--seed", "--budget"];
+    let args = match Args::parse(&raw, &flags, &["--check", "--help", "-h"]) {
+        Ok(args) if !(args.switch("--help") || args.switch("-h")) => args,
+        Ok(_) => {
+            eprintln!("{USAGE}");
+            return ExitCode::FAILURE;
+        }
+        Err(e) => {
+            eprintln!("error: {e}\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
+    };
     let workers: usize = flag!(args, "--workers", 1);
     let depth: usize = flag!(args, "--depth", 16);
     let cache: usize = flag!(args, "--cache", 4);
@@ -72,41 +60,16 @@ fn main() -> ExitCode {
     let rate: f64 = flag!(args, "--rate", 0.0);
     let seed: u64 = flag!(args, "--seed", 1);
     let budget: u64 = flag!(args, "--budget", 0);
-    let check = args.has("--check");
-    let fusion = match args.value("--fusion") {
-        None | Some("on") => FusionMode::On,
-        Some("off") => FusionMode::Off,
-        Some(v) => {
-            eprintln!("error: invalid value for --fusion: {v:?} (expected on|off)");
-            return ExitCode::FAILURE;
-        }
-    };
-    let epochs = match args.value("--epochs") {
-        None | Some("adaptive") => EpochMode::Adaptive,
-        Some("fixed") => EpochMode::Fixed,
-        Some(v) => {
-            eprintln!("error: invalid value for --epochs: {v:?} (expected fixed|adaptive)");
-            return ExitCode::FAILURE;
-        }
-    };
+    let check = args.switch("--check");
 
     let mut policy = RunPolicy::new();
     if budget > 0 {
         policy = policy.with_budget(budget);
     }
-    let daemon = Daemon::start(DaemonConfig {
-        workers,
-        queue_depth: depth,
-        cache_capacity: cache,
-        policy,
-        fusion,
-        epochs,
-    });
+    let daemon = Daemon::start(DaemonConfig { workers, queue_depth: depth, cache_capacity: cache, policy });
 
     println!(
-        "terasim-serve: workers={workers} depth={depth} cache={cache} requests={requests} rate={rate} seed={seed} fusion={} epochs={}",
-        if fusion == FusionMode::On { "on" } else { "off" },
-        if epochs == EpochMode::Adaptive { "adaptive" } else { "fixed" }
+        "terasim-serve: workers={workers} depth={depth} cache={cache} requests={requests} rate={rate} seed={seed}"
     );
     let report = open_loop(&daemon, &standard_mix(), rate, requests, seed);
     let stats = daemon.shutdown();

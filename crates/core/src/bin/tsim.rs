@@ -13,35 +13,18 @@ use terasim::experiments::{
     self, BatchConfig, CycleEngine, ParallelConfig, ParallelScenario, SymbolScenario,
 };
 use terasim::DetectorKind;
-use terasim_iss::{EpochMode, FusionMode};
 use terasim_kernels::Precision;
 use terasim_phy::{ChannelKind, Mimo, Modulation};
 use terasim_terapool::Topology;
 
-struct Args(Vec<String>);
-
-impl Args {
-    fn value(&self, name: &str) -> Option<&str> {
-        self.0.iter().position(|a| a == name).and_then(|i| self.0.get(i + 1)).map(String::as_str)
-    }
-
-    /// The flag's value as a `u32`, or `default` when absent. A value
-    /// that is present but malformed is a hard error naming the flag —
-    /// never silently replaced by the default.
-    fn u32(&self, name: &str, default: u32) -> Result<u32, String> {
-        match self.value(name) {
-            None => Ok(default),
-            Some(v) => {
-                v.parse().map_err(|_| format!("invalid value for {name}: {v:?} is not an unsigned integer"))
-            }
-        }
-    }
-}
+#[path = "common/args.rs"]
+mod args;
+use args::Args;
 
 /// Unwraps a numeric flag or exits with the parse error naming the flag.
 macro_rules! flag {
     ($args:expr, $name:expr, $default:expr) => {
-        match $args.u32($name, $default) {
+        match $args.get::<u32>($name, $default) {
             Ok(v) => v,
             Err(e) => {
                 eprintln!("error: {e}");
@@ -55,46 +38,34 @@ fn parse_precision(s: &str) -> Option<Precision> {
     Precision::ALL.into_iter().find(|p| p.paper_name().eq_ignore_ascii_case(s))
 }
 
-/// Parses `--fusion on|off` (default: on — the block engine).
-fn parse_fusion(args: &Args) -> Result<FusionMode, String> {
-    match args.value("--fusion") {
-        None | Some("on") => Ok(FusionMode::On),
-        Some("off") => Ok(FusionMode::Off),
-        Some(v) => Err(format!("invalid value for --fusion: {v:?} (expected on|off)")),
-    }
-}
-
-/// Parses `--epochs fixed|adaptive` (default: adaptive — the
-/// quiescence-extended cadence of the sharded cycle engine; `fixed`
-/// keeps the base 4-cycle cadence served and CI-exercised).
-fn parse_epochs(args: &Args) -> Result<EpochMode, String> {
-    match args.value("--epochs") {
-        None | Some("adaptive") => Ok(EpochMode::Adaptive),
-        Some("fixed") => Ok(EpochMode::Fixed),
-        Some(v) => Err(format!("invalid value for --epochs: {v:?} (expected fixed|adaptive)")),
-    }
-}
-
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  tsim run    --mimo <4|8|16|32> --precision <name> [--cores N] [--backend fast|cycle] [--threads T] [--seed S] [--fusion on|off] [--epochs fixed|adaptive]\n  tsim symbol --mimo <N> --precision <name> [--nsc N] [--seed S] [--fusion on|off] [--epochs fixed|adaptive]\n  tsim ber    --mimo <N> --detector <64b|name|iss:name> [--mod 16qam|64qam] [--channel awgn|rayleigh] [--snr a,b,c] [--errors E]\n  tsim info   [--cores N]\n\nprecisions: 16bHalf 16bwDotp 16bCDotp 8bQuarter 8bwDotp"
+        "usage:\n  tsim run    --mimo <4|8|16|32> --precision <name> [--cores N] [--backend fast|cycle] [--threads T] [--seed S] [--unroll U]\n  tsim symbol --mimo <N> --precision <name> [--nsc N] [--seed S] [--unroll U]\n  tsim ber    --mimo <N> --detector <64b|name|iss:name> [--mod qpsk|16qam|64qam] [--channel awgn|rayleigh] [--snr a,b,c] [--errors E]\n  tsim info   [--cores N]\n\nprecisions: 16bHalf 16bwDotp 16bCDotp 8bQuarter 8bwDotp"
     );
     ExitCode::FAILURE
 }
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = argv.first().cloned() else {
+    let Some((cmd, rest)) = argv.split_first() else {
         return usage();
     };
-    let args = Args(argv);
-
-    match cmd.as_str() {
-        "run" => cmd_run(&args),
-        "symbol" => cmd_symbol(&args),
-        "ber" => cmd_ber(&args),
-        "info" => cmd_info(&args),
-        _ => usage(),
+    let (run, flags): (fn(&Args) -> ExitCode, &[&str]) = match cmd.as_str() {
+        "run" => {
+            (cmd_run, &["--mimo", "--precision", "--cores", "--backend", "--threads", "--seed", "--unroll"])
+        }
+        "symbol" => (cmd_symbol, &["--mimo", "--precision", "--nsc", "--seed", "--unroll"]),
+        "ber" => (cmd_ber, &["--mimo", "--detector", "--mod", "--channel", "--snr", "--errors"]),
+        "info" => (cmd_info, &["--cores"]),
+        _ => return usage(),
+    };
+    match Args::parse(rest, flags, &["--help", "-h"]) {
+        Ok(args) if args.switch("--help") || args.switch("-h") => usage(),
+        Ok(args) => run(&args),
+        Err(e) => {
+            eprintln!("error: tsim {cmd}: {e}");
+            usage()
+        }
     }
 }
 
@@ -110,34 +81,18 @@ fn cmd_run(args: &Args) -> ExitCode {
         seed: u64::from(flag!(args, "--seed", 1)),
         unroll: flag!(args, "--unroll", 2),
     };
-    let epochs = match parse_epochs(args) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
     match args.value("--backend").unwrap_or("fast") {
         "fast" => {
             let threads = flag!(args, "--threads", 2) as usize;
-            let fusion = match parse_fusion(args) {
-                Ok(f) => f,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let run =
-                ParallelScenario::prepare_with(&config, fusion, epochs).and_then(|s| s.run_fast(threads));
+            let run = ParallelScenario::prepare(&config).and_then(|s| s.run_fast(threads));
             match run {
                 Ok(out) => {
                     println!(
-                        "fast: {} cores x {}x{} {} (fusion {}) -> {} instructions, ~{} cluster cycles, {:.2} MIPS, wall {:?}, verified={}",
+                        "fast: {} cores x {}x{} {} -> {} instructions, ~{} cluster cycles, {:.2} MIPS, wall {:?}, verified={}",
                         config.cores,
                         n,
                         n,
                         precision,
-                        if fusion == FusionMode::On { "on" } else { "off" },
                         out.instructions,
                         out.cluster_cycles,
                         out.mips,
@@ -153,18 +108,20 @@ fn cmd_run(args: &Args) -> ExitCode {
             }
         }
         "cycle" => {
-            let run = ParallelScenario::prepare_with(&config, FusionMode::default(), epochs)
-                .and_then(|s| s.run_cycle(CycleEngine::EventDriven));
+            // Bit-identical at every thread count; one thread is the
+            // event-driven engine itself.
+            let threads = flag!(args, "--threads", 1) as usize;
+            let run =
+                ParallelScenario::prepare(&config).and_then(|s| s.run_cycle(CycleEngine::Parallel(threads)));
             match run {
                 Ok(out) => {
                     let b = out.breakdown;
                     println!(
-                        "cycle: {} cores x {}x{} {} (epochs {}) -> {} cycles (instr {} raw {} lsu {} ins {} acc {} wfi {}), wall {:?}, verified={}",
+                        "cycle: {} cores x {}x{} {} on {threads} host threads -> {} cycles (instr {} raw {} lsu {} ins {} acc {} wfi {}), wall {:?}, verified={}",
                         config.cores,
                         n,
                         n,
                         precision,
-                        if epochs == EpochMode::Adaptive { "adaptive" } else { "fixed" },
                         out.cycles,
                         b.instructions,
                         b.stall_raw,
@@ -198,21 +155,7 @@ fn cmd_symbol(args: &Args) -> ExitCode {
         seed: u64::from(flag!(args, "--seed", 1)),
         unroll: flag!(args, "--unroll", 2),
     };
-    let fusion = match parse_fusion(args) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let epochs = match parse_epochs(args) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let run = SymbolScenario::prepare_with(&config, fusion, epochs).and_then(|s| s.run_symbol(config.seed));
+    let run = SymbolScenario::prepare(&config).and_then(|s| s.run_symbol(config.seed));
     match run {
         Ok(out) => {
             println!(

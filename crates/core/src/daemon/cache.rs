@@ -40,7 +40,6 @@
 
 use std::sync::{Arc, Mutex, OnceLock};
 
-use terasim_iss::{EpochMode, FusionMode};
 use terasim_phy::{BerJob, Detector};
 use terasim_terapool::{ArenaBank, MemPool, PoolStats, SimArtifacts};
 
@@ -83,47 +82,27 @@ impl std::fmt::Debug for CachedScenario {
 impl CachedScenario {
     /// Prepares the scenario a request needs — kernel build, translation,
     /// artifact lowering — with a pool over the artifacts drawing from
-    /// `bank`, under the default fusion and epoch modes. Seeds are
-    /// normalised out: the prepared scenario serves every seed of its
-    /// key. Public so embedders (and the workspace's cache tests) can
-    /// fill an [`ArtifactCache`] outside a daemon.
+    /// `bank`. Seeds are normalised out: the prepared scenario serves
+    /// every seed of its key. Public so embedders (and the workspace's
+    /// cache tests) can fill an [`ArtifactCache`] outside a daemon.
     ///
     /// # Errors
     ///
     /// Returns the kernel build or translation error as a string (the
     /// form the cache memoises).
     pub fn build(req: &ServeRequest, bank: &Arc<ArenaBank>) -> Result<Self, String> {
-        Self::build_with(req, FusionMode::default(), EpochMode::default(), bank)
-    }
-
-    /// As [`build`](Self::build) with an explicit fast-engine
-    /// [`FusionMode`] and an explicit [`EpochMode`] for the scenario's
-    /// sharded cycle-mode jobs (the daemon passes its configured modes;
-    /// results are bit-identical either way).
-    ///
-    /// # Errors
-    ///
-    /// Returns the kernel build or translation error as a string.
-    pub fn build_with(
-        req: &ServeRequest,
-        fusion: FusionMode,
-        epochs: EpochMode,
-        bank: &Arc<ArenaBank>,
-    ) -> Result<Self, String> {
         match req {
             ServeRequest::Symbol { config } => {
                 let mut config = *config;
                 config.seed = 0;
-                let scenario =
-                    SymbolScenario::prepare_with(&config, fusion, epochs).map_err(|e| e.to_string())?;
+                let scenario = SymbolScenario::prepare(&config).map_err(|e| e.to_string())?;
                 let pool = MemPool::in_bank(Arc::clone(scenario.artifacts()), bank);
                 Ok(Self { prepared: Prepared::Symbol(scenario), pool })
             }
             ServeRequest::Fast { config } | ServeRequest::Cycle { config, .. } => {
                 let mut config = *config;
                 config.seed = 0;
-                let scenario =
-                    ParallelScenario::prepare_with(&config, fusion, epochs).map_err(|e| e.to_string())?;
+                let scenario = ParallelScenario::prepare(&config).map_err(|e| e.to_string())?;
                 let pool = MemPool::in_bank(Arc::clone(scenario.artifacts()), bank);
                 Ok(Self { prepared: Prepared::Parallel(scenario), pool })
             }

@@ -12,7 +12,7 @@
 //!   admission queue accepts them, waiting out the oldest in-flight
 //!   ticket whenever the queue is full. This measures the daemon's
 //!   sustained capacity (`jobs_per_sec`) without choosing an arrival
-//!   rate first — the mode the `mips --serve` benchmark records.
+//!   rate first — the mode `terasim-serve` runs by default.
 //!
 //! All randomness (template choice, inter-arrival gaps, per-request
 //! seeds) derives from one `u64` seed through the PHY's deterministic

@@ -77,7 +77,6 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use terasim_iss::{EpochMode, FusionMode};
 use terasim_phy::{BerPoint, Mimo};
 use terasim_terapool::{BankGeometry, MemPool, PoolStats};
 
@@ -399,28 +398,12 @@ pub struct DaemonConfig {
     /// Execution policy applied to every request (instruction budget,
     /// retry-on-panic, cancellation token).
     pub policy: RunPolicy,
-    /// Fast-engine fusion mode applied to every scenario the cache
-    /// prepares (A/B hook for the `--fusion` serve flag; results are
-    /// bit-identical either way).
-    pub fusion: FusionMode,
-    /// Epoch cadence of the sharded cycle engine applied to every
-    /// scenario the cache prepares (A/B hook for the `--epochs` serve
-    /// flag; results are bit-identical either way).
-    pub epochs: EpochMode,
 }
 
 impl Default for DaemonConfig {
-    /// One worker, depth 64, four warm scenarios, permissive policy,
-    /// block fast engine, adaptive epochs.
+    /// One worker, depth 64, four warm scenarios, permissive policy.
     fn default() -> Self {
-        Self {
-            workers: 1,
-            queue_depth: 64,
-            cache_capacity: 4,
-            policy: RunPolicy::new(),
-            fusion: FusionMode::On,
-            epochs: EpochMode::Adaptive,
-        }
+        Self { workers: 1, queue_depth: 64, cache_capacity: 4, policy: RunPolicy::new() }
     }
 }
 
@@ -464,8 +447,6 @@ struct Shared {
     available: Condvar,
     cache: ArtifactCache,
     policy: RunPolicy,
-    fusion: FusionMode,
-    epochs: EpochMode,
     high_water: usize,
     submitted: AtomicU64,
     rejected_overload: AtomicU64,
@@ -504,8 +485,6 @@ impl Daemon {
             available: Condvar::new(),
             cache: ArtifactCache::new(config.cache_capacity),
             policy: config.policy,
-            fusion: config.fusion,
-            epochs: config.epochs,
             high_water: config.queue_depth,
             submitted: AtomicU64::new(0),
             rejected_overload: AtomicU64::new(0),
@@ -649,9 +628,8 @@ struct Served {
 fn serve_one(shared: &Shared, req: &ServeRequest) -> Served {
     let runner = BatchRunner::with_workers(1);
     if req.cacheable() {
-        let (entry, cache_hit) = shared.cache.get_or_build(req.key(), |bank| {
-            CachedScenario::build_with(req, shared.fusion, shared.epochs, bank)
-        });
+        let (entry, cache_hit) =
+            shared.cache.get_or_build(req.key(), |bank| CachedScenario::build(req, bank));
         match entry {
             Ok(scenario) => {
                 // A pool handle of the request's own over the entry's

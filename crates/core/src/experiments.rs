@@ -9,7 +9,7 @@ use std::error::Error;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use terasim_iss::{EpochMode, FusionMode, RunConfig};
+use terasim_iss::RunConfig;
 use terasim_kernels::{data, native, MmseKernel, Precision, ProblemLayout, C64};
 use terasim_phy::{BerPoint, ChannelKind, Mimo, Modulation, TxGenerator};
 use terasim_terapool::{ClusterMem, CycleSim, CycleStats, FastSim, MemPool, SimArtifacts, Topology};
@@ -72,8 +72,9 @@ pub struct CycleOutcome {
 
 /// Picks a topology that fits the experiment: the TeraPool hierarchy at
 /// `cores`, with banks deepened (larger tile SPM) when the operand set of
-/// big MIMO sizes exceeds the 32 KiB/tile of the taped-out design — the
-/// capacity substitution recorded in `DESIGN.md`.
+/// big MIMO sizes exceeds the 32 KiB/tile of the taped-out design. The
+/// substitution changes capacity only: bank count, interleaving and
+/// latencies stay the paper's, so timing is unaffected.
 pub fn topology_for(
     cores: u32,
     active: u32,
@@ -154,41 +155,11 @@ impl ParallelScenario {
     ///
     /// Propagates kernel build and translation errors.
     pub fn prepare(config: &ParallelConfig) -> Result<Self, Box<dyn Error>> {
-        Self::prepare_with_fusion(config, FusionMode::default())
-    }
-
-    /// As [`prepare`](Self::prepare) with an explicit
-    /// [`FusionMode`] for the scenario's fast-mode jobs — the A/B hook
-    /// behind the `tsim`/`terasim-serve` `--fusion` flags and the
-    /// fusion-off differential legs. Results are bit-identical either
-    /// way; only dispatch cost changes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates kernel build and translation errors.
-    pub fn prepare_with_fusion(config: &ParallelConfig, fusion: FusionMode) -> Result<Self, Box<dyn Error>> {
-        Self::prepare_with(config, fusion, EpochMode::default())
-    }
-
-    /// As [`prepare_with_fusion`](Self::prepare_with_fusion) with an
-    /// explicit [`EpochMode`] for the scenario's sharded cycle-mode jobs
-    /// — the A/B hook behind the `tsim`/`terasim-serve` `--epochs` flags
-    /// and the adaptive-vs-fixed differential legs. Results are
-    /// bit-identical either way; only the epoch cadence changes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates kernel build and translation errors.
-    pub fn prepare_with(
-        config: &ParallelConfig,
-        fusion: FusionMode,
-        epochs: EpochMode,
-    ) -> Result<Self, Box<dyn Error>> {
         let topo = topology_for(config.cores, config.cores, config.n, config.precision, 1);
         let kernel = kernel_for(config.n, config.precision, 1, config.cores, config.unroll);
         let layout = kernel.layout(&topo)?;
         let image = kernel.build(&topo)?;
-        let mut rc = RunConfig { fusion, epochs, ..RunConfig::default() };
+        let mut rc = RunConfig::default();
         rc.latency.load = topo.max_access_latency();
         let arts = SimArtifacts::build_with(topo, &image, rc)?;
         Ok(Self { config: *config, layout, arts })
@@ -224,7 +195,7 @@ impl ParallelScenario {
     }
 
     /// One fast-mode job with an explicit ISS timing configuration (the
-    /// latency-model ablation, DESIGN.md D2). A configuration whose
+    /// latency-model ablation, `ablation_latency`). A configuration whose
     /// latency model matches the scenario's still uses the shared table;
     /// otherwise the job re-lowers privately.
     ///
@@ -514,7 +485,7 @@ pub fn parallel_fast(config: &ParallelConfig, host_threads: usize) -> Result<Fas
 }
 
 /// As [`parallel_fast`] with an explicit ISS timing configuration — used
-/// by the latency-model ablation (DESIGN.md, D2) to compare the paper's
+/// by the latency-model ablation (`ablation_latency`) to compare the paper's
 /// uniform conservative 9-cycle load latency against topology-aware
 /// per-address latencies.
 ///
@@ -564,9 +535,9 @@ pub fn parallel_cycle_threads(
     parallel_cycle_with_engine(config, CycleEngine::Parallel(threads))
 }
 
-/// As [`parallel_cycle`] with an explicit scheduler — the hook the `mips`
-/// bench and the differential tests use to compare the event-driven engine
-/// against the retained naive scan on identical workloads.
+/// As [`parallel_cycle`] with an explicit scheduler — the hook the
+/// differential tests use to compare the event-driven engine against the
+/// retained naive scan on identical workloads.
 ///
 /// # Errors
 ///
@@ -630,38 +601,11 @@ impl SymbolScenario {
     ///
     /// Propagates kernel build and translation errors.
     pub fn prepare(config: &BatchConfig) -> Result<Self, Box<dyn Error>> {
-        Self::prepare_with_fusion(config, FusionMode::default())
-    }
-
-    /// As [`prepare`](Self::prepare) with an explicit [`FusionMode`] for
-    /// the scenario's jobs (A/B and differential legs).
-    ///
-    /// # Errors
-    ///
-    /// Propagates kernel build and translation errors.
-    pub fn prepare_with_fusion(config: &BatchConfig, fusion: FusionMode) -> Result<Self, Box<dyn Error>> {
-        Self::prepare_with(config, fusion, EpochMode::default())
-    }
-
-    /// As [`prepare_with_fusion`](Self::prepare_with_fusion) with an
-    /// explicit [`EpochMode`] (A/B and differential legs; a single-Snitch
-    /// symbol job never shards, so the mode only matters when the same
-    /// scenario is also driven in cycle mode).
-    ///
-    /// # Errors
-    ///
-    /// Propagates kernel build and translation errors.
-    pub fn prepare_with(
-        config: &BatchConfig,
-        fusion: FusionMode,
-        epochs: EpochMode,
-    ) -> Result<Self, Box<dyn Error>> {
         let topo = topology_for(1024, 1, config.n, config.precision, config.nsc);
         let kernel = kernel_for(config.n, config.precision, config.nsc, 1, config.unroll);
         let layout = kernel.layout(&topo)?;
         let image = kernel.build(&topo)?;
-        let rc = RunConfig { fusion, epochs, ..RunConfig::default() };
-        let arts = SimArtifacts::build_with(topo, &image, rc)?;
+        let arts = SimArtifacts::build(topo, &image)?;
         Ok(Self { config: *config, layout, arts })
     }
 

@@ -11,8 +11,8 @@
 //!   [`SimArtifacts`] set — decoded
 //!   program, lowered micro-op tables, topology maps, initial memory
 //!   image — built once instead of once per run (the scenario types in
-//!   [`experiments`](crate::experiments) wrap this; `mips --jobs` records
-//!   the amortization win).
+//!   [`experiments`](crate::experiments) wrap this; the benchmark's
+//!   `terapool.artifacts_s` layer metric prices the one-time build).
 //! * **Work stealing.** Jobs are dealt round-robin to per-worker queues;
 //!   a worker that drains its own queue steals from the busiest
 //!   neighbour, so a batch of wildly uneven jobs (BER points near the

@@ -1,0 +1,46 @@
+//! The command-line front ends reject what they do not know: an unknown
+//! or retired flag, or a flag without its value, is an error naming the
+//! flag — never a run on the defaults.
+
+use std::process::{Command, Output};
+
+const TSIM: &str = env!("CARGO_BIN_EXE_tsim");
+const SERVE: &str = env!("CARGO_BIN_EXE_terasim-serve");
+
+/// Runs `exe` with the whitespace-separated arguments `args`.
+fn run(exe: &str, args: &str) -> Output {
+    Command::new(exe).args(args.split_whitespace()).output().expect("binary runs")
+}
+
+/// Asserts the command failed and its error names `flag`.
+fn assert_rejected(exe: &str, args: &str, flag: &str) {
+    let out = run(exe, args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "`{args}` was accepted: {}", String::from_utf8_lossy(&out.stdout));
+    assert!(stderr.contains(flag), "`{args}`: error does not name {flag}: {stderr}");
+}
+
+#[test]
+fn retired_engine_mode_flags_are_rejected() {
+    assert_rejected(TSIM, "run --mimo 4 --fusion off", "--fusion");
+    assert_rejected(TSIM, "symbol --epochs fixed", "--epochs");
+    assert_rejected(SERVE, "--requests 1 --fusion off", "--fusion");
+    assert_rejected(SERVE, "--requests 1 --epochs fixed", "--epochs");
+}
+
+#[test]
+fn misspelled_and_valueless_flags_are_rejected() {
+    assert_rejected(TSIM, "run --thread 4", "--thread");
+    assert_rejected(TSIM, "info --cores", "--cores");
+    assert_rejected(TSIM, "info --mimo 4", "--mimo");
+    assert_rejected(SERVE, "--worker 2", "--worker");
+    assert_rejected(SERVE, "--requests", "--requests");
+}
+
+#[test]
+fn a_valid_cycle_run_is_accepted_and_verifies() {
+    let out = run(TSIM, "run --mimo 4 --precision 16bCDotp --cores 16 --backend cycle --threads 2");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(stdout.contains("verified=true"), "{stdout}");
+}

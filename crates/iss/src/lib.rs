@@ -4,8 +4,9 @@
 //! LLVM. This crate keeps Banshee's *architecture* — a two-phase
 //! translate/emulate flow, deterministic instruction-accurate semantics, and
 //! a fast approximate timing model — while replacing LLVM codegen with a
-//! pre-decoding threaded interpreter (see `DESIGN.md` for the substitution
-//! argument):
+//! pre-decoding threaded interpreter. The substitution trades host speed
+//! for a std-only, portable build; semantics and the static timing model
+//! do not depend on how instructions are dispatched:
 //!
 //! 1. **Translation** ([`Program::translate`]): the flat binary image is
 //!    decoded once into a dense array of [`Inst`](terasim_riscv::Inst) with
@@ -67,8 +68,7 @@ pub use fuse::{resume_blocks, resume_spmd, BlockProgram, Lane};
 pub use mem::{DenseMemory, MemError, Memory};
 pub use program::{Program, TranslateError};
 pub use runner::{
-    resume_core, resume_lowered, run_core, trace_core, EpochMode, FusionMode, RunConfig, RunStats,
-    StopReason, TraceEntry,
+    resume_core, resume_lowered, run_core, trace_core, RunConfig, RunStats, StopReason, TraceEntry,
 };
 pub use timing::{InstClass, LatencyModel, Scoreboard};
 pub use uop::{Kernel, LoweredUop, MemOp, Uop, UopMeta, UopProgram, NO_REG};

@@ -14,52 +14,6 @@ use crate::program::Program;
 use crate::timing::{InstClass, LatencyModel, Scoreboard};
 use crate::uop::UopProgram;
 
-/// Whether the fast engine runs the basic-block engine or the plain
-/// per-instruction loop.
-///
-/// The block engine is a pure accounting optimization: both modes are
-/// bit-identical in every observable effect (registers, memory,
-/// [`RunStats`], stop reason, traps) — the differential suites pin this.
-/// The knob exists so every binary can A/B the two paths and so CI
-/// exercises `Off` explicitly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FusionMode {
-    /// Per-instruction dispatch and accounting ([`resume_lowered`]). The
-    /// retained reference path.
-    Off,
-    /// The block engine: basic-block dispatch
-    /// ([`resume_blocks`](crate::fuse::resume_blocks) over a
-    /// [`BlockProgram`](crate::fuse::BlockProgram)) plus, in cluster
-    /// drivers, lane-major SPMD groups
-    /// ([`resume_spmd`](crate::fuse::resume_spmd)).
-    #[default]
-    On,
-}
-
-/// Epoch cadence of the sharded cycle engine (multi-group topologies).
-///
-/// `Fixed` advances every arbitration domain in lockstep epochs of the
-/// minimum cross-group latency — the retained reference cadence.
-/// `Adaptive` lets the epoch coordinator grant *extended* epochs while
-/// the cluster is provably quiescent (no in-flight or reachable
-/// cross-group access), skipping barriers, replay and cross-checks that
-/// would have been no-ops. Both modes are bit-identical in every
-/// observable effect — per-core stats, makespan, memory, traps — which
-/// the `epochs` differential suite pins; the knob exists so every binary
-/// can A/B the two cadences and so CI exercises `Fixed` explicitly.
-///
-/// The knob lives in [`RunConfig`] next to [`FusionMode`] so scenario
-/// descriptions (and artifact digests) carry it; the ISS itself never
-/// reads it — only the cluster cycle engine does.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EpochMode {
-    /// Lockstep base-cadence epochs. The retained reference path.
-    Fixed,
-    /// Quiescence-extended epochs (bit-identical, fewer boundaries).
-    #[default]
-    Adaptive,
-}
-
 /// Configuration of a fast-mode run.
 #[derive(Debug, Clone)]
 pub struct RunConfig {
@@ -70,27 +24,13 @@ pub struct RunConfig {
     pub max_instructions: u64,
     /// When `true`, loads ask the [`Memory`] for a per-address latency;
     /// when `false`, the uniform conservative `latency.load` is used
-    /// (the paper's Banshee configuration). Ablation D2 toggles this.
+    /// (the paper's Banshee configuration). `ablation_latency` toggles this.
     pub per_address_latency: bool,
-    /// Dispatch mode: the block engine or the plain per-instruction loop.
-    /// Bit-identical either way; `On` is the fast default.
-    pub fusion: FusionMode,
-    /// Epoch cadence of the sharded cycle engine. Ignored by the ISS;
-    /// carried here so scenario descriptions and artifact digests agree
-    /// on the full engine configuration. Bit-identical either way;
-    /// `Adaptive` is the fast default.
-    pub epochs: EpochMode,
 }
 
 impl Default for RunConfig {
     fn default() -> Self {
-        Self {
-            latency: LatencyModel::default(),
-            max_instructions: u64::MAX,
-            per_address_latency: false,
-            fusion: FusionMode::On,
-            epochs: EpochMode::Adaptive,
-        }
+        Self { latency: LatencyModel::default(), max_instructions: u64::MAX, per_address_latency: false }
     }
 }
 
@@ -174,15 +114,8 @@ pub fn run_core(
     // One lowering pass per whole-program run: O(text), amortized over
     // execution, which visits every instruction at least once.
     let table = UopProgram::lower(program, &config.latency);
-    match config.fusion {
-        FusionMode::On => {
-            let blocks = crate::fuse::BlockProgram::build(program, &table);
-            crate::fuse::resume_blocks(cpu, &blocks, mem, config, &mut sb, &mut stats)?;
-        }
-        FusionMode::Off => {
-            resume_lowered(cpu, &table, mem, config, &mut sb, &mut stats)?;
-        }
-    }
+    let blocks = crate::fuse::BlockProgram::build(program, &table);
+    crate::fuse::resume_blocks(cpu, &blocks, mem, config, &mut sb, &mut stats)?;
     Ok(stats)
 }
 

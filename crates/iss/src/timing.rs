@@ -138,8 +138,8 @@ impl InstClass {
 /// is usable) plus control-flow penalties.
 ///
 /// The defaults approximate the Snitch pipeline and its co-processing
-/// functional units; they are deliberately public so the ablation benches
-/// can perturb them (DESIGN.md, decision D2).
+/// functional units; they are deliberately public so the latency-model
+/// ablation (`ablation_latency`) can perturb them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatencyModel {
     /// Integer ALU result latency.

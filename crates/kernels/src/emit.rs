@@ -47,8 +47,8 @@ pub struct MmseKernel {
     /// Requested unroll factor of the dot-product loops (clamped so the
     /// unrolled body divides `N`).
     pub unroll: u32,
-    /// Adversarial operand placement for the layout ablation (DESIGN.md
-    /// D4): pads per-problem strides so every core's `H`/`y` start in the
+    /// Adversarial operand placement for the layout ablation
+    /// (`ablation_layout`): pads per-problem strides so every core's `H`/`y` start in the
     /// *same* banks, serializing the whole cluster on a few banks. The
     /// default (`false`) is the paper's Figure-4 interleaved layout.
     pub bank_aligned_inputs: bool,

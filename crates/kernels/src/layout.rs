@@ -259,7 +259,9 @@ mod tests {
         let topo = Topology::scaled(1024); // 4 MiB L1, 32 KiB tiles
         let kernel = MmseKernel::new(32, Precision::CDotp16);
         assert!(matches!(kernel.layout(&topo), Err(LayoutError::Capacity { .. })));
-        // A deeper-bank configuration fits (capacity substitution, DESIGN.md).
+        // A deeper-bank configuration fits: where the taped-out 32 KiB
+        // tiles are too small, the experiments deepen the banks instead
+        // (`experiments::topology_for`).
         let big = Topology { tile_spm_bytes: 128 << 10, ..topo };
         assert!(kernel.layout(&big).is_ok());
     }

@@ -33,7 +33,8 @@ fn run_case(precision: Precision, n: u32, seed: u64) {
     let cores = 8u32;
     let mut topo = Topology::scaled(cores);
     let kernel = MmseKernel::new(n, precision).with_active_cores(cores);
-    // Large MIMO sizes need deeper banks (capacity substitution, DESIGN.md).
+    // Large MIMO sizes outgrow the 32 KiB tiles: deepen the banks, as
+    // `experiments::topology_for` does.
     while kernel.layout(&topo).is_err() {
         topo.tile_spm_bytes *= 2;
     }

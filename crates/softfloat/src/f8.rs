@@ -16,7 +16,7 @@ pub(crate) const FMT: FloatFormat = FloatFormat::new(5, 2);
 /// This is the "8bQuarter" element type of the paper's low-precision MMSE
 /// kernels (the paper prints "4b exponent, 2b mantissa", which neither
 /// fills a byte nor matches its own SmallFloat citation; we follow the
-/// cited 1-5-2 layout — see `DESIGN.md`). IEEE-style: bias 15,
+/// cited 1-5-2 layout, which does both). IEEE-style: bias 15,
 /// subnormals, infinities, NaN; the coarse 2-bit mantissa is precisely
 /// what costs the 8-bit kernels their BER at high SNR (Figure 9). Every
 /// [`F8`] value is exactly representable as an [`F16`], so widening is

@@ -11,7 +11,7 @@
 //! * [`F8`] — the SmallFloat binary8 minifloat (1s/5e/2m, "quarter
 //!   precision"). The paper prints "1b sign, 4b exponent, 2b mantissa",
 //!   which does not fill a byte and contradicts its SmallFloat citation;
-//!   we follow the cited 1-5-2 layout (`DESIGN.md`).
+//!   we follow the cited 1-5-2 layout.
 //! * [`ops`] — the SDR dot-product primitives: widening dot products
 //!   (`wDotp`, 8b→16b and 16b→32b accumulation) and the complex
 //!   dot-product/MAC (`CDotp`, 32-bit internal precision, 16-bit

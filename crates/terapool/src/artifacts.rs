@@ -15,8 +15,9 @@
 //! guest, and before this layer every one of them re-decoded the text,
 //! re-lowered the micro-op table and re-derived the topology maps. Those
 //! costs are now paid once per scenario, amortized across the batch (the
-//! `mips --jobs` bench records the win), and the artifact set is `Sync`,
-//! so concurrent jobs on different host threads share one allocation.
+//! benchmark's `terapool.artifacts_s` layer metric prices the one-time
+//! build), and the artifact set is `Sync`, so concurrent jobs on
+//! different host threads share one allocation.
 //!
 //! Tables are lowered **lazily** (first use, [`OnceLock`]): a scenario
 //! that only ever drives one backend never pays for the other's table,
@@ -52,7 +53,7 @@
 use std::sync::{Arc, OnceLock};
 
 use terasim_iss::uop::UopProgram;
-use terasim_iss::{BlockProgram, EpochMode, FusionMode, LatencyModel, Program, RunConfig, TranslateError};
+use terasim_iss::{BlockProgram, LatencyModel, Program, RunConfig, TranslateError};
 use terasim_riscv::Image;
 
 use crate::cycle::{ReachMap, RunTables};
@@ -216,8 +217,6 @@ impl SimArtifacts {
         let rc = &self.fast_config;
         put(&rc.max_instructions.to_le_bytes());
         put(&[u8::from(rc.per_address_latency)]);
-        put(&[u8::from(rc.fusion == FusionMode::On)]);
-        put(&[u8::from(rc.epochs == EpochMode::Adaptive)]);
         for lat in [&rc.latency, &self.cycle_latency] {
             for field in [
                 lat.alu,
@@ -264,9 +263,8 @@ impl SimArtifacts {
     }
 
     /// The shared basic-block table (cut on first use from the shared
-    /// fast table — results are bit-identical to the per-instruction
-    /// loop, so `FusionMode::On` and `Off` jobs can share one artifact
-    /// set).
+    /// fast table, whose per-instruction loop stays the reference the
+    /// block loop is pinned against).
     pub(crate) fn fast_blocks(&self) -> &Arc<BlockProgram<CoreMem>> {
         self.fast_blocks.get_or_init(|| Arc::new(BlockProgram::build(&self.program, self.fast_table())))
     }

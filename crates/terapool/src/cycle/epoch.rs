@@ -84,7 +84,7 @@ use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use terasim_iss::{EpochMode, MemOp, Memory, Trap, NO_REG};
+use terasim_iss::{MemOp, Memory, Trap, NO_REG};
 use terasim_riscv::Reg;
 
 use super::domain::{DomainEngine, WindowOpts, WHEEL_SLOTS};
@@ -618,12 +618,18 @@ impl Shards<'_> {
 
 /// Drives the sharded engine to completion on `threads` host threads
 /// (the calling thread included); domain `d` is simulated and served by
-/// thread `d % threads`. Results are bit-identical for every count.
-pub(super) fn run_sharded(sim: &CycleSim, cores: u32, threads: usize) -> Result<CycleResult, Trap> {
+/// thread `d % threads`. Results are bit-identical for every count, and
+/// with `adaptive` off (lockstep base-cadence windows, the reference
+/// cadence) or on.
+pub(super) fn run_sharded(
+    sim: &CycleSim,
+    cores: u32,
+    threads: usize,
+    adaptive: bool,
+) -> Result<CycleResult, Trap> {
     let topo = sim.topology();
     let domains = topo.num_domains() as usize;
     debug_assert!(domains > 1, "single-domain topologies use the plain event engine");
-    let adaptive = sim.arts.fast_config().epochs == EpochMode::Adaptive;
     let reach = adaptive.then(|| Arc::clone(sim.arts.reach()));
     let threads = threads.clamp(1, domains);
     let shards = Shards {

@@ -825,7 +825,7 @@ impl CycleSim {
         let topo = self.arts.topology();
         assert!(cores <= topo.num_cores(), "core count out of range");
         if topo.num_domains() > 1 {
-            return self.run_sharded(cores, 1);
+            return self.run_sharded(cores, 1, true);
         }
         let mut ctxs = self.make_ctxs(cores, |core| self.mem().turbo_view(core));
         let tables = self.arts.cycle_tables();
@@ -958,10 +958,15 @@ impl CycleSim {
     }
 
     /// Runs the epoch-sharded engine, tainting this job if the run was
-    /// cancelled (the sharded driver only sees `&CycleSim`).
-    fn run_sharded(&mut self, cores: u32, threads: usize) -> Result<CycleResult, Trap> {
+    /// cancelled (the sharded driver only sees `&CycleSim`). Single-group
+    /// topologies have nothing to shard and run the event engine.
+    fn run_sharded(&mut self, cores: u32, threads: usize, adaptive: bool) -> Result<CycleResult, Trap> {
+        assert!(cores <= self.arts.topology().num_cores(), "core count out of range");
+        if self.arts.topology().num_domains() == 1 {
+            return self.run(cores);
+        }
         self.epoch_counters.reset();
-        let res = epoch::run_sharded(self, cores, threads)?;
+        let res = epoch::run_sharded(self, cores, threads, adaptive)?;
         if res.cancelled {
             self.tainted = true;
         }
@@ -972,7 +977,7 @@ impl CycleSim {
     /// ([`CycleSim::run_parallel`], or [`CycleSim::run`] on multi-group
     /// topologies): window counts, extension/trim tallies and cycle
     /// coverage. All-zero before the first sharded run; a fixed-cadence
-    /// run ([`terasim_iss::EpochMode::Fixed`]) reports every window as a
+    /// run (the `run_fixed_epochs` test hook) reports every window as a
     /// plain base epoch. [`CycleSim::run_naive`] keeps its own epoch
     /// loop and does not touch the report.
     pub fn epoch_report(&self) -> EpochReport {
@@ -1006,11 +1011,25 @@ impl CycleSim {
     ///
     /// Panics if `cores` exceeds the topology's core count.
     pub fn run_parallel(&mut self, cores: u32, threads: usize) -> Result<CycleResult, Trap> {
-        assert!(cores <= self.arts.topology().num_cores(), "core count out of range");
-        if self.arts.topology().num_domains() == 1 {
-            return self.run(cores);
-        }
-        self.run_sharded(cores, threads.max(1))
+        self.run_sharded(cores, threads.max(1), true)
+    }
+
+    /// Test hook: [`run_parallel`](Self::run_parallel) with the adaptive
+    /// epoch grants switched off, so every window is one lockstep base
+    /// epoch of the minimum cross-group latency — the reference cadence.
+    /// The two cadences are bit-identical; the differential suites pin
+    /// it through this hook.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`Trap`] raised by any hart.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cores` exceeds the topology's core count.
+    #[doc(hidden)]
+    pub fn run_fixed_epochs(&mut self, cores: u32, threads: usize) -> Result<CycleResult, Trap> {
+        self.run_sharded(cores, threads.max(1), false)
     }
 
     /// Runs harts `0..cores` with the original full-scan scheduler.

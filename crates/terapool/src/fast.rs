@@ -12,8 +12,8 @@ use std::sync::Arc;
 
 use terasim_iss::uop::UopProgram;
 use terasim_iss::{
-    resume_lowered, resume_spmd, BlockProgram, Cpu, FusionMode, Lane, Program, RunConfig, RunStats,
-    Scoreboard, StopReason, Trap,
+    resume_lowered, resume_spmd, BlockProgram, Cpu, Lane, Program, RunConfig, RunStats, Scoreboard,
+    StopReason, Trap,
 };
 use terasim_riscv::Image;
 
@@ -80,10 +80,11 @@ fn state_of(stop: StopReason) -> HartState {
 
 /// The code a scheduling round runs its harts over.
 enum Code {
-    /// The per-instruction reference loop (`FusionMode::Off`).
+    /// The per-instruction reference loop (the
+    /// `run_cores_per_instruction` test hook).
     Lowered(Arc<UopProgram<CoreMem>>),
     /// The block engine with lane-major SPMD groups: harts of a chunk on
-    /// the same PC share each block's dispatch (`FusionMode::On`).
+    /// the same PC share each block's dispatch.
     Blocks(Arc<BlockProgram<CoreMem>>),
 }
 
@@ -320,6 +321,32 @@ impl FastSim {
         cores: std::ops::Range<u32>,
         host_threads: usize,
     ) -> Result<ClusterResult, Trap> {
+        self.run_cores_on(cores, host_threads, false)
+    }
+
+    /// Test hook: [`run_cores`](Self::run_cores) on the per-instruction
+    /// reference loop ([`resume_lowered`], one hart after another) instead
+    /// of the block loop with lane-major SPMD groups. The two are
+    /// bit-identical; the differential suites pin it through this hook.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`Trap`] raised by any hart.
+    #[doc(hidden)]
+    pub fn run_cores_per_instruction(
+        &mut self,
+        cores: std::ops::Range<u32>,
+        host_threads: usize,
+    ) -> Result<ClusterResult, Trap> {
+        self.run_cores_on(cores, host_threads, true)
+    }
+
+    fn run_cores_on(
+        &mut self,
+        cores: std::ops::Range<u32>,
+        host_threads: usize,
+        per_instruction: bool,
+    ) -> Result<ClusterResult, Trap> {
         assert!(host_threads > 0, "need at least one host thread");
         assert!(cores.end <= self.arts.topology().num_cores(), "core range out of bounds");
 
@@ -358,10 +385,8 @@ impl FastSim {
                 if runnable.is_empty() {
                     break;
                 }
-                let code = match self.config.fusion {
-                    FusionMode::On => Code::Blocks(self.blocks()),
-                    FusionMode::Off => Code::Lowered(self.table()),
-                };
+                let code =
+                    if per_instruction { Code::Lowered(self.table()) } else { Code::Blocks(self.blocks()) };
                 let config = &self.config;
                 let chunk = runnable.len().div_ceil(host_threads).max(1);
                 if runnable.len() <= chunk {

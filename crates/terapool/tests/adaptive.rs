@@ -8,7 +8,6 @@
 
 use std::sync::Arc;
 
-use terasim_iss::{EpochMode, RunConfig};
 use terasim_riscv::{csr, Assembler, Image, Reg, Segment};
 use terasim_terapool::{CycleSim, SimArtifacts, Topology};
 
@@ -19,11 +18,6 @@ fn image_of(build: impl FnOnce(&mut Assembler)) -> Image {
     let mut image = Image::new(Topology::L2_BASE);
     image.push_segment(Segment::from_words(Topology::L2_BASE, &a.finish().unwrap()));
     image
-}
-
-fn arts_for(topo: Topology, image: &Image, epochs: EpochMode) -> Arc<SimArtifacts> {
-    let rc = RunConfig { epochs, ..RunConfig::default() };
-    SimArtifacts::build_with(topo, image, rc).unwrap()
 }
 
 /// A single active core on a 2-group topology alternates long pure-int
@@ -54,10 +48,9 @@ fn sole_active_grants_extend_and_trim() {
         }
     });
 
-    let adaptive = arts_for(topo, &image, EpochMode::Adaptive);
-    let fixed = arts_for(topo, &image, EpochMode::Fixed);
+    let arts = SimArtifacts::build(topo, &image).unwrap();
 
-    let mut sim_a = CycleSim::from_artifacts(Arc::clone(&adaptive));
+    let mut sim_a = CycleSim::from_artifacts(Arc::clone(&arts));
     let ra = sim_a.run(1).unwrap();
     let report = sim_a.epoch_report();
     assert!(report.windows > 0, "no windows recorded");
@@ -68,10 +61,10 @@ fn sole_active_grants_extend_and_trim() {
         "average window did not beat the base cadence: {report:?}"
     );
 
-    let mut sim_f = CycleSim::from_artifacts(Arc::clone(&fixed));
-    let rf = sim_f.run(1).unwrap();
+    let mut sim_f = CycleSim::from_artifacts(Arc::clone(&arts));
+    let rf = sim_f.run_fixed_epochs(1, 1).unwrap();
     assert_eq!(sim_f.epoch_report().extended, 0, "fixed cadence must never extend");
-    let mut sim_n = CycleSim::from_artifacts(fixed);
+    let mut sim_n = CycleSim::from_artifacts(arts);
     let rn = sim_n.run_naive(1).unwrap();
 
     for (label, other) in [("fixed", &rf), ("naive", &rn)] {
@@ -116,7 +109,7 @@ fn skew_guest_retires_solo() {
         a.sw(Reg::T2, 0, Reg::T2);
         a.bind(done);
     });
-    let mut sim = CycleSim::from_artifacts(arts_for(topo, &image, EpochMode::Adaptive));
+    let mut sim = CycleSim::from_artifacts(SimArtifacts::build(topo, &image).unwrap());
     let result = sim.run(512).unwrap();
     assert!(!result.deadlocked, "every hart must be woken");
     let retired: u64 = result.per_core.iter().map(|s| s.instructions).sum();
@@ -143,8 +136,7 @@ fn multi_active_horizon_extends_without_trims() {
         a.addi(Reg::T1, Reg::T1, -1);
         a.bnez(Reg::T1, top);
     });
-    let adaptive = arts_for(topo, &image, EpochMode::Adaptive);
-    let mut sim = CycleSim::from_artifacts(adaptive);
+    let mut sim = CycleSim::from_artifacts(SimArtifacts::build(topo, &image).unwrap());
     let result = sim.run(cores).unwrap();
     let report = sim.epoch_report();
     assert!(report.extended > 0, "local-only full-occupancy run earned no extended grants: {report:?}");

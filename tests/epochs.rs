@@ -1,11 +1,12 @@
-//! Differential validation of the **adaptive epoch scheduler**: under
-//! `EpochMode::Adaptive` the sharded cycle engine grants extended (and
-//! trims over-long) synchronization windows wherever the quiescence
-//! predicate allows, and the elided run step skips per-uop bookkeeping
-//! inside them (whole straight runs at a time for a core alone in its
-//! domain) — all of which must be *invisible* in results.
+//! Differential validation of the **adaptive epoch scheduler**: the
+//! sharded cycle engine grants extended (and trims over-long)
+//! synchronization windows wherever the quiescence predicate allows, and
+//! the elided run step skips per-uop bookkeeping inside them (whole
+//! straight runs at a time for a core alone in its domain) — all of which
+//! must be *invisible* in results.
 //!
-//! Every guest here runs under both cadences and is pinned bit-identical
+//! Every guest here runs under both cadences (the fixed one through the
+//! `CycleSim::run_fixed_epochs` test hook) and is pinned bit-identical
 //! to the fixed-cadence full-scan reference (`run_naive`): per-core
 //! `CycleStats`, makespan, deadlock flag, parked set, memory contents and
 //! trap state — across the event engine and `run_parallel` at 1/2/4/8
@@ -14,7 +15,7 @@
 
 use std::sync::Arc;
 
-use terasim_iss::{EpochMode, RunConfig, Trap};
+use terasim_iss::Trap;
 use terasim_riscv::{csr, Assembler, Image, Inst, Reg, Segment};
 use terasim_terapool::{CycleResult, CycleSim, MemPool, SimArtifacts, Topology};
 
@@ -25,11 +26,6 @@ fn image_of(build: impl FnOnce(&mut Assembler)) -> Image {
     let mut image = Image::new(Topology::L2_BASE);
     image.push_segment(Segment::from_words(Topology::L2_BASE, &a.finish().unwrap()));
     image
-}
-
-fn arts_for(topo: Topology, image: &Image, epochs: EpochMode) -> Arc<SimArtifacts> {
-    let rc = RunConfig { epochs, ..RunConfig::default() };
-    SimArtifacts::build_with(topo, image, rc).unwrap()
 }
 
 /// Pure-integer countdown: `addi`/`bnez` only — local by construction,
@@ -60,9 +56,11 @@ fn emit_barrier(a: &mut Assembler, counter_addr: i32, cores: u32) {
     a.bind(done);
 }
 
-/// One engine invocation over a prepared artifact set. Returns the run
-/// outcome plus a memory sample taken *before* the sim drops (a pooled
-/// job's arena goes back to the pool on drop).
+/// One engine invocation over a prepared artifact set: `event` (`run`),
+/// `parN` (`run_parallel` on `N` host threads), `fixedN` (the same on
+/// the fixed base cadence, the `run_fixed_epochs` hook) or `naive`.
+/// Returns the run outcome plus a memory sample taken *before* the sim
+/// drops (a pooled job's arena goes back to the pool on drop).
 fn run_one(
     arts: &Arc<SimArtifacts>,
     topo: Topology,
@@ -80,7 +78,10 @@ fn run_one(
     let result = match mode {
         "event" => sim.run(cores),
         "naive" => sim.run_naive(cores),
-        par => sim.run_parallel(cores, par.strip_prefix("par").unwrap().parse().unwrap()),
+        par => match par.strip_prefix("fixed") {
+            Some(threads) => sim.run_fixed_epochs(cores, threads.parse().unwrap()),
+            None => sim.run_parallel(cores, par.strip_prefix("par").unwrap().parse().unwrap()),
+        },
     };
     // Low interleaved words plus a sequential-view sample per tile (the
     // same coverage the sharding differential suite uses).
@@ -120,7 +121,7 @@ fn assert_same(
 }
 
 /// Runs the guest under both cadences — event engine, sharded engine at
-/// 1/2/4/8 host threads, pooled event + pooled 4-thread legs — and pins
+/// 1/2/4/8 host threads, pooled 1- and 4-thread legs — and pins
 /// every outcome against the fixed-cadence `run_naive` reference.
 /// `seed` prepares each simulator (memory contents, run knobs).
 fn assert_cadence_invisible(cores: u32, image: &Image, seed: impl Fn(&mut CycleSim)) {
@@ -130,18 +131,15 @@ fn assert_cadence_invisible(cores: u32, image: &Image, seed: impl Fn(&mut CycleS
 /// [`assert_cadence_invisible`] on an explicit (e.g. I$-shrunk) topology.
 fn assert_cadence_invisible_on(topo: Topology, cores: u32, image: &Image, seed: impl Fn(&mut CycleSim)) {
     assert!(topo.num_domains() > 1, "topology must shard");
-    let fixed = arts_for(topo, image, EpochMode::Fixed);
-    let adaptive = arts_for(topo, image, EpochMode::Adaptive);
-    let reference = run_one(&fixed, topo, cores, "naive", false, &seed);
-    for (arts, cadence) in [(&fixed, "fixed"), (&adaptive, "adaptive")] {
-        for mode in ["event", "par1", "par2", "par4", "par8"] {
-            let got = run_one(arts, topo, cores, mode, false, &seed);
-            assert_same(&format!("{cadence}/{mode}"), &got, &reference);
-        }
-        for mode in ["event", "par4"] {
-            let got = run_one(arts, topo, cores, mode, true, &seed);
-            assert_same(&format!("{cadence}/{mode}/pooled"), &got, &reference);
-        }
+    let arts = SimArtifacts::build(topo, image).unwrap();
+    let reference = run_one(&arts, topo, cores, "naive", false, &seed);
+    for mode in ["event", "par1", "par2", "par4", "par8", "fixed1", "fixed2", "fixed4", "fixed8"] {
+        let got = run_one(&arts, topo, cores, mode, false, &seed);
+        assert_same(mode, &got, &reference);
+    }
+    for mode in ["event", "par4", "fixed1", "fixed4"] {
+        let got = run_one(&arts, topo, cores, mode, true, &seed);
+        assert_same(&format!("{mode}/pooled"), &got, &reference);
     }
 }
 
@@ -292,11 +290,10 @@ fn trap_state_identical_across_cadences() {
         a.li(Reg::T1, 8);
         emit_spin(a, Reg::T2, Reg::T1);
     });
-    let fixed = arts_for(topo, &image, EpochMode::Fixed);
-    let adaptive = arts_for(topo, &image, EpochMode::Adaptive);
-    for mode in ["event", "par1", "par4"] {
-        let f = run_one(&fixed, topo, cores, mode, false, &|_| {});
-        let a_ = run_one(&adaptive, topo, cores, mode, false, &|_| {});
+    let arts = SimArtifacts::build(topo, &image).unwrap();
+    for (mode, fixed) in [("event", "fixed1"), ("par1", "fixed1"), ("par4", "fixed4")] {
+        let f = run_one(&arts, topo, cores, fixed, false, &|_| {});
+        let a_ = run_one(&arts, topo, cores, mode, false, &|_| {});
         assert!(a_.0.is_err(), "{mode}: guest must trap");
         assert_same(&format!("trap/{mode}"), &a_, &f);
     }

@@ -1,14 +1,15 @@
-//! Block-engine differentials: the fast engine's block loop
-//! ([`FusionMode::On`] — basic-block dispatch plus lane-major SPMD groups
-//! across harts) must be **bit-identical** — registers, memory,
-//! [`RunStats`], stop reason, trap — to the per-instruction loop
-//! ([`FusionMode::Off`]) and to the retained seed `Cpu::execute` loop
-//! ([`resume_core`]), on every workload class: straight-line code, loops,
-//! budget boundaries landing inside blocks, traps at every position of a
-//! block, `jalr` into the middle of a block, cycle-counter reads around
-//! blocks, per-address latency, trapping and deadlocking fault guests,
-//! batches at every worker count (pooled and unpooled), and SPMD groups
-//! that are forced to diverge or to trap by per-hart values of `mhartid`.
+//! Block-engine differentials: the fast engine's block loop (basic-block
+//! dispatch plus lane-major SPMD groups across harts) must be
+//! **bit-identical** — registers, memory, [`RunStats`], stop reason, trap
+//! — to the per-instruction loop ([`resume_lowered`]; on a cluster, the
+//! `FastSim::run_cores_per_instruction` test hook) and to the retained
+//! seed `Cpu::execute` loop ([`resume_core`]), on every workload class:
+//! straight-line code, loops, budget boundaries landing inside blocks,
+//! traps at every position of a block, `jalr` into the middle of a block,
+//! cycle-counter reads around blocks, per-address latency, trapping and
+//! deadlocking fault guests, batches at every worker count (pooled and
+//! unpooled), and SPMD groups that are forced to diverge or to trap by
+//! per-hart values of `mhartid`.
 
 use std::sync::Arc;
 
@@ -16,12 +17,13 @@ use terasim::experiments::{self, BatchConfig, SymbolScenario};
 use terasim::faults;
 use terasim::serve::{BatchRunner, JobError};
 use terasim_iss::{
-    resume_blocks, resume_core, resume_lowered, BlockProgram, Cpu, DenseMemory, FusionMode, MemError, Memory,
-    Program, RunConfig, RunStats, Scoreboard, StopReason, Trap, UopProgram,
+    resume_blocks, resume_core, resume_lowered, BlockProgram, Cpu, DenseMemory, MemError, Memory, Program,
+    RunConfig, RunStats, Scoreboard, StopReason, Trap, UopProgram,
 };
-use terasim_kernels::Precision;
+use terasim_kernels::{data, native, MmseKernel, Precision, C64};
+use terasim_phy::{ChannelKind, Mimo, Modulation, TxGenerator};
 use terasim_riscv::{csr, AmoOp, Assembler, Image, Inst, Reg, Segment};
-use terasim_terapool::{ClusterResult, FastSim, Topology};
+use terasim_terapool::{ClusterResult, FastSim, SimArtifacts, Topology};
 
 // --- ISS level: seed interpreter vs per-instruction loop vs blocks -----
 
@@ -287,86 +289,130 @@ fn symbol_key(o: &experiments::BatchOutcome) -> (u64, u64, bool) {
     (o.cycles, o.instructions, o.verified)
 }
 
-/// Fused and unfused symbol batches must be bit-identical to each other
-/// and to fresh serial rebuilds, at workers 1/2/4/7, pooled and
-/// unpooled — every work-stealing schedule, every arena-recycling path.
+/// One symbol job on the per-instruction loop, composed from the layers'
+/// public functions the way `SymbolScenario` composes it on the block
+/// loop: the same kernel layout, operands (16-QAM, Rayleigh, 12 dB) and
+/// bit-exact check against the native model.
+fn per_instruction_symbol(scenario: &SymbolScenario, seed: u64) -> (u64, u64, bool) {
+    let config = scenario.config();
+    let arts = scenario.artifacts();
+    let layout = MmseKernel::new(config.n, config.precision)
+        .with_problems_per_core(config.nsc)
+        .with_active_cores(1)
+        .with_unroll(config.unroll)
+        .layout(&arts.topology())
+        .unwrap();
+    let mut sim = FastSim::from_artifacts(Arc::clone(arts));
+    let n = config.n as usize;
+    let mimo = Mimo { n_tx: n, n_rx: n, modulation: Modulation::Qam16, channel: ChannelKind::Rayleigh };
+    let mut generator = TxGenerator::new(mimo, 12.0, seed);
+    let problems: Vec<(Vec<C64>, Vec<C64>, f64)> = (0..layout.problems)
+        .map(|p| {
+            let t = generator.next_transmission();
+            let h: Vec<C64> = t.h.iter().map(|z| (*z).into()).collect();
+            let y: Vec<C64> = t.y.iter().map(|z| (*z).into()).collect();
+            data::write_problem(sim.memory(), &layout, p, &h, &y, t.sigma);
+            (h, y, t.sigma)
+        })
+        .collect();
+    let res = sim.run_cores_per_instruction(0..1, 1).unwrap();
+    let verified = problems.iter().enumerate().all(|(p, (h, y, sigma))| {
+        let got = data::read_xhat(sim.memory(), &layout, p as u32);
+        let want = native::detect(layout.precision, n, h, y, *sigma);
+        got.iter()
+            .zip(&want)
+            .all(|(a, b)| a[0].to_bits() == b[0].to_bits() && a[1].to_bits() == b[1].to_bits())
+    });
+    (res.cycles, res.total_instructions(), verified)
+}
+
+/// Block-loop symbol batches must be bit-identical to serial
+/// per-instruction runs, at workers 1/2/4/7, pooled and unpooled — every
+/// work-stealing schedule, every arena-recycling path.
 #[test]
-fn symbol_batches_identical_fused_and_unfused_at_every_worker_count() {
+fn symbol_batches_match_the_per_instruction_loop_at_every_worker_count() {
     let config = BatchConfig { n: 4, precision: Precision::CDotp16, nsc: 4, seed: 77, unroll: 2 };
     let jobs = 8u32;
-    let on = SymbolScenario::prepare_with_fusion(&config, FusionMode::On).unwrap();
-    let off = SymbolScenario::prepare_with_fusion(&config, FusionMode::Off).unwrap();
+    let scenario = SymbolScenario::prepare(&config).unwrap();
 
-    // Serial reference: the unfused interpreter, one fresh run per job.
+    // Serial reference: the per-instruction loop, one fresh run per job.
     let serial: Vec<(u64, u64, bool)> = (0..jobs)
-        .map(|j| symbol_key(&off.run_symbol(config.seed.wrapping_add(u64::from(j))).unwrap()))
+        .map(|j| per_instruction_symbol(&scenario, config.seed.wrapping_add(u64::from(j))))
         .collect();
+    assert!(serial.iter().all(|&(_, _, verified)| verified), "reference symbols must verify");
 
     for workers in [1usize, 2, 4, 7] {
         for pooled in [false, true] {
-            for (label, scenario) in [("fused", &on), ("unfused", &off)] {
-                let runner = BatchRunner::with_workers(workers);
-                let keys: Vec<(u64, u64, bool)> = if pooled {
-                    runner.run_pooled(scenario.artifacts(), (0..jobs).collect(), |ctx, j| {
-                        scenario
-                            .run_symbol_pooled(
-                                ctx.pool().expect("pooled batch"),
-                                config.seed.wrapping_add(u64::from(j)),
-                            )
-                            .map(|o| symbol_key(&o))
-                            .map_err(|e| e.to_string())
-                    })
-                } else {
-                    runner.run((0..jobs).collect(), |_ctx, j| {
-                        scenario
-                            .run_symbol(config.seed.wrapping_add(u64::from(j)))
-                            .map(|o| symbol_key(&o))
-                            .map_err(|e| e.to_string())
-                    })
-                }
-                .into_iter()
-                .collect::<Result<_, String>>()
-                .unwrap();
-                assert_eq!(
-                    keys, serial,
-                    "{label} batch diverged from serial unfused runs ({workers} workers, pooled={pooled})"
-                );
+            let runner = BatchRunner::with_workers(workers);
+            let keys: Vec<(u64, u64, bool)> = if pooled {
+                runner.run_pooled(scenario.artifacts(), (0..jobs).collect(), |ctx, j| {
+                    scenario
+                        .run_symbol_pooled(
+                            ctx.pool().expect("pooled batch"),
+                            config.seed.wrapping_add(u64::from(j)),
+                        )
+                        .map(|o| symbol_key(&o))
+                        .map_err(|e| e.to_string())
+                })
+            } else {
+                runner.run((0..jobs).collect(), |_ctx, j| {
+                    scenario
+                        .run_symbol(config.seed.wrapping_add(u64::from(j)))
+                        .map(|o| symbol_key(&o))
+                        .map_err(|e| e.to_string())
+                })
             }
+            .into_iter()
+            .collect::<Result<_, String>>()
+            .unwrap();
+            assert_eq!(
+                keys, serial,
+                "block-loop batch diverged from serial per-instruction runs ({workers} workers, pooled={pooled})"
+            );
         }
     }
 }
 
-// --- Cluster level: fault guests, fusion on vs off ---------------------
+// --- Cluster level: fault guests, block loop vs per-instruction loop ----
 
-fn fast_sim_with_fusion(arts: &Arc<terasim_terapool::SimArtifacts>, fusion: FusionMode) -> FastSim {
-    let mut sim = FastSim::from_artifacts(Arc::clone(arts));
-    sim.set_config(RunConfig { fusion, ..arts.fast_config().clone() });
-    sim
+/// A fast-mode run of harts `cores` on the block loop or, with
+/// `per_instruction`, on the per-instruction reference loop.
+fn run_cores(
+    sim: &mut FastSim,
+    per_instruction: bool,
+    cores: std::ops::Range<u32>,
+    host_threads: usize,
+) -> Result<ClusterResult, Trap> {
+    if per_instruction {
+        sim.run_cores_per_instruction(cores, host_threads)
+    } else {
+        sim.run_cores(cores, host_threads)
+    }
 }
 
 /// The trap and deadlock fault guests must produce the same [`JobError`]
-/// — same trap PC, same parked-hart list — with fusion on and off.
+/// — same trap PC, same parked-hart list — on both loops.
 #[test]
-fn fault_guests_surface_identically_fused_and_unfused() {
+fn fault_guests_surface_identically_on_both_loops() {
     let topo = Topology::scaled(8);
 
     let trap_arts = faults::trap_artifacts(topo);
-    for fusion in [FusionMode::On, FusionMode::Off] {
-        let mut sim = fast_sim_with_fusion(&trap_arts, fusion);
-        let err = match sim.run_cores(0..1, 1) {
+    for per_instruction in [false, true] {
+        let mut sim = FastSim::from_artifacts(Arc::clone(&trap_arts));
+        let err = match run_cores(&mut sim, per_instruction, 0..1, 1) {
             Err(trap) => JobError::Trap(trap),
             Ok(res) => JobError::check_fast(&res, None).expect_err("trap guest must not complete"),
         };
-        assert_eq!(err, JobError::Trap(Trap::IllegalFetch { pc: 0 }), "{fusion:?}");
+        assert_eq!(err, JobError::Trap(Trap::IllegalFetch { pc: 0 }), "per_instruction={per_instruction}");
     }
 
     let deadlock_arts = faults::deadlock_artifacts(topo);
     let mut results: Vec<ClusterResult> = Vec::new();
-    for fusion in [FusionMode::On, FusionMode::Off] {
-        let mut sim = fast_sim_with_fusion(&deadlock_arts, fusion);
-        let res = sim.run_cores(0..4, 1).expect("deadlock guest does not trap");
-        assert!(res.deadlocked, "{fusion:?}");
-        assert_eq!(res.parked, vec![0, 1, 2, 3], "{fusion:?}");
+    for per_instruction in [false, true] {
+        let mut sim = FastSim::from_artifacts(Arc::clone(&deadlock_arts));
+        let res = run_cores(&mut sim, per_instruction, 0..4, 1).expect("deadlock guest does not trap");
+        assert!(res.deadlocked, "per_instruction={per_instruction}");
+        assert_eq!(res.parked, vec![0, 1, 2, 3], "per_instruction={per_instruction}");
         results.push(res);
     }
     assert_eq!(results[0].per_core, results[1].per_core, "deadlock partial stats diverged");
@@ -420,8 +466,8 @@ fn divergence_image() -> Image {
     image
 }
 
-/// SPMD convergence mode (fusion on, many harts per host chunk) vs the
-/// per-lane unfused interpreter at 16 and 512 cores: identical per-hart
+/// SPMD convergence mode (the block loop, many harts per host chunk) vs
+/// the per-instruction loop at 16 and 512 cores: identical per-hart
 /// [`RunStats`], makespan and memory — including under budgets that cut
 /// lanes off mid-divergence — for every guest schedule the group
 /// split/re-queue logic produces.
@@ -430,16 +476,15 @@ fn spmd_forced_divergence_identical_at_16_and_512_cores() {
     let image = divergence_image();
     for cores in [16u32, 512] {
         let topo = Topology::scaled(cores);
-        let arts = terasim_terapool::SimArtifacts::build(topo, &image).unwrap();
+        let arts = SimArtifacts::build(topo, &image).unwrap();
         for budget in [u64::MAX, 1000, 37, 5] {
             let mut outs: Vec<ClusterResult> = Vec::new();
             let mut mems: Vec<Vec<u32>> = Vec::new();
-            for fusion in [FusionMode::On, FusionMode::Off] {
-                let mut sim = fast_sim_with_fusion(&arts, fusion);
-                let mut config = RunConfig { fusion, ..arts.fast_config().clone() };
-                config.max_instructions = budget;
-                sim.set_config(config);
-                let res = sim.run_cores(0..cores, 1).expect("divergence guest never traps");
+            for per_instruction in [false, true] {
+                let mut sim = FastSim::from_artifacts(Arc::clone(&arts));
+                sim.set_config(RunConfig { max_instructions: budget, ..arts.fast_config().clone() });
+                let res =
+                    run_cores(&mut sim, per_instruction, 0..cores, 1).expect("divergence guest never traps");
                 mems.push((0..cores).map(|h| sim.memory().read_u32(0x800 + 4 * h)).collect());
                 outs.push(res);
             }
@@ -504,23 +549,24 @@ fn trap_order_image(split: bool) -> Image {
 
 /// Lanes that trap at different positions of one block (and in different
 /// groups) report the lowest-indexed trapping lane — hart 3, although hart
-/// 5's faulting uop comes first — exactly as `FusionMode::Off`, which runs
-/// the harts one after another, at one and two host threads.
+/// 5's faulting uop comes first — exactly as the per-instruction loop,
+/// which runs the harts one after another, at one and two host threads.
 #[test]
-fn spmd_group_traps_report_the_lowest_lane_like_fusion_off() {
+fn spmd_group_traps_report_the_lowest_lane_like_the_per_instruction_loop() {
     let topo = Topology::scaled(16);
     for split in [false, true] {
-        let arts = terasim_terapool::SimArtifacts::build(topo, &trap_order_image(split)).unwrap();
+        let arts = SimArtifacts::build(topo, &trap_order_image(split)).unwrap();
         for host_threads in [1, 2] {
-            let traps: Vec<Trap> = [FusionMode::On, FusionMode::Off]
+            let traps: Vec<Trap> = [false, true]
                 .into_iter()
-                .map(|fusion| {
-                    let mut sim = fast_sim_with_fusion(&arts, fusion);
-                    sim.run_cores(0..16, host_threads).expect_err("harts 3 and 5 fault")
+                .map(|per_instruction| {
+                    let mut sim = FastSim::from_artifacts(Arc::clone(&arts));
+                    run_cores(&mut sim, per_instruction, 0..16, host_threads)
+                        .expect_err("harts 3 and 5 fault")
                 })
                 .collect();
             let tag = format!("split {split}, {host_threads} host threads");
-            assert_eq!(traps[0], traps[1], "On and Off report different traps ({tag})");
+            assert_eq!(traps[0], traps[1], "the two loops report different traps ({tag})");
             assert!(
                 matches!(traps[0], Trap::Mem { err: MemError::Unmapped { addr }, .. } if addr == UNMAPPED + 12),
                 "not hart 3's trap ({tag}): {:?}",
