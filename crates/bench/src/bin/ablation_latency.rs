@@ -10,7 +10,7 @@
 //!
 //! Run: `cargo run -p terasim-bench --release --bin ablation_latency [--full]`
 
-use terasim::experiments::{CycleEngine, ParallelConfig, ParallelScenario};
+use terasim::experiments::{CycleEngine, JobSpec, ParallelConfig, ParallelScenario};
 use terasim::serve::BatchRunner;
 use terasim_bench::Scale;
 use terasim_iss::{LatencyModel, RunConfig};
@@ -37,8 +37,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let rows = BatchRunner::new().run(configs, |ctx, (n, precision)| -> Result<_, String> {
         let config = ParallelConfig { cores: scale.cores(), n, precision, seed: 7, unroll: 2 };
         let scenario = ParallelScenario::prepare(&config).map_err(|e| e.to_string())?;
+        let job = JobSpec::seeded(config.seed);
         let reference = scenario
-            .run_cycle(CycleEngine::Parallel(ctx.claimable_threads()))
+            .run_cycle(&job, CycleEngine::Parallel(ctx.claimable_threads()))
             .map_err(|e| e.to_string())?
             .cycles;
         let run = |per_address: bool, load: u32| -> Result<u64, String> {
@@ -47,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 latency: LatencyModel { load, ..LatencyModel::default() },
                 ..RunConfig::default()
             };
-            Ok(scenario.run_fast_configured(1, rc).map_err(|e| e.to_string())?.cluster_cycles)
+            Ok(scenario.run_fast(&job, 1, Some(rc)).map_err(|e| e.to_string())?.cluster_cycles)
         };
         Ok((n, precision, reference, run(false, 9)?, run(true, 9)?, run(false, 1)?))
     });

@@ -6,7 +6,7 @@
 //!
 //! Run: `cargo run -p terasim-bench --release --bin ablation_unroll [--full]`
 
-use terasim::experiments::{self, ParallelConfig};
+use terasim::experiments::{CycleEngine, JobSpec, ParallelConfig, ParallelScenario};
 use terasim_bench::Scale;
 use terasim_kernels::Precision;
 
@@ -29,7 +29,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let rows = terasim::serve::BatchRunner::new().run(configs, |ctx, (n, precision)| -> Result<_, String> {
         let run = |unroll: u32| {
             let config = ParallelConfig { cores: scale.cores(), n, precision, seed: 8, unroll };
-            let out = experiments::parallel_cycle_threads(&config, ctx.claimable_threads())
+            let out = ParallelScenario::prepare(&config)
+                .map_err(|e| e.to_string())?
+                .run_cycle(&JobSpec::seeded(config.seed), CycleEngine::Parallel(ctx.claimable_threads()))
                 .map_err(|e| e.to_string())?;
             assert!(out.verified);
             Ok::<_, String>(out)

@@ -17,8 +17,8 @@
 //!
 //! Run: `cargo run -p terasim-bench --release --bin fig5 [--full]`
 
-use terasim::experiments::{CycleEngine, ParallelConfig, ParallelScenario};
-use terasim::serve::BatchRunner;
+use terasim::experiments::{CycleEngine, JobSpec, ParallelConfig, ParallelScenario};
+use terasim::serve::{BatchRunner, RunPolicy};
 use terasim_bench::{host_threads, min_sec, Scale};
 use terasim_kernels::Precision;
 
@@ -45,16 +45,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // uncontended; both backends share each job's artifact set. The batch
     // runs supervised: a fault in one configuration is reported on its
     // own row and the rest of the sweep still completes.
-    let rows = BatchRunner::with_workers(1).try_run(configs, |ctx, config| -> Result<Row, _> {
-        let scenario = ParallelScenario::prepare(config).unwrap_or_else(|e| {
-            panic!("scenario build failed for {}x{} {}: {e}", config.n, config.n, config.precision)
+    let policy = RunPolicy::new();
+    let rows =
+        BatchRunner::with_workers(1).try_run(&policy, None, configs, |ctx, config| -> Result<Row, _> {
+            let scenario = ParallelScenario::prepare(config).unwrap_or_else(|e| {
+                panic!("scenario build failed for {}x{} {}: {e}", config.n, config.n, config.precision)
+            });
+            // Multi-thread fast emulation (the measured Banshee side) vs the
+            // single-thread event-driven cycle reference (the QuestaSim side).
+            let job = JobSpec::in_batch(ctx, config.seed);
+            let fast = scenario.run_fast(&job, threads, None)?;
+            let cycle = scenario.run_cycle(&job, CycleEngine::EventDriven)?;
+            Ok((*config, fast, cycle))
         });
-        // Multi-thread fast emulation (the measured Banshee side) vs the
-        // single-thread event-driven cycle reference (the QuestaSim side).
-        let fast = scenario.try_run_fast(ctx, threads, config.seed)?;
-        let cycle = scenario.try_run_cycle(ctx, CycleEngine::EventDriven, config.seed)?;
-        Ok((*config, fast, cycle))
-    });
     let mut last_n = 0;
     let mut failed = 0usize;
     for (row, label) in rows.into_iter().zip(&labels) {

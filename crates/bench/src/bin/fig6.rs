@@ -12,7 +12,7 @@
 //!
 //! Run: `cargo run -p terasim-bench --release --bin fig6 [--full]`
 
-use terasim::experiments::{BatchConfig, SymbolScenario};
+use terasim::experiments::{BatchConfig, JobSpec, SymbolScenario};
 use terasim::serve::BatchRunner;
 use terasim_bench::{host_threads, min_sec, Scale};
 use terasim_kernels::Precision;
@@ -39,13 +39,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             // One artifact set per row: the single-symbol reference and
             // every symbol of the batch share it.
             let scenario = SymbolScenario::prepare(&config)?;
-            let single = scenario.run_symbol(config.seed)?;
+            let single = scenario.run(&JobSpec::seeded(config.seed))?;
             assert!(single.verified, "symbol results diverged from native model");
             // Independent symbols over all host threads (paper: 128).
             let symbols = threads as u32;
             let start = std::time::Instant::now();
             let outs = BatchRunner::with_workers(threads).run((0..symbols).collect(), |_ctx, sym| {
-                scenario.run_symbol(config.seed.wrapping_add(u64::from(sym))).map_err(|e| e.to_string())
+                scenario
+                    .run(&JobSpec::seeded(config.seed.wrapping_add(u64::from(sym))))
+                    .map_err(|e| e.to_string())
             });
             let wall = start.elapsed();
             let outs = outs.into_iter().collect::<Result<Vec<_>, String>>()?;

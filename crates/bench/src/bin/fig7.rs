@@ -12,7 +12,7 @@
 //!
 //! Run: `cargo run -p terasim-bench --release --bin fig7 [--full]`
 
-use terasim::experiments::{CycleEngine, ParallelConfig, ParallelScenario};
+use terasim::experiments::{CycleEngine, JobSpec, ParallelConfig, ParallelScenario};
 use terasim::serve::BatchRunner;
 use terasim_bench::Scale;
 use terasim_kernels::Precision;
@@ -31,9 +31,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let rows = BatchRunner::new().run(configs, |ctx, config| -> Result<_, String> {
         let scenario = ParallelScenario::prepare(&config).map_err(|e| e.to_string())?;
-        let fast = scenario.run_fast(1).map_err(|e| e.to_string())?;
-        let cycle =
-            scenario.run_cycle(CycleEngine::Parallel(ctx.claimable_threads())).map_err(|e| e.to_string())?;
+        let job = JobSpec::seeded(config.seed);
+        let fast = scenario.run_fast(&job, 1, None).map_err(|e| e.to_string())?;
+        let cycle = scenario
+            .run_cycle(&job, CycleEngine::Parallel(ctx.claimable_threads()))
+            .map_err(|e| e.to_string())?;
         Ok((config, fast, cycle))
     });
     let mut last_n = 0;

@@ -11,7 +11,7 @@
 //!
 //! Run: `cargo run -p terasim-bench --release --bin fig8 [--full]`
 
-use terasim::experiments::{CycleEngine, ParallelConfig, ParallelScenario};
+use terasim::experiments::{CycleEngine, JobSpec, ParallelConfig, ParallelScenario};
 use terasim::serve::BatchRunner;
 use terasim_bench::Scale;
 use terasim_kernels::Precision;
@@ -30,8 +30,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let rows = BatchRunner::new().run(configs, |ctx, config| -> Result<_, String> {
         let scenario = ParallelScenario::prepare(&config).map_err(|e| e.to_string())?;
-        let out =
-            scenario.run_cycle(CycleEngine::Parallel(ctx.claimable_threads())).map_err(|e| e.to_string())?;
+        let out = scenario
+            .run_cycle(&JobSpec::seeded(config.seed), CycleEngine::Parallel(ctx.claimable_threads()))
+            .map_err(|e| e.to_string())?;
         Ok((config, out))
     });
     let mut lsu_shares = Vec::new();

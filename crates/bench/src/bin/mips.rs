@@ -8,7 +8,7 @@
 //! scheduling, thread scaling, serving latency — is a workload of the
 //! repo benchmark (`benchmark/run.sh`, see `benchmark/README.md`).
 
-use terasim::experiments::{self, BatchConfig};
+use terasim::experiments::{BatchConfig, JobSpec, SymbolScenario};
 use terasim_bench::{min_sec, Scale};
 use terasim_kernels::Precision;
 
@@ -22,7 +22,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut best = 0.0f64;
     for &n in scale.mimo_sizes() {
         for precision in [Precision::Half16, Precision::CDotp16] {
-            let out = experiments::mc_symbol_single(&BatchConfig { n, precision, nsc, seed: 1, unroll: 2 })?;
+            let config = BatchConfig { n, precision, nsc, seed: 1, unroll: 2 };
+            let out = SymbolScenario::prepare(&config)?.run(&JobSpec::seeded(config.seed))?;
             assert!(out.verified, "symbol run diverged from the native model");
             best = best.max(out.mips);
             println!(

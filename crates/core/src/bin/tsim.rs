@@ -10,7 +10,7 @@
 use std::process::ExitCode;
 
 use terasim::experiments::{
-    self, BatchConfig, CycleEngine, ParallelConfig, ParallelScenario, SymbolScenario,
+    self, BatchConfig, CycleEngine, JobSpec, ParallelConfig, ParallelScenario, SymbolScenario,
 };
 use terasim::DetectorKind;
 use terasim_kernels::Precision;
@@ -84,7 +84,9 @@ fn cmd_run(args: &Args) -> ExitCode {
     match args.value("--backend").unwrap_or("fast") {
         "fast" => {
             let threads = flag!(args, "--threads", 2) as usize;
-            let run = ParallelScenario::prepare(&config).and_then(|s| s.run_fast(threads));
+            let job = JobSpec::seeded(config.seed);
+            let run = ParallelScenario::prepare(&config)
+                .and_then(|s| s.run_fast(&job, threads, None).map_err(Into::into));
             match run {
                 Ok(out) => {
                     println!(
@@ -111,8 +113,9 @@ fn cmd_run(args: &Args) -> ExitCode {
             // Bit-identical at every thread count; one thread is the
             // event-driven engine itself.
             let threads = flag!(args, "--threads", 1) as usize;
-            let run =
-                ParallelScenario::prepare(&config).and_then(|s| s.run_cycle(CycleEngine::Parallel(threads)));
+            let job = JobSpec::seeded(config.seed);
+            let run = ParallelScenario::prepare(&config)
+                .and_then(|s| s.run_cycle(&job, CycleEngine::Parallel(threads)).map_err(Into::into));
             match run {
                 Ok(out) => {
                     let b = out.breakdown;
@@ -155,7 +158,8 @@ fn cmd_symbol(args: &Args) -> ExitCode {
         seed: u64::from(flag!(args, "--seed", 1)),
         unroll: flag!(args, "--unroll", 2),
     };
-    let run = SymbolScenario::prepare(&config).and_then(|s| s.run_symbol(config.seed));
+    let run = SymbolScenario::prepare(&config)
+        .and_then(|s| s.run(&JobSpec::seeded(config.seed)).map_err(Into::into));
     match run {
         Ok(out) => {
             println!(

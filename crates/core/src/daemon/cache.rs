@@ -45,7 +45,7 @@ use terasim_terapool::{ArenaBank, MemPool, PoolStats, SimArtifacts};
 
 use super::{ScenarioKey, ServeRequest, ServeResponse};
 use crate::detectors::{DetectorKind, IssDetector};
-use crate::experiments::{ParallelScenario, SymbolScenario};
+use crate::experiments::{JobSpec, ParallelScenario, SymbolScenario};
 use crate::serve::{JobCtx, JobError};
 
 /// What a cache entry holds per request family.
@@ -120,7 +120,7 @@ impl CachedScenario {
     }
 
     /// The entry's pool handle (over the scenario's own artifact set, so
-    /// the supervised runners' pool identity check passes; its arenas
+    /// the scenario runners' pool identity check passes; its arenas
     /// come from and return to the cache's bank).
     pub fn pool(&self) -> &Arc<MemPool> {
         &self.pool
@@ -144,13 +144,13 @@ impl CachedScenario {
     pub(super) fn run(&self, ctx: &JobCtx, req: &ServeRequest) -> Result<ServeResponse, JobError> {
         match (&self.prepared, req) {
             (Prepared::Symbol(s), ServeRequest::Symbol { config }) => {
-                s.try_run_symbol(ctx, config.seed).map(ServeResponse::Symbol)
+                s.run(&JobSpec::in_batch(ctx, config.seed)).map(ServeResponse::Symbol)
             }
             (Prepared::Parallel(s), ServeRequest::Fast { config }) => {
-                s.try_run_fast(ctx, 1, config.seed).map(ServeResponse::Fast)
+                s.run_fast(&JobSpec::in_batch(ctx, config.seed), 1, None).map(ServeResponse::Fast)
             }
             (Prepared::Parallel(s), ServeRequest::Cycle { config, engine }) => {
-                s.try_run_cycle(ctx, *engine, config.seed).map(ServeResponse::Cycle)
+                s.run_cycle(&JobSpec::in_batch(ctx, config.seed), *engine).map(ServeResponse::Cycle)
             }
             (
                 Prepared::Ber(detector),

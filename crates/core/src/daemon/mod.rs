@@ -636,8 +636,8 @@ fn serve_one(shared: &Shared, req: &ServeRequest) -> Served {
                 // artifacts: same bank, same image, and counters that
                 // say what this request's acquire did.
                 let pool = MemPool::in_bank(Arc::clone(scenario.artifacts()), shared.cache.bank());
-                let mut out = runner
-                    .try_run_pooled_in(&shared.policy, &pool, vec![()], |ctx, ()| scenario.run(ctx, req));
+                let mut out =
+                    runner.try_run(&shared.policy, Some(&pool), vec![()], |ctx, ()| scenario.run(ctx, req));
                 let response = out.pop().expect("one job, one result").map_err(ServeError::Job);
                 Served { response, cache_hit, arena: Arena::acquired(&pool.stats()) }
             }
@@ -647,7 +647,7 @@ fn serve_one(shared: &Shared, req: &ServeRequest) -> Served {
         let ServeRequest::Ber { scenario, kind, snr_db, seed, target_errors, max_iterations } = req else {
             unreachable!("only BER requests can be uncacheable");
         };
-        let mut out = runner.try_run_with(&shared.policy, vec![()], |_ctx, ()| {
+        let mut out = runner.try_run(&shared.policy, None, vec![()], |_ctx, ()| {
             let detector = kind.instantiate(scenario.n_tx);
             let job = terasim_phy::BerJob { scenario: *scenario, snr_db: *snr_db, seed: *seed };
             Ok(ServeResponse::Ber(job.run(detector.as_ref(), *target_errors, *max_iterations)))

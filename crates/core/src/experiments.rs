@@ -1,9 +1,15 @@
-//! The paper's experiment harness: one entry point per evaluation axis.
+//! The paper's experiment harness: one prepared scenario per job family.
 //!
-//! Each function sets up operands through the PHY, generates the kernel,
-//! runs a simulator backend, *verifies* the architectural results against
-//! the native bit-true model, and reports timing/statistics. The figure
-//! binaries in `terasim-bench` are thin wrappers over these.
+//! [`ParallelScenario`] (Figures 5, 7, 8) and [`SymbolScenario`]
+//! (Figure 6) build their immutable artifact set once. Every job then
+//! sets up operands through the PHY, runs one simulator backend,
+//! *verifies* the architectural results against the native bit-true
+//! model, and reports timing and statistics. There is one job body per
+//! engine — [`SymbolScenario::run`], [`ParallelScenario::run_fast`] and
+//! [`ParallelScenario::run_cycle`] — each taking a [`JobSpec`] and
+//! reporting guest faults as [`JobError`]s; the `run_*_pooled` methods
+//! are one-line adapters over them. [`ber_curve`] drives Figures 9–10.
+//! The figure binaries in `terasim-bench` are thin wrappers over these.
 
 use std::error::Error;
 use std::sync::Arc;
@@ -12,7 +18,9 @@ use std::time::{Duration, Instant};
 use terasim_iss::RunConfig;
 use terasim_kernels::{data, native, MmseKernel, Precision, ProblemLayout, C64};
 use terasim_phy::{BerPoint, ChannelKind, Mimo, Modulation, TxGenerator};
-use terasim_terapool::{ClusterMem, CycleSim, CycleStats, FastSim, MemPool, SimArtifacts, Topology};
+use terasim_terapool::{
+    CancelToken, ClusterMem, CycleSim, CycleStats, FastSim, MemPool, SimArtifacts, Topology,
+};
 
 use crate::detectors::DetectorKind;
 use crate::serve::{BatchRunner, JobCtx, JobError};
@@ -129,14 +137,84 @@ fn verify(mem: &ClusterMem, layout: &ProblemLayout, set: &ProblemSet) -> bool {
     })
 }
 
+/// The per-job inputs of one scenario run: the operand seed, plus the
+/// recycling pool, per-core instruction budget and cancellation token a
+/// supervised or serving caller attaches. `JobSpec::seeded(seed)` is a
+/// plain job on fresh memory; [`JobSpec::in_batch`] takes the rest from
+/// a [`BatchRunner`] job's context.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct JobSpec<'a> {
+    /// Operand seed (the scenario's artifacts are shared regardless).
+    pub seed: u64,
+    /// Draw the job's cluster memory from this pool instead of mapping a
+    /// fresh 20 MiB arena; results are bit-identical either way. The
+    /// pool must be built over the scenario's own artifact set.
+    pub pool: Option<&'a Arc<MemPool>>,
+    /// Per-core instruction budget; exhausting it is
+    /// [`JobError::BudgetExhausted`] instead of a hung job.
+    pub budget: Option<u64>,
+    /// Cooperative cancellation, polled by the engines at their safe
+    /// points; a raised token is [`JobError::Cancelled`].
+    pub cancel: Option<&'a CancelToken>,
+}
+
+impl<'a> JobSpec<'a> {
+    /// A job with operands from `seed` and nothing else attached.
+    pub fn seeded(seed: u64) -> Self {
+        Self { seed, ..Self::default() }
+    }
+
+    /// A job at `seed` under a batch supervisor: the batch's pool (if
+    /// any) and its [`RunPolicy`](crate::serve::RunPolicy)'s budget and
+    /// cancel token (in supervised batches).
+    pub fn in_batch(ctx: &'a JobCtx, seed: u64) -> Self {
+        let policy = ctx.policy();
+        Self {
+            seed,
+            pool: ctx.pool(),
+            budget: policy.and_then(|p| p.budget),
+            cancel: policy.map(|p| &p.cancel),
+        }
+    }
+}
+
+/// `pool`, after checking it was built over `arts`.
+fn own_pool<'p>(pool: &'p Arc<MemPool>, arts: &Arc<SimArtifacts>) -> &'p Arc<MemPool> {
+    assert!(Arc::ptr_eq(pool.artifacts(), arts), "pool built over a different scenario");
+    pool
+}
+
+/// The job's fast simulator over `arts`, with `timing` (or the
+/// artifacts' own) as its ISS configuration.
+fn fast_sim(arts: &Arc<SimArtifacts>, job: &JobSpec, timing: Option<RunConfig>) -> FastSim {
+    let mut sim = match job.pool {
+        Some(pool) => FastSim::from_pool(own_pool(pool, arts)),
+        None => FastSim::from_artifacts(Arc::clone(arts)),
+    };
+    if timing.is_some() || job.budget.is_some() {
+        // A latency model equal to the artifacts' keeps the shared
+        // lowered table; any other re-lowers privately.
+        let mut rc = timing.unwrap_or_else(|| arts.fast_config().clone());
+        if let Some(b) = job.budget {
+            rc.max_instructions = b;
+        }
+        sim.set_config(rc);
+    }
+    if let Some(cancel) = job.cancel {
+        sim.set_cancel(cancel.clone());
+    }
+    sim
+}
+
+fn mips(instructions: u64, wall: Duration) -> f64 {
+    instructions as f64 / wall.as_secs_f64().max(1e-9) / 1e6
+}
+
 /// A prepared parallel-MMSE scenario: the immutable artifact set —
 /// topology, generated kernel image, decoded program and lowered micro-op
 /// tables — built **once** and shared (via [`SimArtifacts`]) by every job
-/// run from it, on either backend, at any seed.
-///
-/// [`parallel_fast`] / [`parallel_cycle`] are one-shot wrappers; batch
-/// drivers ([`crate::serve::BatchRunner`] clients, the figure binaries)
-/// prepare a scenario and fan jobs out over it.
+/// run from it, on either backend, at any seed. A one-shot run is
+/// `ParallelScenario::prepare(&config)?.run_fast(&JobSpec::seeded(config.seed), threads, None)`.
 #[derive(Debug)]
 pub struct ParallelScenario {
     config: ParallelConfig,
@@ -175,378 +253,127 @@ impl ParallelScenario {
         &self.config
     }
 
-    /// One fast-mode job at the scenario's own seed.
+    /// One fast-mode job over `host_threads`. `timing` replaces the
+    /// scenario's ISS timing configuration (the latency-model ablation,
+    /// `ablation_latency`); `None` keeps the paper's rule from
+    /// [`prepare`](Self::prepare).
     ///
     /// # Errors
     ///
-    /// Propagates guest traps.
-    pub fn run_fast(&self, host_threads: usize) -> Result<FastOutcome, Box<dyn Error>> {
-        self.run_fast_seeded(host_threads, self.config.seed)
-    }
-
-    /// One fast-mode job with an explicit operand seed (batch drivers
-    /// derive per-job seeds; artifacts are shared regardless).
-    ///
-    /// # Errors
-    ///
-    /// Propagates guest traps.
-    pub fn run_fast_seeded(&self, host_threads: usize, seed: u64) -> Result<FastOutcome, Box<dyn Error>> {
-        self.fast_job(host_threads, seed, None)
-    }
-
-    /// One fast-mode job with an explicit ISS timing configuration (the
-    /// latency-model ablation, `ablation_latency`). A configuration whose
-    /// latency model matches the scenario's still uses the shared table;
-    /// otherwise the job re-lowers privately.
-    ///
-    /// # Errors
-    ///
-    /// Propagates guest traps.
-    pub fn run_fast_configured(
-        &self,
-        host_threads: usize,
-        run_config: RunConfig,
-    ) -> Result<FastOutcome, Box<dyn Error>> {
-        self.fast_job(host_threads, self.config.seed, Some(run_config))
-    }
-
-    /// One fast-mode job drawing its cluster memory from a recycling
-    /// pool (built over this scenario's artifacts — see
-    /// [`SimArtifacts`]-tied [`MemPool`]); results are bit-identical to
-    /// [`run_fast_seeded`](Self::run_fast_seeded).
-    ///
-    /// # Errors
-    ///
-    /// Propagates guest traps.
+    /// Returns the [`JobError`] classifying the fault, if any.
     ///
     /// # Panics
     ///
-    /// Panics if `pool` was built over a different artifact set.
+    /// Panics if `job.pool` was built over a different artifact set.
+    pub fn run_fast(
+        &self,
+        job: &JobSpec,
+        host_threads: usize,
+        timing: Option<RunConfig>,
+    ) -> Result<FastOutcome, JobError> {
+        let mut sim = fast_sim(&self.arts, job, timing);
+        let set = generate_problems(sim.memory(), &self.layout, job.seed);
+        let start = Instant::now();
+        let result = sim.run_all(host_threads)?;
+        let wall = start.elapsed();
+        JobError::check_fast(&result, job.budget)?;
+
+        let instructions = result.total_instructions();
+        Ok(FastOutcome {
+            wall,
+            cluster_cycles: result.cycles,
+            instructions,
+            raw_stalls: result.per_core.iter().map(|s| s.raw_stalls).sum(),
+            wfi_stalls: result.per_core.iter().map(|s| s.wfi_stalls).sum(),
+            mips: mips(instructions, wall),
+            verified: verify(sim.memory(), &self.layout, &set),
+        })
+    }
+
+    /// [`run_fast`](Self::run_fast) with the job's memory from `pool`
+    /// (which must be built over this scenario's artifacts).
     pub fn run_fast_pooled(
         &self,
         pool: &Arc<MemPool>,
         host_threads: usize,
         seed: u64,
     ) -> Result<FastOutcome, Box<dyn Error>> {
-        assert!(Arc::ptr_eq(pool.artifacts(), &self.arts), "pool built over a different scenario");
-        self.fast_outcome(FastSim::from_pool(pool), host_threads, seed)
+        Ok(self.run_fast(&JobSpec { pool: Some(pool), ..JobSpec::seeded(seed) }, host_threads, None)?)
     }
 
-    /// One fast-mode job run under a batch supervisor (the
-    /// [`BatchRunner::try_run`] family): draws cluster memory from the
-    /// batch's pool when one is attached over this scenario's artifacts,
-    /// applies the batch [`RunPolicy`](crate::serve::RunPolicy)'s per-job
-    /// instruction budget and cooperative cancel token, and surfaces
-    /// engine-level faults — traps, deadlocks, exhausted budgets,
-    /// cancellation — as structured [`JobError`]s instead of boxed
-    /// strings. Healthy jobs are bit-identical to
-    /// [`run_fast_seeded`](Self::run_fast_seeded).
+    /// One cycle-accurate job on `engine`. In a batch, pass
+    /// `CycleEngine::Parallel(ctx.claimable_threads())` so a sharded job
+    /// widens into worker lanes the batch has stopped using — results are
+    /// bit-identical at every thread count. The budget feeds the engine's
+    /// per-core safety net (`CycleSim::max_instructions`) and the cancel
+    /// token is polled at event steps, scan passes and epoch boundaries.
     ///
     /// # Errors
     ///
     /// Returns the [`JobError`] classifying the fault, if any.
-    pub fn try_run_fast(
-        &self,
-        ctx: &JobCtx,
-        host_threads: usize,
-        seed: u64,
-    ) -> Result<FastOutcome, JobError> {
-        self.try_run_fast_with(ctx, host_threads, seed, ctx.budget())
-    }
-
-    /// As [`try_run_fast`](Self::try_run_fast) with an explicit per-job
-    /// instruction budget overriding the batch policy's (fault-injection
-    /// drivers shrink the budget of chosen jobs only).
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`JobError`] classifying the fault, if any.
-    pub fn try_run_fast_with(
-        &self,
-        ctx: &JobCtx,
-        host_threads: usize,
-        seed: u64,
-        budget: Option<u64>,
-    ) -> Result<FastOutcome, JobError> {
-        let mut sim = match ctx.pool() {
-            Some(pool) if Arc::ptr_eq(pool.artifacts(), &self.arts) => FastSim::from_pool(pool),
-            _ => FastSim::from_artifacts(Arc::clone(&self.arts)),
-        };
-        if let Some(b) = budget {
-            // Same latency model, so the shared lowered table is kept.
-            let mut rc = self.arts.fast_config().clone();
-            rc.max_instructions = b;
-            sim.set_config(rc);
-        }
-        if let Some(cancel) = ctx.cancel() {
-            sim.set_cancel(cancel.clone());
-        }
-
-        let set = generate_problems(sim.memory(), &self.layout, seed);
-        let start = Instant::now();
-        let result = sim.run_all(host_threads).map_err(JobError::Trap)?;
-        let wall = start.elapsed();
-        JobError::check_fast(&result, budget)?;
-
-        let instructions = result.total_instructions();
-        Ok(FastOutcome {
-            wall,
-            cluster_cycles: result.cycles,
-            instructions,
-            raw_stalls: result.per_core.iter().map(|s| s.raw_stalls).sum(),
-            wfi_stalls: result.per_core.iter().map(|s| s.wfi_stalls).sum(),
-            mips: instructions as f64 / wall.as_secs_f64().max(1e-9) / 1e6,
-            verified: verify(sim.memory(), &self.layout, &set),
-        })
-    }
-
-    fn fast_job(
-        &self,
-        host_threads: usize,
-        seed: u64,
-        run_config: Option<RunConfig>,
-    ) -> Result<FastOutcome, Box<dyn Error>> {
-        let mut sim = FastSim::from_artifacts(Arc::clone(&self.arts));
-        if let Some(rc) = run_config {
-            sim.set_config(rc);
-        }
-        self.fast_outcome(sim, host_threads, seed)
-    }
-
-    fn fast_outcome(
-        &self,
-        mut sim: FastSim,
-        host_threads: usize,
-        seed: u64,
-    ) -> Result<FastOutcome, Box<dyn Error>> {
-        let set = generate_problems(sim.memory(), &self.layout, seed);
-
-        let start = Instant::now();
-        let result = sim.run_all(host_threads)?;
-        let wall = start.elapsed();
-
-        let instructions = result.total_instructions();
-        Ok(FastOutcome {
-            wall,
-            cluster_cycles: result.cycles,
-            instructions,
-            raw_stalls: result.per_core.iter().map(|s| s.raw_stalls).sum(),
-            wfi_stalls: result.per_core.iter().map(|s| s.wfi_stalls).sum(),
-            mips: instructions as f64 / wall.as_secs_f64().max(1e-9) / 1e6,
-            verified: verify(sim.memory(), &self.layout, &set),
-        })
-    }
-
-    /// One cycle-accurate job at the scenario's own seed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates guest traps.
-    pub fn run_cycle(&self, engine: CycleEngine) -> Result<CycleOutcome, Box<dyn Error>> {
-        self.run_cycle_seeded(engine, self.config.seed)
-    }
-
-    /// One cycle-accurate job with an explicit operand seed. In a batch,
-    /// pass `CycleEngine::Parallel(ctx.claimable_threads())` so a sharded
-    /// job widens into worker lanes the batch has stopped using — results
-    /// are bit-identical at every thread count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates guest traps.
-    pub fn run_cycle_seeded(&self, engine: CycleEngine, seed: u64) -> Result<CycleOutcome, Box<dyn Error>> {
-        self.cycle_outcome(CycleSim::from_artifacts(Arc::clone(&self.arts)), engine, seed)
-    }
-
-    /// One cycle-accurate job drawing its cluster memory from a recycling
-    /// pool; results are bit-identical to
-    /// [`run_cycle_seeded`](Self::run_cycle_seeded).
-    ///
-    /// # Errors
-    ///
-    /// Propagates guest traps.
     ///
     /// # Panics
     ///
-    /// Panics if `pool` was built over a different artifact set.
+    /// Panics if `job.pool` was built over a different artifact set.
+    pub fn run_cycle(&self, job: &JobSpec, engine: CycleEngine) -> Result<CycleOutcome, JobError> {
+        let mut sim = match job.pool {
+            Some(pool) => CycleSim::from_pool(own_pool(pool, &self.arts)),
+            None => CycleSim::from_artifacts(Arc::clone(&self.arts)),
+        };
+        if let Some(b) = job.budget {
+            sim.max_instructions = b;
+        }
+        if let Some(cancel) = job.cancel {
+            sim.set_cancel(cancel.clone());
+        }
+
+        let topo = self.arts.topology();
+        let set = generate_problems(sim.memory(), &self.layout, job.seed);
+        let start = Instant::now();
+        let result = match engine {
+            CycleEngine::EventDriven => sim.run(topo.num_cores()),
+            CycleEngine::NaiveScan => sim.run_naive(topo.num_cores()),
+            CycleEngine::Parallel(threads) => sim.run_parallel(topo.num_cores(), threads),
+        }?;
+        let wall = start.elapsed();
+        JobError::check_cycle(&result, job.budget)?;
+
+        let breakdown = result.aggregate();
+        Ok(CycleOutcome {
+            wall,
+            cycles: result.cycles,
+            breakdown,
+            per_group: result.aggregate_groups(&topo),
+            instructions: breakdown.instructions,
+            verified: verify(sim.memory(), &self.layout, &set),
+        })
+    }
+
+    /// [`run_cycle`](Self::run_cycle) with the job's memory from `pool`
+    /// (which must be built over this scenario's artifacts).
     pub fn run_cycle_pooled(
         &self,
         pool: &Arc<MemPool>,
         engine: CycleEngine,
         seed: u64,
     ) -> Result<CycleOutcome, Box<dyn Error>> {
-        assert!(Arc::ptr_eq(pool.artifacts(), &self.arts), "pool built over a different scenario");
-        self.cycle_outcome(CycleSim::from_pool(pool), engine, seed)
+        Ok(self.run_cycle(&JobSpec { pool: Some(pool), ..JobSpec::seeded(seed) }, engine)?)
     }
-
-    /// One cycle-accurate job run under a batch supervisor: the
-    /// cycle-mode counterpart of [`try_run_fast`](Self::try_run_fast).
-    /// The policy's per-job instruction budget feeds the engine's
-    /// per-core safety net (`CycleSim::max_instructions`) and the cancel
-    /// token is polled at event steps, scan passes and epoch boundaries.
-    /// Healthy jobs are bit-identical to
-    /// [`run_cycle_seeded`](Self::run_cycle_seeded) on every engine.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`JobError`] classifying the fault, if any.
-    pub fn try_run_cycle(
-        &self,
-        ctx: &JobCtx,
-        engine: CycleEngine,
-        seed: u64,
-    ) -> Result<CycleOutcome, JobError> {
-        self.try_run_cycle_with(ctx, engine, seed, ctx.budget())
-    }
-
-    /// As [`try_run_cycle`](Self::try_run_cycle) with an explicit per-job
-    /// instruction budget overriding the batch policy's.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`JobError`] classifying the fault, if any.
-    pub fn try_run_cycle_with(
-        &self,
-        ctx: &JobCtx,
-        engine: CycleEngine,
-        seed: u64,
-        budget: Option<u64>,
-    ) -> Result<CycleOutcome, JobError> {
-        let mut sim = match ctx.pool() {
-            Some(pool) if Arc::ptr_eq(pool.artifacts(), &self.arts) => CycleSim::from_pool(pool),
-            _ => CycleSim::from_artifacts(Arc::clone(&self.arts)),
-        };
-        if let Some(b) = budget {
-            sim.max_instructions = b;
-        }
-        if let Some(cancel) = ctx.cancel() {
-            sim.set_cancel(cancel.clone());
-        }
-
-        let topo = self.arts.topology();
-        let set = generate_problems(sim.memory(), &self.layout, seed);
-        let start = Instant::now();
-        let result = match engine {
-            CycleEngine::EventDriven => sim.run(topo.num_cores()),
-            CycleEngine::NaiveScan => sim.run_naive(topo.num_cores()),
-            CycleEngine::Parallel(threads) => sim.run_parallel(topo.num_cores(), threads),
-        }
-        .map_err(JobError::Trap)?;
-        let wall = start.elapsed();
-        JobError::check_cycle(&result, budget)?;
-
-        let breakdown = result.aggregate();
-        Ok(CycleOutcome {
-            wall,
-            cycles: result.cycles,
-            breakdown,
-            per_group: result.aggregate_groups(&topo),
-            instructions: breakdown.instructions,
-            verified: verify(sim.memory(), &self.layout, &set),
-        })
-    }
-
-    fn cycle_outcome(
-        &self,
-        mut sim: CycleSim,
-        engine: CycleEngine,
-        seed: u64,
-    ) -> Result<CycleOutcome, Box<dyn Error>> {
-        let topo = self.arts.topology();
-        let set = generate_problems(sim.memory(), &self.layout, seed);
-
-        let start = Instant::now();
-        let result = match engine {
-            CycleEngine::EventDriven => sim.run(topo.num_cores())?,
-            CycleEngine::NaiveScan => sim.run_naive(topo.num_cores())?,
-            CycleEngine::Parallel(threads) => sim.run_parallel(topo.num_cores(), threads)?,
-        };
-        let wall = start.elapsed();
-
-        let breakdown = result.aggregate();
-        Ok(CycleOutcome {
-            wall,
-            cycles: result.cycles,
-            breakdown,
-            per_group: result.aggregate_groups(&topo),
-            instructions: breakdown.instructions,
-            verified: verify(sim.memory(), &self.layout, &set),
-        })
-    }
-}
-
-/// Runs the parallel MMSE on the fast (Banshee-style) backend.
-///
-/// # Errors
-///
-/// Propagates kernel build, translation and guest traps.
-pub fn parallel_fast(config: &ParallelConfig, host_threads: usize) -> Result<FastOutcome, Box<dyn Error>> {
-    ParallelScenario::prepare(config)?.run_fast(host_threads)
-}
-
-/// As [`parallel_fast`] with an explicit ISS timing configuration — used
-/// by the latency-model ablation (`ablation_latency`) to compare the paper's
-/// uniform conservative 9-cycle load latency against topology-aware
-/// per-address latencies.
-///
-/// # Errors
-///
-/// Propagates kernel build, translation and guest traps.
-pub fn parallel_fast_configured(
-    config: &ParallelConfig,
-    host_threads: usize,
-    run_config: RunConfig,
-) -> Result<FastOutcome, Box<dyn Error>> {
-    ParallelScenario::prepare(config)?.run_fast_configured(host_threads, run_config)
 }
 
 /// Which cycle-accurate scheduler to drive (see [`CycleSim`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CycleEngine {
-    /// The event-driven ready-queue scheduler (`CycleSim::run`).
+    /// `CycleSim::run`: the event-driven ready-queue scheduler on
+    /// single-group topologies. On multi-group topologies `run` is the
+    /// epoch-sharded engine on the calling thread, exactly
+    /// [`Parallel(1)`](CycleEngine::Parallel).
     EventDriven,
     /// The retained full-scan reference scheduler (`CycleSim::run_naive`).
     NaiveScan,
     /// The epoch-sharded engine (`CycleSim::run_parallel`) over this many
     /// host threads — bit-identical to the other two at any count.
     Parallel(usize),
-}
-
-/// Runs the parallel MMSE on the cycle-accurate backend (the RTL-simulation
-/// stand-in).
-///
-/// # Errors
-///
-/// Propagates kernel build, translation and guest traps.
-pub fn parallel_cycle(config: &ParallelConfig) -> Result<CycleOutcome, Box<dyn Error>> {
-    parallel_cycle_with_engine(config, CycleEngine::EventDriven)
-}
-
-/// As [`parallel_cycle`] on the epoch-sharded engine with `threads` host
-/// threads (domain-per-group; see `CycleSim::run_parallel`).
-///
-/// # Errors
-///
-/// Propagates kernel build, translation and guest traps.
-pub fn parallel_cycle_threads(
-    config: &ParallelConfig,
-    threads: usize,
-) -> Result<CycleOutcome, Box<dyn Error>> {
-    parallel_cycle_with_engine(config, CycleEngine::Parallel(threads))
-}
-
-/// As [`parallel_cycle`] with an explicit scheduler — the hook the
-/// differential tests use to compare the event-driven engine against the
-/// retained naive scan on identical workloads.
-///
-/// # Errors
-///
-/// Propagates kernel build, translation and guest traps.
-pub fn parallel_cycle_with_engine(
-    config: &ParallelConfig,
-    engine: CycleEngine,
-) -> Result<CycleOutcome, Box<dyn Error>> {
-    ParallelScenario::prepare(config)?.run_cycle(engine)
 }
 
 /// Configuration of the batched Monte-Carlo experiment (Figure 6): all
@@ -583,8 +410,8 @@ pub struct BatchOutcome {
 
 /// A prepared OFDM-symbol scenario: the batched single-Snitch kernel and
 /// its shared artifact set, built once; every simulated symbol is then a
-/// cheap per-job instantiation ([`SymbolScenario::run_symbol`]) that only
-/// pays for fresh memory, operand generation, the run and verification.
+/// cheap per-job instantiation ([`SymbolScenario::run`]) that only
+/// pays for memory, operand generation, the run and verification.
 #[derive(Debug)]
 pub struct SymbolScenario {
     config: BatchConfig,
@@ -620,151 +447,38 @@ impl SymbolScenario {
     }
 
     /// Simulates one OFDM symbol (`nsc` problems batched on a single
-    /// Snitch, one host thread) with operands drawn from `seed`.
+    /// Snitch, one host thread) with operands drawn from `job.seed`.
     ///
     /// # Errors
     ///
-    /// Propagates guest traps.
-    pub fn run_symbol(&self, seed: u64) -> Result<BatchOutcome, Box<dyn Error>> {
-        self.symbol_outcome(FastSim::from_artifacts(Arc::clone(&self.arts)), seed)
-    }
-
-    /// As [`run_symbol`](Self::run_symbol) with the job's cluster memory
-    /// drawn from a recycling pool over this scenario's artifacts —
-    /// bit-identical results, without the per-job 20 MiB arena
-    /// allocation (the dominant fixed cost of a small symbol job).
-    ///
-    /// # Errors
-    ///
-    /// Propagates guest traps.
+    /// Returns the [`JobError`] classifying the fault, if any.
     ///
     /// # Panics
     ///
-    /// Panics if `pool` was built over a different artifact set.
-    pub fn run_symbol_pooled(&self, pool: &Arc<MemPool>, seed: u64) -> Result<BatchOutcome, Box<dyn Error>> {
-        assert!(Arc::ptr_eq(pool.artifacts(), &self.arts), "pool built over a different scenario");
-        self.symbol_outcome(FastSim::from_pool(pool), seed)
-    }
-
-    /// One OFDM-symbol job run under a batch supervisor: pool, budget and
-    /// cancellation wired exactly as in
-    /// [`ParallelScenario::try_run_fast`], faults surfaced as
-    /// [`JobError`]s. Healthy jobs are bit-identical to
-    /// [`run_symbol`](Self::run_symbol).
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`JobError`] classifying the fault, if any.
-    pub fn try_run_symbol(&self, ctx: &JobCtx, seed: u64) -> Result<BatchOutcome, JobError> {
-        self.try_run_symbol_with(ctx, seed, ctx.budget())
-    }
-
-    /// As [`try_run_symbol`](Self::try_run_symbol) with an explicit
-    /// per-job instruction budget overriding the batch policy's.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`JobError`] classifying the fault, if any.
-    pub fn try_run_symbol_with(
-        &self,
-        ctx: &JobCtx,
-        seed: u64,
-        budget: Option<u64>,
-    ) -> Result<BatchOutcome, JobError> {
-        let mut sim = match ctx.pool() {
-            Some(pool) if Arc::ptr_eq(pool.artifacts(), &self.arts) => FastSim::from_pool(pool),
-            _ => FastSim::from_artifacts(Arc::clone(&self.arts)),
-        };
-        if let Some(b) = budget {
-            let mut rc = self.arts.fast_config().clone();
-            rc.max_instructions = b;
-            sim.set_config(rc);
-        }
-        if let Some(cancel) = ctx.cancel() {
-            sim.set_cancel(cancel.clone());
-        }
-
-        let set = generate_problems(sim.memory(), &self.layout, seed);
-        let start = Instant::now();
-        let result = sim.run_cores(0..1, 1).map_err(JobError::Trap)?;
-        let wall = start.elapsed();
-        JobError::check_fast(&result, budget)?;
-
-        let instructions = result.total_instructions();
-        Ok(BatchOutcome {
-            wall,
-            cycles: result.cycles,
-            instructions,
-            mips: instructions as f64 / wall.as_secs_f64().max(1e-9) / 1e6,
-            verified: verify(sim.memory(), &self.layout, &set),
-        })
-    }
-
-    fn symbol_outcome(&self, mut sim: FastSim, seed: u64) -> Result<BatchOutcome, Box<dyn Error>> {
-        let set = generate_problems(sim.memory(), &self.layout, seed);
-
+    /// Panics if `job.pool` was built over a different artifact set.
+    pub fn run(&self, job: &JobSpec) -> Result<BatchOutcome, JobError> {
+        let mut sim = fast_sim(&self.arts, job, None);
+        let set = generate_problems(sim.memory(), &self.layout, job.seed);
         let start = Instant::now();
         let result = sim.run_cores(0..1, 1)?;
         let wall = start.elapsed();
+        JobError::check_fast(&result, job.budget)?;
 
         let instructions = result.total_instructions();
         Ok(BatchOutcome {
             wall,
             cycles: result.cycles,
             instructions,
-            mips: instructions as f64 / wall.as_secs_f64().max(1e-9) / 1e6,
+            mips: mips(instructions, wall),
             verified: verify(sim.memory(), &self.layout, &set),
         })
     }
-}
 
-/// Simulates one OFDM symbol (`nsc` problems) batched on a single core,
-/// on one host thread — the paper's single-thread MC iteration (a
-/// single-use [`SymbolScenario`]).
-///
-/// # Errors
-///
-/// Propagates kernel build, translation and guest traps.
-pub fn mc_symbol_single(config: &BatchConfig) -> Result<BatchOutcome, Box<dyn Error>> {
-    SymbolScenario::prepare(config)?.run_symbol(config.seed)
-}
-
-/// Simulates `symbols` independent OFDM symbols over `host_threads`
-/// worker lanes of a [`BatchRunner`] (the paper's 128-thread scaling
-/// experiment) and returns the wall time together with the per-symbol
-/// outcomes in submission order.
-///
-/// All symbols share one artifact set and recycle cluster memories
-/// through the batch's [`MemPool`] (one arena per worker lane instead of
-/// one allocation per symbol); per-symbol seeds derive from the symbol
-/// index, so the outcomes are identical for any worker count and any
-/// work-stealing schedule, and bit-identical to unpooled per-symbol runs.
-///
-/// # Errors
-///
-/// Propagates the first failure from any symbol.
-pub fn mc_symbols_parallel(
-    config: &BatchConfig,
-    symbols: u32,
-    host_threads: usize,
-) -> Result<(Duration, Vec<BatchOutcome>), Box<dyn Error>> {
-    let start = Instant::now();
-    let scenario = SymbolScenario::prepare(config)?;
-    let outcomes = BatchRunner::with_workers(host_threads).run_pooled(
-        scenario.artifacts(),
-        (0..symbols).collect(),
-        |ctx, sym| {
-            scenario
-                .run_symbol_pooled(
-                    ctx.pool().expect("pooled batch"),
-                    config.seed.wrapping_add(u64::from(sym)),
-                )
-                .map_err(|e| e.to_string())
-        },
-    );
-    let wall = start.elapsed();
-    let outcomes: Result<Vec<_>, String> = outcomes.into_iter().collect();
-    Ok((wall, outcomes.map_err(|e| -> Box<dyn Error> { e.into() })?))
+    /// [`run`](Self::run) with the job's memory from `pool`
+    /// (which must be built over this scenario's artifacts).
+    pub fn run_symbol_pooled(&self, pool: &Arc<MemPool>, seed: u64) -> Result<BatchOutcome, Box<dyn Error>> {
+        Ok(self.run(&JobSpec { pool: Some(pool), ..JobSpec::seeded(seed) })?)
+    }
 }
 
 /// Runs a BER-vs-SNR sweep for one scenario and detector kind
@@ -792,8 +506,10 @@ mod tests {
     #[test]
     fn fast_and_cycle_agree_architecturally() {
         let config = ParallelConfig { cores: 8, n: 4, precision: Precision::WDotp8, seed: 9, unroll: 2 };
-        let fast = parallel_fast(&config, 2).unwrap();
-        let cycle = parallel_cycle(&config).unwrap();
+        let scenario = ParallelScenario::prepare(&config).unwrap();
+        let job = JobSpec::seeded(config.seed);
+        let fast = scenario.run_fast(&job, 2, None).unwrap();
+        let cycle = scenario.run_cycle(&job, CycleEngine::EventDriven).unwrap();
         assert!(fast.verified, "fast backend diverged from native model");
         assert!(cycle.verified, "cycle backend diverged from native model");
         assert_eq!(fast.instructions, cycle.instructions, "same retired instruction count");
@@ -803,7 +519,7 @@ mod tests {
     #[test]
     fn batch_runs_and_verifies() {
         let config = BatchConfig { n: 4, precision: Precision::CDotp16, nsc: 16, seed: 5, unroll: 2 };
-        let out = mc_symbol_single(&config).unwrap();
+        let out = SymbolScenario::prepare(&config).unwrap().run(&JobSpec::seeded(config.seed)).unwrap();
         assert!(out.verified);
         assert!(out.instructions > 16 * 500, "16 problems retired {}", out.instructions);
     }
@@ -811,7 +527,11 @@ mod tests {
     #[test]
     fn parallel_symbols_match_single() {
         let config = BatchConfig { n: 4, precision: Precision::Half16, nsc: 4, seed: 11, unroll: 2 };
-        let (_, outcomes) = mc_symbols_parallel(&config, 4, 2).unwrap();
+        let scenario = SymbolScenario::prepare(&config).unwrap();
+        let pool = MemPool::new(Arc::clone(scenario.artifacts()));
+        let outcomes = BatchRunner::with_workers(2).run_pooled_in(&pool, (0..4u64).collect(), |ctx, sym| {
+            scenario.run(&JobSpec::in_batch(ctx, config.seed.wrapping_add(sym))).unwrap()
+        });
         assert_eq!(outcomes.len(), 4);
         assert!(outcomes.iter().all(|o| o.verified));
     }

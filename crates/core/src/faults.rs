@@ -24,10 +24,10 @@
 //!
 //! ```
 //! use terasim::faults::{Fault, FaultPlan};
-//! use terasim::serve::{BatchRunner, JobError};
+//! use terasim::serve::{BatchRunner, JobError, RunPolicy};
 //!
 //! let plan = FaultPlan::new().inject(1, Fault::Panic).inject(3, Fault::Slow { spins: 100 });
-//! let out = BatchRunner::with_workers(2).try_run((0..4u32).collect(), |_ctx, &j| {
+//! let out = BatchRunner::with_workers(2).try_run(&RunPolicy::new(), None, (0..4u32).collect(), |_ctx, &j| {
 //!     match plan.fault(j as usize) {
 //!         Some(Fault::Panic) => terasim::faults::inject_panic(j as usize),
 //!         Some(Fault::Slow { spins }) => {

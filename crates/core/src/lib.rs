@@ -17,15 +17,16 @@
 //!
 //! * [`detectors`] — plug DUT models (native or ISS-in-the-loop) into the
 //!   PHY's [`Detector`](terasim_phy::Detector) interface.
-//! * [`experiments`] — one function per evaluation axis: parallel-MMSE
-//!   runtime (Figures 5–8), batched Monte-Carlo symbol runtime (Figure 6)
-//!   and BER curves (Figures 9–10), plus the prepared-scenario types
-//!   ([`experiments::ParallelScenario`], [`experiments::SymbolScenario`])
-//!   that share one immutable artifact set across a batch of jobs.
+//! * [`experiments`] — the prepared-scenario types
+//!   ([`experiments::ParallelScenario`] for the parallel-MMSE runtime of
+//!   Figures 5–8, [`experiments::SymbolScenario`] for the batched
+//!   Monte-Carlo symbol runtime of Figure 6) that share one immutable
+//!   artifact set across a batch of jobs, each job described by a
+//!   [`experiments::JobSpec`]; and BER curves (Figures 9–10).
 //! * [`serve`] — the batched job-serving layer: a work-stealing
 //!   [`serve::BatchRunner`] that drives many independent simulations over
 //!   shared artifacts with submission-order (deterministic) results, and
-//!   its supervised mode (`try_run`) that contains panics, traps,
+//!   its supervised mode ([`serve::BatchRunner::try_run`]) that contains panics, traps,
 //!   deadlocks, exhausted budgets and cancellations as per-job
 //!   [`serve::JobError`]s under a [`serve::RunPolicy`].
 //! * [`daemon`] — the persistent serving tier above [`serve`]: a
@@ -44,12 +45,14 @@
 //! against the cycle-accurate reference:
 //!
 //! ```
-//! use terasim::experiments::{self, ParallelConfig};
+//! use terasim::experiments::{CycleEngine, JobSpec, ParallelConfig, ParallelScenario};
 //! use terasim_kernels::Precision;
 //!
 //! let config = ParallelConfig { cores: 16, n: 4, precision: Precision::CDotp16, seed: 1, unroll: 2 };
-//! let fast = experiments::parallel_fast(&config, 2)?;
-//! let cycle = experiments::parallel_cycle(&config)?;
+//! let scenario = ParallelScenario::prepare(&config)?;
+//! let job = JobSpec::seeded(config.seed);
+//! let fast = scenario.run_fast(&job, 2, None)?;
+//! let cycle = scenario.run_cycle(&job, CycleEngine::EventDriven)?;
 //! assert!(fast.verified && cycle.verified);
 //! // Banshee-style estimates land within a factor ~2 of the reference.
 //! let err = (fast.cluster_cycles as f64 - cycle.cycles as f64).abs() / cycle.cycles as f64;

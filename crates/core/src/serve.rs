@@ -8,7 +8,7 @@
 //! *across* jobs:
 //!
 //! * **Artifact sharing.** All jobs of a scenario run over one
-//!   [`SimArtifacts`] set — decoded
+//!   [`SimArtifacts`](terasim_terapool::SimArtifacts) set — decoded
 //!   program, lowered micro-op tables, topology maps, initial memory
 //!   image — built once instead of once per run (the scenario types in
 //!   [`experiments`](crate::experiments) wrap this; the benchmark's
@@ -28,20 +28,20 @@
 //!   `CycleSim::run_parallel`. Because the sharded engine is
 //!   bit-identical at every thread count, claiming is invisible in the
 //!   results.
-//! * **Memory recycling.** [`BatchRunner::run_pooled`] owns one
-//!   [`MemPool`] for the duration of the batch and exposes it through
-//!   [`JobCtx::pool`]: each lane's jobs acquire and return one recycled
-//!   `ClusterMem` instead of re-mapping the 20 MiB arena per job — the
-//!   dominant fixed cost of small jobs after artifact sharing. Recycled
-//!   arenas are reset to the exact fresh state (only the dirty footprint
-//!   is re-zeroed), so pooled batches stay bit-identical to unpooled
-//!   ones.
+//! * **Memory recycling.** [`BatchRunner::run_pooled_in`] and
+//!   [`BatchRunner::try_run`] take a caller-owned [`MemPool`] and expose
+//!   it through [`JobCtx::pool`]: each lane's jobs acquire and return one
+//!   recycled `ClusterMem` instead of re-mapping the 20 MiB arena per job
+//!   — the dominant fixed cost of small jobs after artifact sharing. A
+//!   one-shot batch writes `MemPool::new(arts)`; a long-lived caller (the
+//!   serving daemon) keeps one pool across batches. Recycled arenas are
+//!   reset to the exact fresh state (only the dirty footprint is
+//!   re-zeroed), so pooled batches stay bit-identical to unpooled ones.
 //!
 //! # Supervised mode (fault containment)
 //!
-//! [`BatchRunner::try_run`] / [`try_run_pooled`](BatchRunner::try_run_pooled)
-//! run each job under supervision and return `Vec<Result<T, JobError>>`
-//! in submission order. The contract:
+//! [`BatchRunner::try_run`] runs each job under supervision and returns
+//! `Vec<Result<T, JobError>>` in submission order. The contract:
 //!
 //! * **Panic isolation.** A panic inside one job closure is caught with
 //!   [`std::panic::catch_unwind`] and becomes
@@ -53,9 +53,10 @@
 //!   hook: the default hook still prints each caught panic to stderr.
 //! * **Structured faults.** Job closures report guest-level faults —
 //!   traps, deadlocks, exhausted budgets — as [`JobError`] values; the
-//!   supervised scenario runners in [`experiments`](crate::experiments)
-//!   (`try_run_fast` and friends) do this mapping for the standard
-//!   workloads.
+//!   scenario runners in [`experiments`](crate::experiments) do this
+//!   mapping for the standard workloads, and
+//!   [`JobSpec::in_batch`](crate::experiments::JobSpec::in_batch) hands
+//!   them the batch's pool, budget and cancel token.
 //! * **Policy.** A [`RunPolicy`] carries the per-job instruction budget,
 //!   the bounded-retry count for retryable faults (only host-side panics
 //!   are retryable: guest faults are deterministic and would simply
@@ -99,7 +100,7 @@
 //! use terasim::serve::{BatchRunner, JobError, RunPolicy};
 //!
 //! let runner = BatchRunner::with_workers(2);
-//! let out = runner.try_run_with(&RunPolicy::new(), (0..4u32).collect(), |_ctx, &j| {
+//! let out = runner.try_run(&RunPolicy::new(), None, (0..4u32).collect(), |_ctx, &j| {
 //!     if j == 2 {
 //!         panic!("injected");
 //!     }
@@ -116,7 +117,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 
 use terasim_iss::Trap;
-use terasim_terapool::{CancelToken, ClusterResult, CycleResult, MemPool, SimArtifacts};
+use terasim_terapool::{CancelToken, ClusterResult, CycleResult, MemPool};
 
 /// Why one supervised job failed — the per-job fault taxonomy of
 /// [`BatchRunner::try_run`]. One job's error never affects its batch
@@ -313,30 +314,22 @@ impl JobCtx<'_> {
     }
 
     /// The batch's recycling cluster-memory pool — present when the batch
-    /// was started with [`BatchRunner::run_pooled`]. Jobs hand it to
-    /// `FastSim::from_pool` / `CycleSim::from_pool` (or the pooled
-    /// scenario runners in [`experiments`](crate::experiments)) so each
-    /// worker lane recycles one arena instead of re-mapping 20 MiB per
-    /// job.
+    /// was started with [`BatchRunner::run_pooled_in`] or with a pool
+    /// passed to [`BatchRunner::try_run`]. Jobs hand it to
+    /// `FastSim::from_pool` / `CycleSim::from_pool` (or to the scenario
+    /// runners in [`experiments`](crate::experiments) through a
+    /// [`JobSpec`](crate::experiments::JobSpec)) so each worker lane
+    /// recycles one arena instead of re-mapping 20 MiB per job.
     pub fn pool(&self) -> Option<&Arc<MemPool>> {
         self.pool
     }
 
     /// The batch's [`RunPolicy`] — present in supervised batches
-    /// ([`BatchRunner::try_run`] and friends).
+    /// ([`BatchRunner::try_run`]). Scenario jobs forward its budget and
+    /// cancel token into the engines through
+    /// [`JobSpec::in_batch`](crate::experiments::JobSpec::in_batch).
     pub fn policy(&self) -> Option<&RunPolicy> {
         self.policy
-    }
-
-    /// The supervised batch's per-job instruction budget, if one is set.
-    pub fn budget(&self) -> Option<u64> {
-        self.policy.and_then(|p| p.budget)
-    }
-
-    /// The supervised batch's cancellation token, for forwarding into
-    /// engine runs (`FastSim::set_cancel` / `CycleSim::set_cancel`).
-    pub fn cancel(&self) -> Option<&CancelToken> {
-        self.policy.map(|p| &p.cancel)
     }
 }
 
@@ -387,33 +380,14 @@ impl BatchRunner {
         self.run_with_pool(None, None, jobs, f)
     }
 
-    /// As [`run`](Self::run), with a recycling cluster-memory pool over
-    /// `arts` owned by the batch and exposed to every job through
+    /// As [`run`](Self::run) over a **caller-owned** recycling
+    /// cluster-memory pool, exposed to every job through
     /// [`JobCtx::pool`]. Each worker lane's jobs acquire and return one
     /// arena in turn, so the per-job `ClusterMem` allocation (the
-    /// dominant fixed cost of small jobs) is paid at most once per lane;
-    /// recycled arenas are reset to the exact fresh state, so the results
-    /// are bit-identical to an unpooled run. The pool lives exactly as
-    /// long as the batch.
-    pub fn run_pooled<I: Send, T: Send>(
-        &self,
-        arts: &Arc<SimArtifacts>,
-        jobs: Vec<I>,
-        f: impl Fn(&JobCtx, I) -> T + Sync,
-    ) -> Vec<T> {
-        let pool = MemPool::new(Arc::clone(arts));
-        self.run_pooled_in(&pool, jobs, f)
-    }
-
-    /// As [`run_pooled`](Self::run_pooled) over a **caller-owned** pool,
-    /// so recycled arenas survive the batch: the first batch's jobs pay
-    /// the arena allocations, every later batch over the same pool
-    /// recycles them. This is the cross-batch (serving-tier) shape — a
-    /// long-lived daemon keeps one arena bank and threads a pool over it
-    /// through every request batch — while `run_pooled` keeps the
-    /// one-shot shape where pool and arenas die with the batch. Results
-    /// are bit-identical either way (recycled arenas reset to the exact
-    /// fresh state).
+    /// dominant fixed cost of small jobs) is paid at most once per lane,
+    /// and arenas recycled by one batch serve the next batch over the
+    /// same pool. Recycled arenas are reset to the exact fresh state, so
+    /// the results are bit-identical to an unpooled run.
     pub fn run_pooled_in<I: Send, T: Send>(
         &self,
         pool: &Arc<MemPool>,
@@ -423,35 +397,12 @@ impl BatchRunner {
         self.run_with_pool(Some(pool), None, jobs, f)
     }
 
-    /// Supervised batch under the default (permissive) [`RunPolicy`]:
-    /// every job runs in a [`std::panic::catch_unwind`] guard and the
-    /// batch returns `Vec<Result<T, JobError>>` in submission order —
-    /// one faulty job fails *its own index* and nothing else. See the
-    /// [module docs](self) for the full contract.
-    pub fn try_run<I: Send + Sync, T: Send>(
-        &self,
-        jobs: Vec<I>,
-        f: impl Fn(&JobCtx, &I) -> Result<T, JobError> + Sync,
-    ) -> Vec<Result<T, JobError>> {
-        self.try_run_with(&RunPolicy::default(), jobs, f)
-    }
-
-    /// As [`try_run`](Self::try_run) with an explicit [`RunPolicy`]
-    /// (budget, bounded retry, cancellation). Jobs receive their item by
-    /// reference so a retryable fault can re-run the same item.
-    pub fn try_run_with<I: Send + Sync, T: Send>(
-        &self,
-        policy: &RunPolicy,
-        jobs: Vec<I>,
-        f: impl Fn(&JobCtx, &I) -> Result<T, JobError> + Sync,
-    ) -> Vec<Result<T, JobError>> {
-        self.run_with_pool(None, Some(policy), jobs, |ctx, item| supervise(ctx, policy, &item, &f))
-    }
-
-    /// Supervised *pooled* batch under the default policy: as
-    /// [`run_pooled`](Self::run_pooled), plus the fault containment of
-    /// [`try_run`](Self::try_run). Arenas of panicked or cancelled jobs
-    /// are quarantined by the simulators' drops, never recycled.
+    /// Supervised batch under `policy`, optionally over a caller-owned
+    /// `pool` (as in [`run_pooled_in`](Self::run_pooled_in)): results
+    /// come back as `Vec<Result<T, JobError>>` in submission order, and
+    /// one faulty job fails *its own index* and nothing else. Jobs
+    /// receive their item by reference so a retryable fault can re-run
+    /// it. See the [module docs](self) for the full contract.
     ///
     /// # Examples
     ///
@@ -460,56 +411,32 @@ impl BatchRunner {
     /// [`JobError`]s at their own index.
     ///
     /// ```
-    /// use terasim::experiments::{BatchConfig, SymbolScenario};
-    /// use terasim::serve::BatchRunner;
+    /// use std::sync::Arc;
+    /// use terasim::experiments::{BatchConfig, JobSpec, SymbolScenario};
+    /// use terasim::serve::{BatchRunner, RunPolicy};
     /// use terasim_kernels::Precision;
+    /// use terasim_terapool::MemPool;
     ///
     /// let config = BatchConfig { n: 4, precision: Precision::CDotp16, nsc: 4, seed: 3, unroll: 2 };
     /// let scenario = SymbolScenario::prepare(&config)?;
-    /// let out = BatchRunner::with_workers(2).try_run_pooled(
-    ///     scenario.artifacts(),
+    /// let pool = MemPool::new(Arc::clone(scenario.artifacts()));
+    /// let out = BatchRunner::with_workers(2).try_run(
+    ///     &RunPolicy::new(),
+    ///     Some(&pool),
     ///     (0..4u64).collect(),
-    ///     |ctx, &seed| scenario.try_run_symbol(ctx, seed),
+    ///     |ctx, &seed| scenario.run(&JobSpec::in_batch(ctx, seed)),
     /// );
     /// assert!(out.iter().all(|r| r.as_ref().is_ok_and(|o| o.verified)));
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
-    pub fn try_run_pooled<I: Send + Sync, T: Send>(
-        &self,
-        arts: &Arc<SimArtifacts>,
-        jobs: Vec<I>,
-        f: impl Fn(&JobCtx, &I) -> Result<T, JobError> + Sync,
-    ) -> Vec<Result<T, JobError>> {
-        self.try_run_pooled_with(&RunPolicy::default(), arts, jobs, f)
-    }
-
-    /// As [`try_run_pooled`](Self::try_run_pooled) with an explicit
-    /// [`RunPolicy`].
-    pub fn try_run_pooled_with<I: Send + Sync, T: Send>(
+    pub fn try_run<I: Send + Sync, T: Send>(
         &self,
         policy: &RunPolicy,
-        arts: &Arc<SimArtifacts>,
+        pool: Option<&Arc<MemPool>>,
         jobs: Vec<I>,
         f: impl Fn(&JobCtx, &I) -> Result<T, JobError> + Sync,
     ) -> Vec<Result<T, JobError>> {
-        let pool = MemPool::new(Arc::clone(arts));
-        self.try_run_pooled_in(policy, &pool, jobs, f)
-    }
-
-    /// Supervised batch over a **caller-owned** pool — the fault-contained
-    /// counterpart of [`run_pooled_in`](Self::run_pooled_in), and the
-    /// entry point the serving daemon drives requests through: the pool
-    /// outlives the batch, so healthy jobs recycle arenas across
-    /// requests while panicked or cancelled jobs still quarantine theirs
-    /// ([`MemPool::quarantine`]) instead of poisoning later traffic.
-    pub fn try_run_pooled_in<I: Send + Sync, T: Send>(
-        &self,
-        policy: &RunPolicy,
-        pool: &Arc<MemPool>,
-        jobs: Vec<I>,
-        f: impl Fn(&JobCtx, &I) -> Result<T, JobError> + Sync,
-    ) -> Vec<Result<T, JobError>> {
-        self.run_with_pool(Some(pool), Some(policy), jobs, |ctx, item| supervise(ctx, policy, &item, &f))
+        self.run_with_pool(pool, Some(policy), jobs, |ctx, item| supervise(ctx, policy, &item, &f))
     }
 
     fn run_with_pool<I: Send, T: Send>(
@@ -681,7 +608,8 @@ mod tests {
         let unpooled = runner.run((0..6u32).collect(), |_ctx, j| {
             job(&mut FastSim::from_artifacts(std::sync::Arc::clone(&arts)), j)
         });
-        let pooled = runner.run_pooled(&arts, (0..6u32).collect(), |ctx, j| {
+        let pool = MemPool::new(std::sync::Arc::clone(&arts));
+        let pooled = runner.run_pooled_in(&pool, (0..6u32).collect(), |ctx, j| {
             let pool = ctx.pool().expect("pooled batch exposes its pool");
             job(&mut FastSim::from_pool(pool), j)
         });
@@ -695,7 +623,7 @@ mod tests {
     fn panicked_jobs_fail_alone_at_any_worker_count() {
         for workers in [1, 2, 4, 7] {
             let runner = BatchRunner::with_workers(workers);
-            let out = runner.try_run((0..20u64).collect(), |_ctx, &x| {
+            let out = runner.try_run(&RunPolicy::new(), None, (0..20u64).collect(), |_ctx, &x| {
                 if x % 5 == 3 {
                     panic!("injected panic at {x}");
                 }
@@ -720,7 +648,7 @@ mod tests {
         // A job that panics twice, then succeeds: passes with 2 retries.
         let attempts = AtomicU32::new(0);
         let policy = RunPolicy::new().with_retries(2);
-        let out = BatchRunner::with_workers(1).try_run_with(&policy, vec![7u32], |_ctx, &x| {
+        let out = BatchRunner::with_workers(1).try_run(&policy, None, vec![7u32], |_ctx, &x| {
             if attempts.fetch_add(1, Ordering::Relaxed) < 2 {
                 panic!("flaky");
             }
@@ -731,8 +659,9 @@ mod tests {
 
         // An always-panicking job exhausts the bound: 1 + max_retries runs.
         let attempts = AtomicU32::new(0);
-        let out = BatchRunner::with_workers(1).try_run_with(
+        let out = BatchRunner::with_workers(1).try_run(
             &policy,
+            None,
             vec![0u32],
             |_ctx, _| -> Result<u32, JobError> {
                 attempts.fetch_add(1, Ordering::Relaxed);
@@ -744,7 +673,7 @@ mod tests {
 
         // Guest faults are not retryable: exactly one attempt.
         let attempts = AtomicU32::new(0);
-        let out = BatchRunner::with_workers(1).try_run_with(&policy, vec![0u32], |_ctx, _| {
+        let out = BatchRunner::with_workers(1).try_run(&policy, None, vec![0u32], |_ctx, _| {
             attempts.fetch_add(1, Ordering::Relaxed);
             Err::<u32, _>(JobError::Deadlocked { parked: vec![0] })
         });
@@ -757,7 +686,7 @@ mod tests {
         let policy = RunPolicy::new();
         policy.cancel.cancel();
         let ran = AtomicUsize::new(0);
-        let out = BatchRunner::with_workers(2).try_run_with(&policy, (0..5u32).collect(), |_c, &x| {
+        let out = BatchRunner::with_workers(2).try_run(&policy, None, (0..5u32).collect(), |_c, &x| {
             ran.fetch_add(1, Ordering::Relaxed);
             Ok(x)
         });

@@ -11,7 +11,7 @@
 //! Run with:
 //! `cargo run --release --example cycle_accurate -- [--cores N] [--mimo N] [--threads N]`
 
-use terasim::experiments::{self, ParallelConfig};
+use terasim::experiments::{CycleEngine, JobSpec, ParallelConfig, ParallelScenario};
 use terasim_kernels::Precision;
 
 fn arg(name: &str, default: u32) -> u32 {
@@ -36,7 +36,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let config = ParallelConfig { cores, n, precision, seed: 3, unroll: 2 };
         // The epoch-sharded engine: one arbitration domain per topology
         // group, bit-identical to `run`/`run_naive` at any thread count.
-        let out = experiments::parallel_cycle_threads(&config, threads)?;
+        let out = ParallelScenario::prepare(&config)?
+            .run_cycle(&JobSpec::seeded(config.seed), CycleEngine::Parallel(threads))?;
         let b = out.breakdown;
         let total = b.total() as f64;
         let pct = |x: u64| 100.0 * x as f64 / total;

@@ -12,9 +12,12 @@
 //!
 //! Run with: `cargo run --release --example ofdm_symbol -- [--nsc N] [--mimo N]`
 
-use terasim::experiments::{BatchConfig, SymbolScenario};
+use std::sync::Arc;
+
+use terasim::experiments::{BatchConfig, JobSpec, SymbolScenario};
 use terasim::serve::BatchRunner;
 use terasim_kernels::Precision;
+use terasim_terapool::MemPool;
 
 fn arg(name: &str, default: u32) -> u32 {
     let args: Vec<String> = std::env::args().collect();
@@ -34,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for precision in Precision::TIMED {
         let config = BatchConfig { n, precision, nsc, seed: 7, unroll: 2 };
         let scenario = SymbolScenario::prepare(&config)?;
-        let out = scenario.run_symbol(config.seed)?;
+        let out = scenario.run(&JobSpec::seeded(config.seed))?;
         println!(
             " {:<9} | {:>8.2?}   | {:>13} | {:>12} | {:>6.2} | {}",
             precision.paper_name(),
@@ -54,22 +57,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let symbols = threads as u32 * 2;
     let config = BatchConfig { n, precision: Precision::CDotp16, nsc, seed: 7, unroll: 2 };
     let scenario = SymbolScenario::prepare(&config)?;
-    let _ = scenario.run_symbol(config.seed)?; // warm-up
+    let _ = scenario.run(&JobSpec::seeded(config.seed))?; // warm-up
     let start = std::time::Instant::now();
-    let outs = BatchRunner::with_workers(threads).run_pooled(
-        scenario.artifacts(),
-        (0..symbols).collect(),
-        |ctx, sym| {
-            scenario
-                .run_symbol_pooled(
-                    ctx.pool().expect("pooled batch"),
-                    config.seed.wrapping_add(u64::from(sym)),
-                )
-                .map_err(|e| e.to_string())
-        },
-    );
+    let pool = MemPool::new(Arc::clone(scenario.artifacts()));
+    let outs = BatchRunner::with_workers(threads).run_pooled_in(&pool, (0..symbols).collect(), |ctx, sym| {
+        scenario.run(&JobSpec::in_batch(ctx, config.seed.wrapping_add(u64::from(sym))))
+    });
     let wall = start.elapsed();
-    let outs = outs.into_iter().collect::<Result<Vec<_>, String>>()?;
+    let outs = outs.into_iter().collect::<Result<Vec<_>, _>>()?;
     let serial: f64 = outs.iter().map(|o| o.wall.as_secs_f64()).sum();
     println!(
         "\n{} independent symbols on {} threads (shared artifacts, pooled memory): {:.2?} elapsed for {:.2}s of simulation (speedup {:.1}x)",

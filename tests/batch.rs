@@ -5,11 +5,14 @@
 //! including multi-group topologies where cycle jobs widen into idle
 //! worker lanes through the epoch-sharded engine.
 
+use std::sync::Arc;
+
 use terasim::experiments::{
-    self, BatchConfig, CycleEngine, ParallelConfig, ParallelScenario, SymbolScenario,
+    self, BatchConfig, CycleEngine, JobSpec, ParallelConfig, ParallelScenario, SymbolScenario,
 };
 use terasim::serve::BatchRunner;
 use terasim_kernels::Precision;
+use terasim_terapool::MemPool;
 
 /// Per-job fingerprint of a fast-mode symbol run.
 fn symbol_key(o: &experiments::BatchOutcome) -> (u64, u64, bool) {
@@ -27,7 +30,7 @@ fn fast_symbol_batch_is_bit_identical_to_serial_rebuilds() {
         .map(|j| {
             let mut c = config;
             c.seed = config.seed.wrapping_add(u64::from(j));
-            symbol_key(&experiments::mc_symbol_single(&c).unwrap())
+            symbol_key(&SymbolScenario::prepare(&c).unwrap().run(&JobSpec::seeded(c.seed)).unwrap())
         })
         .collect();
     assert!(serial.iter().all(|k| k.2), "serial reference runs must verify");
@@ -38,7 +41,7 @@ fn fast_symbol_batch_is_bit_identical_to_serial_rebuilds() {
     let scenario = SymbolScenario::prepare(&config).unwrap();
     for workers in [1usize, 2, 4, 7] {
         let batch = BatchRunner::with_workers(workers).run((0..jobs).collect(), |_ctx, j| {
-            symbol_key(&scenario.run_symbol(config.seed.wrapping_add(u64::from(j))).unwrap())
+            symbol_key(&scenario.run(&JobSpec::seeded(config.seed.wrapping_add(u64::from(j)))).unwrap())
         });
         assert_eq!(batch, serial, "fast batch diverged at {workers} workers");
     }
@@ -54,7 +57,8 @@ fn parallel_fast_batch_matches_serial_at_cluster_scale() {
         .map(|j| {
             let mut c = config;
             c.seed = config.seed.wrapping_add(j);
-            let out = experiments::parallel_fast(&c, 1).unwrap();
+            let out =
+                ParallelScenario::prepare(&c).unwrap().run_fast(&JobSpec::seeded(c.seed), 1, None).unwrap();
             assert!(out.verified);
             (out.cluster_cycles, out.instructions)
         })
@@ -62,7 +66,7 @@ fn parallel_fast_batch_matches_serial_at_cluster_scale() {
     let scenario = ParallelScenario::prepare(&config).unwrap();
     for workers in [1usize, 3] {
         let batch = BatchRunner::with_workers(workers).run((0..jobs).collect(), |_ctx, j| {
-            let out = scenario.run_fast_seeded(1, config.seed.wrapping_add(j)).unwrap();
+            let out = scenario.run_fast(&JobSpec::seeded(config.seed.wrapping_add(j)), 1, None).unwrap();
             assert!(out.verified);
             (out.cluster_cycles, out.instructions)
         });
@@ -83,7 +87,10 @@ fn cycle_batch_is_bit_identical_on_multi_group_topology() {
         .map(|j| {
             let mut c = config;
             c.seed = config.seed.wrapping_add(j);
-            let out = experiments::parallel_cycle_with_engine(&c, CycleEngine::EventDriven).unwrap();
+            let out = ParallelScenario::prepare(&c)
+                .unwrap()
+                .run_cycle(&JobSpec::seeded(c.seed), CycleEngine::EventDriven)
+                .unwrap();
             assert!(out.verified);
             (out.cycles, out.breakdown, out.instructions)
         })
@@ -95,7 +102,10 @@ fn cycle_batch_is_bit_identical_on_multi_group_topology() {
             // The sharded engine is bit-identical at every thread count,
             // so claiming idle lanes is invisible in the results.
             let out = scenario
-                .run_cycle_seeded(CycleEngine::Parallel(ctx.claimable_threads()), config.seed.wrapping_add(j))
+                .run_cycle(
+                    &JobSpec::seeded(config.seed.wrapping_add(j)),
+                    CycleEngine::Parallel(ctx.claimable_threads()),
+                )
                 .unwrap();
             assert!(out.verified);
             (out.cycles, out.breakdown, out.instructions)
@@ -125,12 +135,20 @@ fn ber_batch_matches_phy_sweep() {
 }
 
 #[test]
-fn mc_symbols_parallel_is_worker_count_invariant() {
+fn pooled_symbol_batch_is_worker_count_invariant() {
     let config = BatchConfig { n: 4, precision: Precision::Half16, nsc: 4, seed: 11, unroll: 2 };
-    let (_, one) = experiments::mc_symbols_parallel(&config, 5, 1).unwrap();
+    // Five symbols over one scenario, recycling memory through a pool.
+    let symbols = |workers: usize| {
+        let scenario = SymbolScenario::prepare(&config).unwrap();
+        let pool = MemPool::new(Arc::clone(scenario.artifacts()));
+        BatchRunner::with_workers(workers).run_pooled_in(&pool, (0..5u32).collect(), |ctx, sym| {
+            scenario.run(&JobSpec::in_batch(ctx, config.seed.wrapping_add(u64::from(sym)))).unwrap()
+        })
+    };
+    let one = symbols(1);
     let keys: Vec<_> = one.iter().map(symbol_key).collect();
     for threads in [2usize, 4] {
-        let (_, many) = experiments::mc_symbols_parallel(&config, 5, threads).unwrap();
+        let many = symbols(threads);
         assert_eq!(many.iter().map(symbol_key).collect::<Vec<_>>(), keys, "diverged at {threads} workers");
     }
     assert!(one.iter().all(|o| o.verified));

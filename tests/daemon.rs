@@ -8,7 +8,7 @@ use terasim::daemon::{
     open_loop, standard_mix, ArtifactCache, CachedScenario, Daemon, DaemonConfig, Rejected, ServeError,
     ServeRequest, ServeResponse,
 };
-use terasim::experiments::{self, BatchConfig};
+use terasim::experiments::{self, BatchConfig, JobSpec};
 use terasim::faults;
 use terasim::serve::{BatchRunner, JobError, RunPolicy};
 use terasim_kernels::Precision;
@@ -38,7 +38,9 @@ fn daemon_served_symbols_match_fresh_serial_at_every_worker_count() {
         .map(|j| {
             let mut c = config;
             c.seed = config.seed.wrapping_add(j);
-            symbol_key(&experiments::mc_symbol_single(&c).unwrap())
+            symbol_key(
+                &experiments::SymbolScenario::prepare(&c).unwrap().run(&JobSpec::seeded(c.seed)).unwrap(),
+            )
         })
         .collect();
     assert!(serial.iter().all(|k| k.2), "fresh reference runs must verify");
@@ -180,18 +182,18 @@ fn quarantine_accounting_survives_cache_eviction() {
     let config = scenario(4, 4, 9);
     let scenario_handle = experiments::SymbolScenario::prepare(&config).unwrap();
     let policy = RunPolicy::new();
-    let out = BatchRunner::with_workers(1).try_run_pooled_in(&policy, cached.pool(), (0..2u32).collect(), {
+    let out = BatchRunner::with_workers(1).try_run(&policy, Some(cached.pool()), (0..2u32).collect(), {
         let pool = cached.pool();
-        move |ctx, &j| {
+        move |_ctx, &j| {
             if j == 0 {
                 let _sim = terasim_terapool::FastSim::from_pool(pool);
                 faults::inject_panic(0);
             }
             // The cached pool's artifacts differ from this ad-hoc
-            // scenario's (separate builds), so the job falls back to
-            // fresh memory for the run itself — the quarantine above is
+            // scenario's (separate builds), so the job runs on fresh
+            // memory, not on the batch's pool — the quarantine above is
             // what this test is about.
-            scenario_handle.try_run_symbol(ctx, config.seed.wrapping_add(u64::from(j)))
+            scenario_handle.run(&JobSpec::seeded(config.seed.wrapping_add(u64::from(j))))
         }
     });
     assert!(
@@ -245,7 +247,10 @@ fn eviction_keeps_arenas_and_changes_no_result() {
         for seed in 0..rounds {
             for template in [a, b] {
                 let config = ParallelConfig { seed, ..template };
-                let fresh = experiments::parallel_fast(&config, 1).unwrap();
+                let fresh = experiments::ParallelScenario::prepare(&config)
+                    .unwrap()
+                    .run_fast(&JobSpec::seeded(config.seed), 1, None)
+                    .unwrap();
                 let done = daemon.submit(ServeRequest::Fast { config }).expect("admitted").wait();
                 let ServeResponse::Fast(served) = done.response.expect("healthy request") else {
                     panic!("fast request returned another family");

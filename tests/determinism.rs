@@ -2,7 +2,7 @@
 //! "deterministic behavior" — identical results regardless of host thread
 //! count, run repetition, or backend.
 
-use terasim::experiments::{self, ParallelConfig};
+use terasim::experiments::{CycleEngine, JobSpec, ParallelConfig, ParallelScenario};
 use terasim_kernels::{data, MmseKernel, Precision};
 use terasim_phy::{ChannelKind, Mimo, Modulation, TxGenerator};
 use terasim_terapool::{FastSim, Topology};
@@ -40,12 +40,14 @@ fn thread_count_does_not_change_results() {
 #[test]
 fn repeated_runs_identical_cycles() {
     let config = ParallelConfig { cores: 8, n: 4, precision: Precision::WDotp16, seed: 55, unroll: 2 };
-    let a = experiments::parallel_fast(&config, 2).unwrap();
-    let b = experiments::parallel_fast(&config, 1).unwrap();
+    let scenario = ParallelScenario::prepare(&config).unwrap();
+    let job = JobSpec::seeded(config.seed);
+    let a = scenario.run_fast(&job, 2, None).unwrap();
+    let b = scenario.run_fast(&job, 1, None).unwrap();
     assert_eq!(a.cluster_cycles, b.cluster_cycles, "cycle estimate must not depend on host threads");
     assert_eq!(a.instructions, b.instructions);
-    let c1 = experiments::parallel_cycle(&config).unwrap();
-    let c2 = experiments::parallel_cycle(&config).unwrap();
+    let c1 = scenario.run_cycle(&job, CycleEngine::EventDriven).unwrap();
+    let c2 = scenario.run_cycle(&job, CycleEngine::EventDriven).unwrap();
     assert_eq!(c1.cycles, c2.cycles);
     assert_eq!(c1.breakdown.stall_lsu, c2.breakdown.stall_lsu);
 }
@@ -93,7 +95,10 @@ fn seeds_change_data_but_not_instruction_count_much() {
     // Control flow is data-independent (no data-dependent branches in the
     // kernel), so the retired instruction count is identical across seeds.
     let mk = |seed| ParallelConfig { cores: 8, n: 4, precision: Precision::Half16, seed, unroll: 2 };
-    let a = experiments::parallel_fast(&mk(1), 2).unwrap();
-    let b = experiments::parallel_fast(&mk(2), 2).unwrap();
+    let fast = |seed| {
+        ParallelScenario::prepare(&mk(seed)).unwrap().run_fast(&JobSpec::seeded(seed), 2, None).unwrap()
+    };
+    let a = fast(1);
+    let b = fast(2);
     assert_eq!(a.instructions, b.instructions, "kernel control flow is data-independent");
 }

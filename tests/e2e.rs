@@ -1,7 +1,9 @@
 //! End-to-end integration: PHY → kernel codegen → cluster simulation →
 //! detection quality, across backends.
 
-use terasim::experiments::{self, BatchConfig, ParallelConfig};
+use terasim::experiments::{
+    self, BatchConfig, CycleEngine, JobSpec, ParallelConfig, ParallelScenario, SymbolScenario,
+};
 use terasim::DetectorKind;
 use terasim_kernels::{data, MmseKernel, Precision};
 use terasim_phy::{ChannelKind, Mimo, Modulation, TxGenerator};
@@ -49,8 +51,10 @@ fn fast_and_cycle_backends_bit_identical() {
 fn timing_estimate_within_band() {
     for (n, precision) in [(4, Precision::CDotp16), (8, Precision::Half16)] {
         let config = ParallelConfig { cores: 16, n, precision, seed: 5, unroll: 2 };
-        let fast = experiments::parallel_fast(&config, 2).unwrap();
-        let cycle = experiments::parallel_cycle(&config).unwrap();
+        let scenario = ParallelScenario::prepare(&config).unwrap();
+        let job = JobSpec::seeded(config.seed);
+        let fast = scenario.run_fast(&job, 2, None).unwrap();
+        let cycle = scenario.run_cycle(&job, CycleEngine::EventDriven).unwrap();
         let ratio = fast.cluster_cycles as f64 / cycle.cycles as f64;
         assert!(
             (0.4..2.5).contains(&ratio),
@@ -98,21 +102,25 @@ fn iss_and_native_detectors_equal_ber() {
 /// problem's instructions and its cycle estimate scales linearly.
 #[test]
 fn batching_scales_linearly() {
-    let one = experiments::mc_symbol_single(&BatchConfig {
+    let one = SymbolScenario::prepare(&BatchConfig {
         n: 4,
         precision: Precision::WDotp16,
         nsc: 2,
         seed: 1,
         unroll: 2,
     })
+    .unwrap()
+    .run(&JobSpec::seeded(1))
     .unwrap();
-    let four = experiments::mc_symbol_single(&BatchConfig {
+    let four = SymbolScenario::prepare(&BatchConfig {
         n: 4,
         precision: Precision::WDotp16,
         nsc: 8,
         seed: 1,
         unroll: 2,
     })
+    .unwrap()
+    .run(&JobSpec::seeded(1))
     .unwrap();
     let ratio = four.instructions as f64 / one.instructions as f64;
     assert!((3.5..4.5).contains(&ratio), "instructions ratio {ratio}");
@@ -125,7 +133,9 @@ fn batching_scales_linearly() {
 fn cycle_count_orderings() {
     let cores = 8;
     let run = |n, precision| {
-        experiments::parallel_cycle(&ParallelConfig { cores, n, precision, seed: 2, unroll: 2 })
+        ParallelScenario::prepare(&ParallelConfig { cores, n, precision, seed: 2, unroll: 2 })
+            .unwrap()
+            .run_cycle(&JobSpec::seeded(2), CycleEngine::EventDriven)
             .unwrap()
             .cycles
     };

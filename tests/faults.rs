@@ -5,15 +5,17 @@
 //! and unpooled, on both backends. The injected guests are real programs
 //! run through the real engines (see [`terasim::faults`]).
 
+use std::sync::Arc;
+
 use terasim::experiments::{
-    self, BatchConfig, CycleEngine, ParallelConfig, ParallelScenario, SymbolScenario,
+    self, BatchConfig, CycleEngine, JobSpec, ParallelConfig, ParallelScenario, SymbolScenario,
 };
 use terasim::faults::{self, Fault, FaultPlan};
 use terasim::serve::{BatchRunner, JobError, RunPolicy};
 use terasim::CancelToken;
 use terasim_iss::Trap;
 use terasim_kernels::Precision;
-use terasim_terapool::Topology;
+use terasim_terapool::{MemPool, SimArtifacts, Topology};
 
 /// Per-job fingerprint of a fast-mode symbol run.
 fn symbol_key(o: &experiments::BatchOutcome) -> (u64, u64, bool) {
@@ -27,7 +29,7 @@ fn serial_symbols(config: &BatchConfig, jobs: u32) -> Vec<(u64, u64, bool)> {
         .map(|j| {
             let mut c = *config;
             c.seed = config.seed.wrapping_add(u64::from(j));
-            symbol_key(&experiments::mc_symbol_single(&c).unwrap())
+            symbol_key(&SymbolScenario::prepare(&c).unwrap().run(&JobSpec::seeded(c.seed)).unwrap())
         })
         .collect()
 }
@@ -56,25 +58,25 @@ fn injected_faults_surface_at_their_indices_and_nowhere_else() {
         match plan.fault(j as usize) {
             Some(Fault::Panic) => faults::inject_panic(j as usize),
             Some(Fault::Trap) => Err(faults::run_fault_guest_fast(&trap_arts, 1)),
-            Some(Fault::BudgetExhaust { budget }) => {
-                scenario.try_run_symbol_with(ctx, seed, Some(budget)).map(|o| symbol_key(&o))
-            }
+            Some(Fault::BudgetExhaust { budget }) => scenario
+                .run(&JobSpec { budget: Some(budget), ..JobSpec::in_batch(ctx, seed) })
+                .map(|o| symbol_key(&o)),
             Some(Fault::Slow { spins }) => {
                 faults::spin(spins);
-                scenario.try_run_symbol(ctx, seed).map(|o| symbol_key(&o))
+                scenario.run(&JobSpec::in_batch(ctx, seed)).map(|o| symbol_key(&o))
             }
-            Some(Fault::Deadlock) | None => scenario.try_run_symbol(ctx, seed).map(|o| symbol_key(&o)),
+            Some(Fault::Deadlock) | None => {
+                scenario.run(&JobSpec::in_batch(ctx, seed)).map(|o| symbol_key(&o))
+            }
         }
     };
 
     for workers in [1usize, 2, 4, 7] {
         for pooled in [false, true] {
             let runner = BatchRunner::with_workers(workers);
-            let out = if pooled {
-                runner.try_run_pooled(scenario.artifacts(), (0..jobs).collect(), |ctx, &j| job(ctx, j))
-            } else {
-                runner.try_run((0..jobs).collect(), |ctx, &j| job(ctx, j))
-            };
+            let pool = pooled.then(|| MemPool::new(Arc::clone(scenario.artifacts())));
+            let out =
+                runner.try_run(&RunPolicy::new(), pool.as_ref(), (0..jobs).collect(), |ctx, &j| job(ctx, j));
             let tag = format!("{workers} workers, pooled={pooled}");
 
             assert_eq!(
@@ -122,14 +124,14 @@ fn deadlocked_guest_fails_its_own_index_with_correct_neighbours() {
                         faults::run_fault_guest_fast(&deadlock_arts, 4)
                     });
                 }
-                scenario.try_run_symbol(ctx, config.seed.wrapping_add(u64::from(j))).map(|o| symbol_key(&o))
+                scenario
+                    .run(&JobSpec::in_batch(ctx, config.seed.wrapping_add(u64::from(j))))
+                    .map(|o| symbol_key(&o))
             };
             let runner = BatchRunner::with_workers(workers);
-            let out = if pooled {
-                runner.try_run_pooled(scenario.artifacts(), (0..jobs).collect(), |ctx, &j| job(ctx, j))
-            } else {
-                runner.try_run((0..jobs).collect(), |ctx, &j| job(ctx, j))
-            };
+            let pool = pooled.then(|| MemPool::new(Arc::clone(scenario.artifacts())));
+            let out =
+                runner.try_run(&RunPolicy::new(), pool.as_ref(), (0..jobs).collect(), |ctx, &j| job(ctx, j));
             let tag = format!("{workers} workers, pooled={pooled}");
             assert_eq!(
                 out[deadlock_at],
@@ -158,26 +160,31 @@ fn cycle_batch_with_injected_faults_is_bit_identical_elsewhere() {
         .map(|j| {
             let mut c = config;
             c.seed = config.seed.wrapping_add(j);
-            let out = experiments::parallel_cycle_with_engine(&c, CycleEngine::EventDriven).unwrap();
+            let out = ParallelScenario::prepare(&c)
+                .unwrap()
+                .run_cycle(&JobSpec::seeded(c.seed), CycleEngine::EventDriven)
+                .unwrap();
             (out.cycles, out.instructions, out.verified)
         })
         .collect();
 
     let scenario = ParallelScenario::prepare(&config).unwrap();
     let trap_arts = faults::trap_artifacts(Topology::scaled(8));
+    let policy = RunPolicy::new();
     for workers in [1usize, 2] {
-        let out = BatchRunner::with_workers(workers).try_run((0..jobs).collect(), |ctx, &j| {
-            let seed = config.seed.wrapping_add(j);
-            match plan.fault(j as usize) {
-                Some(Fault::Trap) => Err(faults::run_fault_guest_cycle(&trap_arts, 1)),
-                Some(Fault::BudgetExhaust { budget }) => scenario
-                    .try_run_cycle_with(ctx, CycleEngine::EventDriven, seed, Some(budget))
-                    .map(|o| (o.cycles, o.instructions, o.verified)),
-                _ => scenario
-                    .try_run_cycle(ctx, CycleEngine::EventDriven, seed)
-                    .map(|o| (o.cycles, o.instructions, o.verified)),
-            }
-        });
+        let out =
+            BatchRunner::with_workers(workers).try_run(&policy, None, (0..jobs).collect(), |ctx, &j| {
+                let job = JobSpec::in_batch(ctx, config.seed.wrapping_add(j));
+                match plan.fault(j as usize) {
+                    Some(Fault::Trap) => Err(faults::run_fault_guest_cycle(&trap_arts, 1)),
+                    Some(Fault::BudgetExhaust { budget }) => scenario
+                        .run_cycle(&JobSpec { budget: Some(budget), ..job }, CycleEngine::EventDriven)
+                        .map(|o| (o.cycles, o.instructions, o.verified)),
+                    _ => scenario
+                        .run_cycle(&job, CycleEngine::EventDriven)
+                        .map(|o| (o.cycles, o.instructions, o.verified)),
+                }
+            });
         assert_eq!(out[1], Err(JobError::Trap(Trap::IllegalFetch { pc: 0 })), "{workers} workers");
         assert_eq!(out[2], Err(JobError::BudgetExhausted { budget: 100 }), "{workers} workers");
         for i in [0usize, 3] {
@@ -189,7 +196,8 @@ fn cycle_batch_with_injected_faults_is_bit_identical_elsewhere() {
 /// A too-small per-job instruction budget surfaces as the same
 /// [`JobError::BudgetExhausted`] on the fast backend and on all three
 /// cycle-engine schedulers — the safety net is part of the architectural
-/// contract, not a scheduler accident.
+/// contract, not a scheduler accident. And `JobSpec::in_batch` carries
+/// exactly the batch's inputs into each of the three job bodies.
 #[test]
 fn budget_exhaustion_is_backend_and_engine_invariant() {
     let config = ParallelConfig { cores: 8, n: 4, precision: Precision::Half16, seed: 7, unroll: 2 };
@@ -197,13 +205,14 @@ fn budget_exhaustion_is_backend_and_engine_invariant() {
     let budget = 200u64;
     let policy = RunPolicy::new().with_budget(budget);
 
-    let out = BatchRunner::with_workers(2).try_run_with(&policy, (0..4u32).collect(), |ctx, &j| {
+    let out = BatchRunner::with_workers(2).try_run(&policy, None, (0..4u32).collect(), |ctx, &j| {
+        // The policy's budget reaches every engine through `JobCtx`.
+        let job = JobSpec::in_batch(ctx, config.seed);
         match j {
-            // The policy's budget reaches every engine through `JobCtx`.
-            0 => scenario.try_run_fast(ctx, 1, config.seed).map(|o| o.instructions),
-            1 => scenario.try_run_cycle(ctx, CycleEngine::EventDriven, config.seed).map(|o| o.instructions),
-            2 => scenario.try_run_cycle(ctx, CycleEngine::NaiveScan, config.seed).map(|o| o.instructions),
-            _ => scenario.try_run_cycle(ctx, CycleEngine::Parallel(2), config.seed).map(|o| o.instructions),
+            0 => scenario.run_fast(&job, 1, None).map(|o| o.instructions),
+            1 => scenario.run_cycle(&job, CycleEngine::EventDriven).map(|o| o.instructions),
+            2 => scenario.run_cycle(&job, CycleEngine::NaiveScan).map(|o| o.instructions),
+            _ => scenario.run_cycle(&job, CycleEngine::Parallel(2)).map(|o| o.instructions),
         }
     });
     for (i, r) in out.iter().enumerate() {
@@ -211,15 +220,53 @@ fn budget_exhaustion_is_backend_and_engine_invariant() {
     }
 
     // And with a per-job override lifting the budget, the same jobs pass.
-    let ok = BatchRunner::with_workers(2).try_run_with(&policy, (0..2u32).collect(), |ctx, &j| match j {
-        0 => scenario.try_run_fast_with(ctx, 1, config.seed, None).map(|o| o.instructions),
-        _ => scenario
-            .try_run_cycle_with(ctx, CycleEngine::EventDriven, config.seed, None)
-            .map(|o| o.instructions),
+    let ok = BatchRunner::with_workers(2).try_run(&policy, None, (0..2u32).collect(), |ctx, &j| {
+        let job = JobSpec { budget: None, ..JobSpec::in_batch(ctx, config.seed) };
+        match j {
+            0 => scenario.run_fast(&job, 1, None).map(|o| o.instructions),
+            _ => scenario.run_cycle(&job, CycleEngine::EventDriven).map(|o| o.instructions),
+        }
     });
     let fast = ok[0].as_ref().expect("unbudgeted fast job completes");
     let cycle = ok[1].as_ref().expect("unbudgeted cycle job completes");
     assert_eq!(fast, cycle, "backends retire the same instruction count");
+
+    // On each job body, the policy's budget through `JobSpec::in_batch`
+    // fails the job exactly as the same budget set on the spec does, and
+    // a healthy job through `in_batch`, pooled or not, is bit-identical
+    // to one given only its seed.
+    let symbol_config = BatchConfig { n: 4, precision: Precision::Half16, nsc: 2, seed: 7, unroll: 2 };
+    let symbol = SymbolScenario::prepare(&symbol_config).unwrap();
+    type Body<'a> = dyn Fn(&JobSpec) -> Result<(u64, u64, bool), JobError> + Sync + 'a;
+    let bodies: [(&str, &Arc<SimArtifacts>, &Body); 3] = [
+        ("symbol", symbol.artifacts(), &|job| {
+            symbol.run(job).map(|o| (o.cycles, o.instructions, o.verified))
+        }),
+        ("fast", scenario.artifacts(), &|job| {
+            scenario.run_fast(job, 1, None).map(|o| (o.cluster_cycles, o.instructions, o.verified))
+        }),
+        ("cycle", scenario.artifacts(), &|job| {
+            scenario.run_cycle(job, CycleEngine::EventDriven).map(|o| (o.cycles, o.instructions, o.verified))
+        }),
+    ];
+    let healthy = RunPolicy::new();
+    for (name, arts, body) in bodies {
+        let direct = body(&JobSpec { budget: Some(budget), ..JobSpec::seeded(config.seed) });
+        assert_eq!(direct, Err(JobError::BudgetExhausted { budget }), "{name}: budget on the spec");
+        let batched = BatchRunner::with_workers(1)
+            .try_run(&policy, None, vec![config.seed], |ctx, &s| body(&JobSpec::in_batch(ctx, s)));
+        assert_eq!(batched[0], direct, "{name}: budget from the batch policy");
+
+        let alone = body(&JobSpec::seeded(config.seed)).expect("healthy job completes");
+        assert!(alone.2, "{name}: healthy job verifies");
+        let pool = MemPool::new(Arc::clone(arts));
+        for pool in [None, Some(&pool)] {
+            let batched =
+                BatchRunner::with_workers(1)
+                    .try_run(&healthy, pool, vec![config.seed], |ctx, &s| body(&JobSpec::in_batch(ctx, s)));
+            assert_eq!(batched[0], Ok(alone), "{name}: in_batch (pooled={}) vs seed only", pool.is_some());
+        }
+    }
 }
 
 /// Cooperative cancellation: raising the batch token while a job is in
@@ -235,17 +282,18 @@ fn cancelling_mid_batch_abandons_running_and_pending_jobs() {
         let cancel = CancelToken::new();
         let policy = RunPolicy::new().with_cancel(cancel.clone());
         let trigger = cancel.clone();
-        let out = BatchRunner::with_workers(1).try_run_with(&policy, (0..4u32).collect(), |ctx, &j| {
+        let out = BatchRunner::with_workers(1).try_run(&policy, None, (0..4u32).collect(), |ctx, &j| {
             if j == 1 {
                 // Raised while job 1 is already past the dispatch check:
                 // the engine itself must notice at its next safe point.
                 trigger.cancel();
             }
             let seed = config.seed.wrapping_add(u64::from(j));
+            let job = JobSpec::in_batch(ctx, seed);
             if cycle_backend {
-                scenario.try_run_cycle(ctx, CycleEngine::EventDriven, seed).map(|o| o.instructions)
+                scenario.run_cycle(&job, CycleEngine::EventDriven).map(|o| o.instructions)
             } else {
-                scenario.try_run_fast(ctx, 1, seed).map(|o| o.instructions)
+                scenario.run_fast(&job, 1, None).map(|o| o.instructions)
             }
         });
         assert!(out[0].is_ok(), "job 0 completed before the cancel (cycle={cycle_backend})");
@@ -266,20 +314,20 @@ fn panicked_jobs_quarantine_their_arena() {
 
     // One lane: jobs run strictly in submission order, so job 2 observes
     // the pool exactly one panic and one healthy run later.
-    let out =
-        BatchRunner::with_workers(1).try_run_pooled(scenario.artifacts(), (0..3u32).collect(), |ctx, &j| {
-            let pool = ctx.pool().expect("pooled batch");
-            if j == 0 {
-                // Panic while holding a pooled simulator: the unwind runs
-                // its drop, which must quarantine — not recycle — the arena.
-                let _sim = terasim_terapool::FastSim::from_pool(pool);
-                faults::inject_panic(0);
-            }
-            let key = scenario
-                .try_run_symbol(ctx, config.seed.wrapping_add(u64::from(j)))
-                .map(|o| symbol_key(&o))?;
-            Ok((key, pool.stats().quarantined))
-        });
+    let (policy, pool) = (RunPolicy::new(), MemPool::new(Arc::clone(scenario.artifacts())));
+    let out = BatchRunner::with_workers(1).try_run(&policy, Some(&pool), (0..3u32).collect(), |ctx, &j| {
+        let pool = ctx.pool().expect("pooled batch");
+        if j == 0 {
+            // Panic while holding a pooled simulator: the unwind runs
+            // its drop, which must quarantine — not recycle — the arena.
+            let _sim = terasim_terapool::FastSim::from_pool(pool);
+            faults::inject_panic(0);
+        }
+        let key = scenario
+            .run(&JobSpec::in_batch(ctx, config.seed.wrapping_add(u64::from(j))))
+            .map(|o| symbol_key(&o))?;
+        Ok((key, pool.stats().quarantined))
+    });
 
     assert_eq!(out[0], Err(JobError::Panicked { payload: faults::panic_payload(0) }));
     let (key1, quarantined1) = out[1].clone().expect("job 1 healthy");
@@ -287,4 +335,38 @@ fn panicked_jobs_quarantine_their_arena() {
     assert_eq!(key1, serial[1], "job 1 bit-identical on a fresh (post-quarantine) arena");
     assert_eq!(key2, serial[2], "job 2 bit-identical on the recycled arena");
     assert_eq!((quarantined1, quarantined2), (1, 1), "exactly the panicked job's arena was quarantined");
+}
+
+/// One pool rule for every job body: a pool built over another artifact
+/// set is a caller bug. The `run_*_pooled` adapters panic on it, and a
+/// supervised batch carrying such a pool reports the job as
+/// [`JobError::Panicked`] without handing out an arena.
+#[test]
+fn a_pool_over_other_artifacts_is_rejected_by_every_runner() {
+    let config = BatchConfig { n: 4, precision: Precision::CDotp16, nsc: 2, seed: 4, unroll: 2 };
+    let symbol = SymbolScenario::prepare(&config).unwrap();
+    // A second build of the same scenario: equal content, other artifacts.
+    let other = MemPool::new(Arc::clone(SymbolScenario::prepare(&config).unwrap().artifacts()));
+    let cluster_config = ParallelConfig { cores: 8, n: 4, precision: Precision::Half16, seed: 4, unroll: 2 };
+    let cluster = ParallelScenario::prepare(&cluster_config).unwrap();
+    let want = "pool built over a different scenario";
+
+    let adapters: [(&str, &dyn Fn()); 3] = [
+        ("symbol", &|| drop(symbol.run_symbol_pooled(&other, 1))),
+        ("fast", &|| drop(cluster.run_fast_pooled(&other, 1, 1))),
+        ("cycle", &|| drop(cluster.run_cycle_pooled(&other, CycleEngine::EventDriven, 1))),
+    ];
+    for (name, adapter) in adapters {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(adapter))
+            .expect_err("a mismatched pool must panic");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&want), "{name} adapter");
+    }
+
+    let out =
+        BatchRunner::with_workers(1).try_run(&RunPolicy::new(), Some(&other), vec![1u64], |ctx, &seed| {
+            cluster.run_fast(&JobSpec::in_batch(ctx, seed), 1, None)
+        });
+    assert_eq!(out[0].as_ref().err(), Some(&JobError::Panicked { payload: want.into() }));
+    let stats = other.stats();
+    assert_eq!(stats.fresh + stats.recycled, 0, "a rejected pool hands out no arena");
 }

@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 
-use terasim::experiments::{self, BatchConfig, SymbolScenario};
+use terasim::experiments::{self, BatchConfig, JobSpec, SymbolScenario};
 use terasim::faults;
 use terasim::serve::{BatchRunner, JobError};
 use terasim_iss::{
@@ -23,7 +23,7 @@ use terasim_iss::{
 use terasim_kernels::{data, native, MmseKernel, Precision, C64};
 use terasim_phy::{ChannelKind, Mimo, Modulation, TxGenerator};
 use terasim_riscv::{csr, AmoOp, Assembler, Image, Inst, Reg, Segment};
-use terasim_terapool::{ClusterResult, FastSim, SimArtifacts, Topology};
+use terasim_terapool::{ClusterResult, FastSim, MemPool, SimArtifacts, Topology};
 
 // --- ISS level: seed interpreter vs per-instruction loop vs blocks -----
 
@@ -345,7 +345,8 @@ fn symbol_batches_match_the_per_instruction_loop_at_every_worker_count() {
         for pooled in [false, true] {
             let runner = BatchRunner::with_workers(workers);
             let keys: Vec<(u64, u64, bool)> = if pooled {
-                runner.run_pooled(scenario.artifacts(), (0..jobs).collect(), |ctx, j| {
+                let pool = MemPool::new(Arc::clone(scenario.artifacts()));
+                runner.run_pooled_in(&pool, (0..jobs).collect(), |ctx, j| {
                     scenario
                         .run_symbol_pooled(
                             ctx.pool().expect("pooled batch"),
@@ -357,7 +358,7 @@ fn symbol_batches_match_the_per_instruction_loop_at_every_worker_count() {
             } else {
                 runner.run((0..jobs).collect(), |_ctx, j| {
                     scenario
-                        .run_symbol(config.seed.wrapping_add(u64::from(j)))
+                        .run(&JobSpec::seeded(config.seed.wrapping_add(u64::from(j))))
                         .map(|o| symbol_key(&o))
                         .map_err(|e| e.to_string())
                 })

@@ -4,12 +4,15 @@
 //! (hence every recycling order and dirty history), on both backends and
 //! for ISS-in-the-loop BER batches.
 
+use std::sync::Arc;
+
 use terasim::experiments::{
-    self, BatchConfig, CycleEngine, ParallelConfig, ParallelScenario, SymbolScenario,
+    self, BatchConfig, CycleEngine, JobSpec, ParallelConfig, ParallelScenario, SymbolScenario,
 };
 use terasim::serve::BatchRunner;
 use terasim::DetectorKind;
 use terasim_kernels::Precision;
+use terasim_terapool::MemPool;
 
 /// Per-job fingerprint of a fast-mode symbol run.
 fn symbol_key(o: &experiments::BatchOutcome) -> (u64, u64, bool) {
@@ -27,21 +30,18 @@ fn pooled_fast_symbol_batch_matches_fresh_serial_rebuilds() {
         .map(|j| {
             let mut c = config;
             c.seed = config.seed.wrapping_add(u64::from(j));
-            symbol_key(&experiments::mc_symbol_single(&c).unwrap())
+            symbol_key(&SymbolScenario::prepare(&c).unwrap().run(&JobSpec::seeded(c.seed)).unwrap())
         })
         .collect();
     assert!(serial.iter().all(|k| k.2), "fresh reference runs must verify");
 
     let scenario = SymbolScenario::prepare(&config).unwrap();
     for workers in [1usize, 2, 4, 7] {
-        let batch = BatchRunner::with_workers(workers).run_pooled(
-            scenario.artifacts(),
-            (0..jobs).collect(),
-            |ctx, j| {
-                let pool = ctx.pool().expect("pooled batch");
-                symbol_key(&scenario.run_symbol_pooled(pool, config.seed.wrapping_add(u64::from(j))).unwrap())
-            },
-        );
+        let pool = MemPool::new(Arc::clone(scenario.artifacts()));
+        let batch = BatchRunner::with_workers(workers).run_pooled_in(&pool, (0..jobs).collect(), |ctx, j| {
+            let pool = ctx.pool().expect("pooled batch");
+            symbol_key(&scenario.run_symbol_pooled(pool, config.seed.wrapping_add(u64::from(j))).unwrap())
+        });
         assert_eq!(batch, serial, "pooled fast batch diverged at {workers} workers");
     }
 }
@@ -59,7 +59,10 @@ fn pooled_cycle_batch_matches_fresh_on_multi_group_topology() {
         .map(|j| {
             let mut c = config;
             c.seed = config.seed.wrapping_add(j);
-            let out = experiments::parallel_cycle_with_engine(&c, CycleEngine::EventDriven).unwrap();
+            let out = ParallelScenario::prepare(&c)
+                .unwrap()
+                .run_cycle(&JobSpec::seeded(c.seed), CycleEngine::EventDriven)
+                .unwrap();
             assert!(out.verified);
             (out.cycles, out.breakdown, out.instructions)
         })
@@ -67,22 +70,19 @@ fn pooled_cycle_batch_matches_fresh_on_multi_group_topology() {
 
     let scenario = ParallelScenario::prepare(&config).unwrap();
     for workers in [1usize, 2, 4, 7] {
-        let batch = BatchRunner::with_workers(workers).run_pooled(
-            scenario.artifacts(),
-            (0..jobs).collect(),
-            |ctx, j| {
-                let pool = ctx.pool().expect("pooled batch");
-                let out = scenario
-                    .run_cycle_pooled(
-                        pool,
-                        CycleEngine::Parallel(ctx.claimable_threads()),
-                        config.seed.wrapping_add(j),
-                    )
-                    .unwrap();
-                assert!(out.verified);
-                (out.cycles, out.breakdown, out.instructions)
-            },
-        );
+        let pool = MemPool::new(Arc::clone(scenario.artifacts()));
+        let batch = BatchRunner::with_workers(workers).run_pooled_in(&pool, (0..jobs).collect(), |ctx, j| {
+            let pool = ctx.pool().expect("pooled batch");
+            let out = scenario
+                .run_cycle_pooled(
+                    pool,
+                    CycleEngine::Parallel(ctx.claimable_threads()),
+                    config.seed.wrapping_add(j),
+                )
+                .unwrap();
+            assert!(out.verified);
+            (out.cycles, out.breakdown, out.instructions)
+        });
         assert_eq!(batch, serial, "pooled cycle batch diverged at {workers} workers");
     }
 }
@@ -97,24 +97,22 @@ fn pooled_parallel_fast_batch_matches_fresh_serial() {
         .map(|j| {
             let mut c = config;
             c.seed = config.seed.wrapping_add(j);
-            let out = experiments::parallel_fast(&c, 1).unwrap();
+            let out =
+                ParallelScenario::prepare(&c).unwrap().run_fast(&JobSpec::seeded(c.seed), 1, None).unwrap();
             assert!(out.verified);
             (out.cluster_cycles, out.instructions)
         })
         .collect();
     let scenario = ParallelScenario::prepare(&config).unwrap();
     for workers in [1usize, 2, 4, 7] {
-        let batch = BatchRunner::with_workers(workers).run_pooled(
-            scenario.artifacts(),
-            (0..jobs).collect(),
-            |ctx, j| {
-                let out = scenario
-                    .run_fast_pooled(ctx.pool().expect("pooled batch"), 1, config.seed.wrapping_add(j))
-                    .unwrap();
-                assert!(out.verified);
-                (out.cluster_cycles, out.instructions)
-            },
-        );
+        let pool = MemPool::new(Arc::clone(scenario.artifacts()));
+        let batch = BatchRunner::with_workers(workers).run_pooled_in(&pool, (0..jobs).collect(), |ctx, j| {
+            let out = scenario
+                .run_fast_pooled(ctx.pool().expect("pooled batch"), 1, config.seed.wrapping_add(j))
+                .unwrap();
+            assert!(out.verified);
+            (out.cluster_cycles, out.instructions)
+        });
         assert_eq!(batch, serial, "pooled parallel fast batch diverged at {workers} workers");
     }
 }
@@ -153,22 +151,26 @@ fn pooled_iss_ber_batch_matches_fresh_detectors() {
     assert!(DetectorKind::Native(Precision::CDotp16).memory_pool(4).is_none());
 }
 
-/// `mc_symbols_parallel` now recycles memory internally; its results must
-/// stay invariant across worker counts and identical to the unpooled
-/// per-symbol path.
+/// A pooled batch of symbols over one scenario must stay invariant
+/// across worker counts and identical to the unpooled per-symbol path.
 #[test]
-fn mc_symbols_parallel_recycles_invariantly() {
+fn pooled_symbol_batch_recycles_invariantly() {
     let config = BatchConfig { n: 4, precision: Precision::Half16, nsc: 4, seed: 23, unroll: 2 };
     let scenario = SymbolScenario::prepare(&config).unwrap();
     let unpooled: Vec<_> = (0..5u32)
-        .map(|s| symbol_key(&scenario.run_symbol(config.seed.wrapping_add(u64::from(s))).unwrap()))
+        .map(|s| symbol_key(&scenario.run(&JobSpec::seeded(config.seed.wrapping_add(u64::from(s)))).unwrap()))
         .collect();
     for threads in [1usize, 3] {
-        let (_, outcomes) = experiments::mc_symbols_parallel(&config, 5, threads).unwrap();
+        // A fresh pool per batch, as the one-shot pooled batch had.
+        let pool = MemPool::new(Arc::clone(scenario.artifacts()));
+        let outcomes =
+            BatchRunner::with_workers(threads).run_pooled_in(&pool, (0..5u32).collect(), |ctx, sym| {
+                scenario.run(&JobSpec::in_batch(ctx, config.seed.wrapping_add(u64::from(sym)))).unwrap()
+            });
         assert_eq!(
             outcomes.iter().map(symbol_key).collect::<Vec<_>>(),
             unpooled,
-            "pooled mc_symbols_parallel diverged at {threads} workers"
+            "pooled symbol batch diverged at {threads} workers"
         );
     }
 }
