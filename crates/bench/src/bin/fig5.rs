@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 panic!("scenario build failed for {}x{} {}: {e}", config.n, config.n, config.precision)
             });
             // Multi-thread fast emulation (the measured Banshee side) vs the
-            // single-thread event-driven cycle reference (the QuestaSim side).
+            // single-thread cycle-accurate engine (the QuestaSim side).
             let job = JobSpec::in_batch(ctx, config.seed);
             let fast = scenario.run_fast(&job, threads, None)?;
             let cycle = scenario.run_cycle(&job, CycleEngine::EventDriven)?;

@@ -22,17 +22,33 @@ mod args;
 use args::Args;
 
 /// Unwraps a numeric flag or exits with the parse error naming the flag.
+/// The optional fourth argument is a range check: a value it rejects
+/// exits with an error naming the flag and the values it takes.
 macro_rules! flag {
     ($args:expr, $name:expr, $default:expr) => {
+        flag!($args, $name, $default, (|_| true, ""))
+    };
+    ($args:expr, $name:expr, $default:expr, $range:expr) => {{
+        let (valid, want): (fn(u32) -> bool, &str) = $range;
         match $args.get::<u32>($name, $default) {
-            Ok(v) => v,
+            Ok(v) if valid(v) => v,
+            Ok(v) => {
+                eprintln!("error: invalid value for {}: {v} (want {want})", $name);
+                return ExitCode::FAILURE;
+            }
             Err(e) => {
                 eprintln!("error: {e}");
                 return ExitCode::FAILURE;
             }
         }
-    };
+    }};
 }
+
+/// `--cores`: the cluster sizes `Topology::scaled` builds.
+const CORES: (fn(u32) -> bool, &str) =
+    (|c| c.is_power_of_two() && (8..=1024).contains(&c), "a power of two in 8..=1024");
+/// `--threads`: at least one host thread.
+const THREADS: (fn(u32) -> bool, &str) = (|t| t >= 1, "at least 1");
 
 fn parse_precision(s: &str) -> Option<Precision> {
     Precision::ALL.into_iter().find(|p| p.paper_name().eq_ignore_ascii_case(s))
@@ -75,7 +91,7 @@ fn cmd_run(args: &Args) -> ExitCode {
         return usage();
     };
     let config = ParallelConfig {
-        cores: flag!(args, "--cores", 64),
+        cores: flag!(args, "--cores", 64, CORES),
         n,
         precision,
         seed: u64::from(flag!(args, "--seed", 1)),
@@ -83,7 +99,7 @@ fn cmd_run(args: &Args) -> ExitCode {
     };
     match args.value("--backend").unwrap_or("fast") {
         "fast" => {
-            let threads = flag!(args, "--threads", 2) as usize;
+            let threads = flag!(args, "--threads", 2, THREADS) as usize;
             let job = JobSpec::seeded(config.seed);
             let run = ParallelScenario::prepare(&config)
                 .and_then(|s| s.run_fast(&job, threads, None).map_err(Into::into));
@@ -110,9 +126,11 @@ fn cmd_run(args: &Args) -> ExitCode {
             }
         }
         "cycle" => {
-            // Bit-identical at every thread count; one thread is the
-            // event-driven engine itself.
-            let threads = flag!(args, "--threads", 1) as usize;
+            // Bit-identical at every thread count; one thread is
+            // `CycleSim::run`. The engine shards by group, so it uses at
+            // most one host thread per group: report what it used.
+            let threads = flag!(args, "--threads", 1, THREADS) as usize;
+            let threads = threads.min(Topology::scaled(config.cores).num_domains() as usize);
             let job = JobSpec::seeded(config.seed);
             let run = ParallelScenario::prepare(&config)
                 .and_then(|s| s.run_cycle(&job, CycleEngine::Parallel(threads)).map_err(Into::into));
@@ -234,7 +252,7 @@ fn cmd_ber(args: &Args) -> ExitCode {
 }
 
 fn cmd_info(args: &Args) -> ExitCode {
-    let topo = Topology::scaled(flag!(args, "--cores", 1024));
+    let topo = Topology::scaled(flag!(args, "--cores", 1024, CORES));
     println!("TeraPool topology:");
     println!("  cores: {} ({} per tile)", topo.num_cores(), topo.cores_per_tile);
     println!(

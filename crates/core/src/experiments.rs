@@ -364,10 +364,10 @@ impl ParallelScenario {
 /// Which cycle-accurate scheduler to drive (see [`CycleSim`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CycleEngine {
-    /// `CycleSim::run`: the event-driven ready-queue scheduler on
-    /// single-group topologies. On multi-group topologies `run` is the
-    /// epoch-sharded engine on the calling thread, exactly
-    /// [`Parallel(1)`](CycleEngine::Parallel).
+    /// `CycleSim::run`: the epoch-sharded engine on the calling thread,
+    /// exactly [`Parallel(1)`](CycleEngine::Parallel) on every topology.
+    /// The variant stays only because callers outside this workspace
+    /// still name it.
     EventDriven,
     /// The retained full-scan reference scheduler (`CycleSim::run_naive`).
     NaiveScan,

@@ -38,9 +38,21 @@ fn misspelled_and_valueless_flags_are_rejected() {
 }
 
 #[test]
+fn out_of_range_numbers_are_rejected_before_anything_runs() {
+    assert_rejected(TSIM, "run --cores 12", "--cores");
+    assert_rejected(TSIM, "run --cores 4 --backend cycle", "--cores");
+    assert_rejected(TSIM, "run --cores 2048", "--cores");
+    assert_rejected(TSIM, "info --cores 12", "--cores");
+    assert_rejected(TSIM, "run --backend fast --threads 0", "--threads");
+    assert_rejected(TSIM, "run --backend cycle --threads 0", "--threads");
+}
+
+#[test]
 fn a_valid_cycle_run_is_accepted_and_verifies() {
     let out = run(TSIM, "run --mimo 4 --precision 16bCDotp --cores 16 --backend cycle --threads 2");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     assert!(stdout.contains("verified=true"), "{stdout}");
+    // 16 cores are one group, so the engine runs one host thread.
+    assert!(stdout.contains("on 1 host threads"), "the thread count actually used: {stdout}");
 }

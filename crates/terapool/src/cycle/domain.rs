@@ -15,33 +15,33 @@ use terasim_iss::Trap;
 use crate::mem::{ClusterMem, DomainBanks, XRequest};
 
 use super::reach::ReachMap;
-use super::{CoreCtx, CoreState, CycleSim, Defer, FastICache, RunTables, TurboMem};
+use super::{CoreCtx, CoreState, CycleSim, FastICache, RunTables, TurboMem};
 
 /// Wheel size in one-cycle slots (power of two; covers every short
 /// latency in the model — longer delays take the overflow heap).
 pub(super) const WHEEL_SLOTS: u64 = 256;
-pub(super) const WHEEL_MASK: u64 = WHEEL_SLOTS - 1;
+const WHEEL_MASK: u64 = WHEEL_SLOTS - 1;
 
-/// The event engines' ready queue: a calendar wheel of [`WHEEL_SLOTS`]
+/// A domain's ready queue: a calendar wheel of [`WHEEL_SLOTS`]
 /// one-cycle slots, each a core-id bitmap (iteration yields ascending
 /// ids — the naive scan's issue order — with O(1) insertion). Each
 /// non-parked, non-done core has exactly one live entry. Wake times
 /// beyond the wheel horizon (rare: deep bank-contention queues) overflow
 /// into a heap and migrate back as time advances.
-pub(super) struct Wheel {
+struct Wheel {
     /// `WHEEL_SLOTS × words` bitmap words.
     slots: Vec<u64>,
     /// Queued-core count per slot.
     counts: Vec<u32>,
     /// Total cores queued in the wheel.
-    pub(super) pending: u32,
+    pending: u32,
     overflow: BinaryHeap<Reverse<(u64, u32)>>,
     /// Bitmap words per slot (`⌈cores / 64⌉`).
-    pub(super) words: usize,
+    words: usize,
 }
 
 impl Wheel {
-    pub(super) fn new(cores: u32) -> Self {
+    fn new(cores: u32) -> Self {
         let words = (cores as usize).div_ceil(64);
         Self {
             slots: vec![0; WHEEL_SLOTS as usize * words],
@@ -54,7 +54,7 @@ impl Wheel {
 
     /// Queues `core` to issue at cycle `at` (`at ≥ now`).
     #[inline]
-    pub(super) fn push(&mut self, now: u64, at: u64, core: u32) {
+    fn push(&mut self, now: u64, at: u64, core: u32) {
         if at - now < WHEEL_SLOTS {
             let slot = (at & WHEEL_MASK) as usize;
             self.slots[slot * self.words + (core / 64) as usize] |= 1u64 << (core % 64);
@@ -67,7 +67,7 @@ impl Wheel {
 
     /// Moves overflow entries inside the `[now, now + WHEEL_SLOTS)` horizon
     /// into the wheel.
-    pub(super) fn migrate(&mut self, now: u64) {
+    fn migrate(&mut self, now: u64) {
         while let Some(&Reverse((at, core))) = self.overflow.peek() {
             if at >= now + WHEEL_SLOTS {
                 break;
@@ -78,19 +78,19 @@ impl Wheel {
     }
 
     /// Earliest wake time queued in the overflow heap.
-    pub(super) fn next_overflow(&self) -> Option<u64> {
+    fn next_overflow(&self) -> Option<u64> {
         self.overflow.peek().map(|&Reverse((at, _))| at)
     }
 
     /// Whether the slot for cycle `at` is empty.
     #[inline]
-    pub(super) fn slot_empty(&self, at: u64) -> bool {
+    fn slot_empty(&self, at: u64) -> bool {
         self.counts[(at & WHEEL_MASK) as usize] == 0
     }
 
     /// Empties the slot for cycle `now`, OR-ing its core bitmap into
     /// `cur`. No-op (and no memory traffic) when the slot is empty.
-    pub(super) fn drain_slot_into(&mut self, now: u64, cur: &mut [u64]) {
+    fn drain_slot_into(&mut self, now: u64, cur: &mut [u64]) {
         let slot = (now & WHEEL_MASK) as usize;
         let count = self.counts[slot];
         if count == 0 {
@@ -104,14 +104,13 @@ impl Wheel {
     }
 }
 
-/// One arbitration domain of the epoch-sharded engine: the event-driven
-/// scheduler of [`CycleSim::run`], scoped to the cores, tiles and banks
-/// of a single topology group. All indices below `core_base`-relative
-/// state (`ctxs`, wheel bitmaps, `parked`) are *local* core ids; the
-/// [`DomainBanks`] translate global tile/bank ids.
+/// One arbitration domain of the epoch-sharded engine: an event-driven
+/// scheduler scoped to the cores, tiles and banks of a single topology
+/// group (the whole cluster on a single-group topology). All indices
+/// below `core_base`-relative state (`ctxs`, wheel bitmaps, `parked`)
+/// are *local* core ids; the [`DomainBanks`] translate global tile/bank
+/// ids.
 pub(super) struct DomainEngine {
-    /// The group this domain simulates.
-    pub(super) domain: u32,
     /// First global core id of the domain.
     pub(super) core_base: u32,
     /// Per-core contexts (local index).
@@ -161,11 +160,11 @@ pub(super) struct DomainEngine {
 pub(super) struct WindowOpts {
     /// Base epoch length (the fixed-cadence grid unit).
     pub(super) epoch: u64,
-    /// Extended window: cores issue through the elided run step
+    /// Extended window: a solo core issues through the elided run step
     /// ([`CycleSim::issue_run`]) — straight runs of provably-local
-    /// single-cycle uops skip the scoreboard, a solo core issues each
-    /// run whole (clipped to the window end), and every other core one
-    /// uop at a time. Base windows issue every uop on the full path.
+    /// single-cycle uops skip the scoreboard and issue whole, clipped to
+    /// the window end. Every other core, and every core in a base
+    /// window, issues each uop on the full path.
     pub(super) elide: bool,
     /// Sole-active window: on the first deferred request, trim the
     /// window end back to the request's base-cadence boundary so the
@@ -190,7 +189,6 @@ impl DomainEngine {
             cur[(local / 64) as usize] |= 1u64 << (local % 64); // all issue at cycle 0
         }
         Self {
-            domain,
             core_base: lo,
             ctxs,
             icaches: (0..topo.tiles_per_group())
@@ -254,7 +252,6 @@ impl DomainEngine {
         }
 
         // Per-window invariants, hoisted out of the issue loop.
-        let mut defer = Defer { domain: self.domain, topo: sim.topology(), outbox: &mut self.outbox };
         let trim_to = |now: u64| now / opts.epoch * opts.epoch + opts.epoch;
         loop {
             // Process every core scheduled for `self.now`, in ascending
@@ -271,41 +268,47 @@ impl DomainEngine {
                         && self.wheel.pending == 0
                         && self.cur[w + 1..].iter().all(|&b| b == 0)
                         && self.wheel.next_overflow().is_none_or(|at| at >= end);
-                    // One issue, or a whole solo drive (see above). The
-                    // sole-window trim is re-applied after every solo
-                    // issue: the first deferral pulls `end` in, and the
-                    // drive stops at it.
-                    let first = ctx.stats.instructions;
-                    let issued = loop {
-                        let max_len = match (opts.elide, solo) {
-                            (false, _) => 0,
-                            (true, false) => 1,
-                            (true, true) => end - self.now,
-                        };
-                        let issued = sim.issue_run(
+                    // One issue on the full path, or a whole solo drive
+                    // (see above). The sole-window trim is re-applied
+                    // after every solo issue: the first deferral pulls
+                    // `end` in, and the drive stops at it.
+                    let issued = if !solo {
+                        sim.issue_fast(
                             ctx,
                             tables,
                             &mut self.icaches,
                             &mut self.banks,
                             self.now,
-                            max_len,
-                            Some(&mut defer),
-                        );
-                        if !solo || issued.is_err() {
-                            break issued;
-                        }
-                        if opts.trim && !defer.outbox.is_empty() {
-                            end = end.min(trim_to(self.now));
-                        }
-                        let wake = ctx.wake_at.max(self.now + 1);
-                        if ctx.state != CoreState::Ready || wake >= end {
-                            break issued;
-                        }
-                        self.now = wake;
-                    };
-                    if solo {
+                            &mut self.outbox,
+                        )
+                    } else {
+                        let first = ctx.stats.instructions;
+                        let issued = loop {
+                            let max_len = if opts.elide { end - self.now } else { 0 };
+                            let issued = sim.issue_run(
+                                ctx,
+                                tables,
+                                &mut self.icaches,
+                                &mut self.banks,
+                                self.now,
+                                max_len,
+                                &mut self.outbox,
+                            );
+                            if issued.is_err() {
+                                break issued;
+                            }
+                            if opts.trim && !self.outbox.is_empty() {
+                                end = end.min(trim_to(self.now));
+                            }
+                            let wake = ctx.wake_at.max(self.now + 1);
+                            if ctx.state != CoreState::Ready || wake >= end {
+                                break issued;
+                            }
+                            self.now = wake;
+                        };
                         self.solo_instructions += ctx.stats.instructions - first;
-                    }
+                        issued
+                    };
                     if let Err(trap) = issued {
                         self.trap = Some((self.now, self.core_base + local, trap));
                         return self.now;
@@ -334,7 +337,7 @@ impl DomainEngine {
             // use, so the first one shrinks the window back to its
             // issue cycle's boundary. (Multi-active extended windows
             // never defer — the epoch driver's horizon guarantees it.)
-            if opts.trim && !defer.outbox.is_empty() {
+            if opts.trim && !self.outbox.is_empty() {
                 end = end.min(trim_to(self.now));
             }
 

@@ -629,7 +629,6 @@ pub(super) fn run_sharded(
 ) -> Result<CycleResult, Trap> {
     let topo = sim.topology();
     let domains = topo.num_domains() as usize;
-    debug_assert!(domains > 1, "single-domain topologies use the plain event engine");
     let reach = adaptive.then(|| Arc::clone(sim.arts.reach()));
     let threads = threads.clamp(1, domains);
     let shards = Shards {

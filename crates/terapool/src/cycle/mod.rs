@@ -25,59 +25,59 @@
 //!
 //! # Scheduling
 //!
-//! Three schedulers drive the same per-instruction model (the sharded
-//! engine also issues whole straight runs, below):
+//! Two schedulers drive the same per-instruction model, on every
+//! topology:
 //!
-//! * [`CycleSim::run`] — the **event-driven** engine: a double-buffered
-//!   ready bitmap for the dominant issue-again-next-cycle case backed by a
-//!   calendar-wheel queue for multi-cycle wakes, so an event step touches
-//!   only the cores that can actually issue. Parked (`wfi`) cores leave
-//!   the queue entirely and are re-queued through the memory's wake
-//!   notification channel ([`ClusterMem::wake_epoch`]), never polled. The
-//!   hot path additionally runs from the pre-lowered micro-op table
+//! * [`CycleSim::run`] / [`CycleSim::run_parallel`] — the
+//!   **epoch-sharded** engine: each *group* of the topology is an
+//!   independent arbitration domain ([`domain::DomainEngine`]; a
+//!   single-group cluster is one domain) and domains advance in lockstep
+//!   epochs sized to the minimum cross-group latency
+//!   ([`Topology::CROSS_GROUP_HOP`]). Intra-group traffic — the common
+//!   case by construction of the tile-local sequential address map — is
+//!   simulated entirely inside a domain with no synchronization;
+//!   cross-group and L2/control accesses are deferred into per-domain
+//!   mailboxes that the owner of each target serves at the epoch
+//!   boundary, in global `(issue cycle, core id)` order restricted to
+//!   that target ([`epoch`]). Results are bit-identical for every host
+//!   thread count; `run` is `run_parallel` on one thread.
+//!
+//!   Inside a domain, an event step touches only the cores that can
+//!   actually issue: a double-buffered ready bitmap serves the dominant
+//!   issue-again-next-cycle case, backed by a calendar-wheel queue for
+//!   multi-cycle wakes. Parked (`wfi`) cores leave the queue entirely and
+//!   are re-queued at the boundary that delivers their wake, never
+//!   polled. Issue runs from the pre-lowered micro-op table
 //!   ([`terasim_iss::uop`]: operand indices, timing metadata and a direct
 //!   kernel pointer per instruction, resolved once at load), shift-based
-//!   bank decoding, a tile-pair hop table, and primes the memory view
-//!   with the bank decode so the kernel never re-derives it.
-//! * [`CycleSim::run_parallel`] — the **epoch-sharded** engine: each
-//!   *group* of the topology is an independent arbitration domain
-//!   ([`domain::DomainEngine`], one event-driven engine per group) and
-//!   domains advance in lockstep epochs sized to the minimum cross-group
-//!   latency ([`Topology::CROSS_GROUP_HOP`]). Intra-group traffic — the
-//!   common case by construction of the tile-local sequential address
-//!   map — is simulated entirely inside a domain with no synchronization;
-//!   cross-group accesses are deferred into per-domain mailboxes that
-//!   the owner of each target serves at the epoch boundary, in global
-//!   `(issue cycle, core id)` order restricted to that target
-//!   ([`epoch`]). Results are bit-identical for every host thread count,
-//!   including 1.
+//!   bank decoding and a tile-pair hop table.
 //!
 //!   Two shortcuts inside a domain change nothing in the results. A core
 //!   that is its domain's only event before the window end is *solo*:
 //!   wakes only arrive at boundaries, so the domain drives it in a tight
 //!   loop at `max(wake_at, now + 1)` without the wheel or the ready
 //!   bitmaps. In windows the adaptive epoch driver extended (no
-//!   possibly-remote uop can issue there), cores issue through
+//!   possibly-remote uop can issue there), a solo core issues through
 //!   [`CycleSim::issue_run`]: a *straight run* — consecutive
 //!   [`UopMeta::elide_ok`] uops up to the next control flow, never a CSR
 //!   or `System` uop, looked up per PC in [`RunTables`] — skips the
-//!   scoreboard while the core's hazard bound has passed. A solo core
-//!   issues each run whole, clipped to the window end and the
-//!   instruction budget, with one budget test, one hazard test and one
-//!   `mcycle` publication, and still one I$ probe and WAW update per uop.
-//!   Every other core issues runs one uop at a time.
-//!   [`EpochReport::solo_instructions`] counts what the solo drives
-//!   retired.
+//!   scoreboard while the core's hazard bound has passed, and issues
+//!   whole, clipped to the window end and the instruction budget, with
+//!   one budget test, one hazard test and one `mcycle` publication, and
+//!   still one I$ probe and WAW update per uop. Every other core issues
+//!   one uop at a time on the full path. [`EpochReport::solo_instructions`]
+//!   counts what the solo drives retired.
 //! * [`CycleSim::run_naive`] — the full-scan scheduler, retained as the
 //!   semantic reference: every core context is rescanned on every event
-//!   step. The `differential`/`parallel` integration tests pin all three
-//!   engines to bit-identical [`CycleStats`] and memory contents.
+//!   step, with its own boundary replay. The `differential`/`parallel`
+//!   integration tests pin both schedulers to bit-identical
+//!   [`CycleStats`] and memory contents.
 //!
-//! # The epoch-deferred model (multi-group topologies)
+//! # The epoch-deferred model
 //!
-//! On topologies with more than one group, **all** schedulers implement
-//! the same *epoch-deferred* semantics so they stay mutually
-//! bit-identical while the sharded engine runs groups concurrently:
+//! Both schedulers implement the same *epoch-deferred* semantics on every
+//! topology, so they stay mutually bit-identical while the sharded engine
+//! runs groups concurrently:
 //!
 //! * Time is divided into epochs of [`Topology::epoch_len`] cycles (the
 //!   minimum one-way cross-group hop, 4).
@@ -97,8 +97,9 @@
 //!   wake-ups are delivered at epoch boundaries. Nothing mutates those
 //!   regions inside an epoch.
 //!
-//! On single-group topologies every access is domain-local, nothing is
-//! ever deferred, and the engines behave exactly as before.
+//! On a single-group topology no L1 access is ever remote, so only the
+//! L2/control accesses defer, and `wfi` wakes still land on the epoch
+//! grid.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -117,7 +118,6 @@ mod domain;
 mod epoch;
 mod reach;
 
-use domain::Wheel;
 pub(crate) use reach::ReachMap;
 
 /// Per-core counters of the cycle-accurate run, matching the Figure 8
@@ -347,8 +347,9 @@ impl<M> CoreCtx<M> {
     }
 }
 
-/// Direct-mapped, per-tile shared instruction cache model (the seed
-/// implementation, kept for the naive reference scheduler).
+/// Direct-mapped, per-tile shared instruction cache model. Reference-only:
+/// the seed implementation, used by [`CycleSim::run_naive`] alone; the
+/// engine probes [`FastICache`].
 struct ICache {
     line: u32,
     sets: Vec<u32>,
@@ -372,9 +373,10 @@ impl ICache {
     }
 }
 
-/// [`ICache`] with identical hit/miss behaviour, optimized for the event
-/// engine: shift/mask indexing (line size and set count are powers of two
-/// on every TeraPool configuration) and a last-line memo — the last line
+/// [`ICache`] with identical hit/miss behaviour, optimized for the
+/// engine and used by its domains alone (never by the reference):
+/// shift/mask indexing (line size and set count are powers of two on
+/// every TeraPool configuration) and a last-line memo — the last line
 /// touched is always resident in a direct-mapped cache, so the common
 /// straight-line case skips the set lookup entirely.
 struct FastICache {
@@ -511,18 +513,6 @@ impl RunTables {
     fn tile_of_bank(&self, bank: u32) -> u32 {
         self.decode.tile_of_bank(bank)
     }
-}
-
-/// Deferral context of the epoch-deferred model: present whenever the
-/// topology has more than one domain (group). The issue paths route any
-/// access leaving `domain` — a remote-group bank, or a mutation of the
-/// shared L2/control regions — into `outbox` instead of executing it.
-struct Defer<'a> {
-    /// Domain the issuing core belongs to.
-    domain: u32,
-    topo: Topology,
-    /// The domain's cross-domain request queue for the current epoch.
-    outbox: &'a mut Vec<XRequest>,
 }
 
 /// Completes issue of a *deferred* memory instruction: captures operands,
@@ -780,10 +770,6 @@ impl CycleSim {
         self.fresh_ctx(core, self.mem().turbo_view(core))
     }
 
-    fn make_ctxs<M: Memory>(&self, cores: u32, view: impl Fn(u32) -> M) -> Vec<CoreCtx<M>> {
-        (0..cores).map(|core| self.fresh_ctx(core, view(core))).collect()
-    }
-
     fn result_of<M>(ctxs: &[CoreCtx<M>]) -> CycleResult {
         let per_core: Vec<CycleStats> = ctxs.iter().map(|c| c.stats).collect();
         let cycles = per_core.iter().map(|s| s.done_at).max().unwrap_or(0);
@@ -793,7 +779,9 @@ impl CycleSim {
         CycleResult { per_core, cycles, deadlocked: !parked.is_empty(), parked, budgeted, cancelled: false }
     }
 
-    /// Runs harts `0..cores` to completion with the event-driven scheduler.
+    /// Runs harts `0..cores` to completion: the epoch-sharded engine on
+    /// the calling thread, exactly [`CycleSim::run_parallel`]`(cores, 1)`,
+    /// on every topology (a single-group cluster is one domain).
     ///
     /// Within a cycle, cores issue in core-id order (the RTL's round-robin
     /// arbitration collapsed to a fixed priority — deterministic and fair
@@ -801,18 +789,13 @@ impl CycleSim {
     /// but their *timing* uses the bank grant time; for data-race-free
     /// guests the two are indistinguishable.
     ///
-    /// Only cores whose `wake_at` has arrived are touched on an event step:
-    /// a calendar-wheel ready queue keyed on `(wake_at, core)` replays the
-    /// naive scan's exact issue order, and parked cores re-enter the queue
-    /// through the memory wake channel instead of being polled. Produces
+    /// Inside a domain only cores whose `wake_at` has arrived are touched
+    /// on an event step: a calendar-wheel ready queue keyed on
+    /// `(wake_at, core)` replays the full scan's issue order, and parked
+    /// cores re-enter the queue at the epoch boundary that delivers their
+    /// wake (the module-level *epoch-deferred model* notes). Produces
     /// bit-identical [`CycleStats`] and memory contents to
-    /// [`CycleSim::run_naive`].
-    ///
-    /// On multi-group topologies this runs the epoch-sharded engine on
-    /// the calling thread (see [`CycleSim::run_parallel`] and the
-    /// module-level *epoch-deferred model* notes); results stay
-    /// bit-identical to `run_parallel` at every thread count and to
-    /// `run_naive`.
+    /// `run_parallel` at every thread count and to [`CycleSim::run_naive`].
     ///
     /// # Errors
     ///
@@ -822,149 +805,13 @@ impl CycleSim {
     ///
     /// Panics if `cores` exceeds the topology's core count.
     pub fn run(&mut self, cores: u32) -> Result<CycleResult, Trap> {
-        let topo = self.arts.topology();
-        assert!(cores <= topo.num_cores(), "core count out of range");
-        if topo.num_domains() > 1 {
-            return self.run_sharded(cores, 1, true);
-        }
-        let mut ctxs = self.make_ctxs(cores, |core| self.mem().turbo_view(core));
-        let tables = self.arts.cycle_tables();
-        let mut icaches: Vec<FastICache> =
-            (0..topo.num_tiles()).map(|_| FastICache::new(topo.icache_bytes, topo.icache_line)).collect();
-        let mut banks = DomainBanks::whole_cluster(topo);
-
-        let mut wheel = Wheel::new(cores);
-        let words = wheel.words;
-        // Double-buffered ready bitmaps: `cur` holds the cores issuing at
-        // `now`, `nxt` collects the dominant wake-next-cycle case with one
-        // OR instead of a full wheel round trip; only wakes two or more
-        // cycles out take the wheel.
-        let mut cur: Vec<u64> = vec![0; words];
-        let mut nxt: Vec<u64> = vec![0; words];
-        let mut nxt_count: u32 = 0;
-        let mut parked: Vec<u32> = Vec::new();
-        let mut now: u64 = 0;
-        for core in 0..cores {
-            cur[(core / 64) as usize] |= 1u64 << (core % 64); // all issue at cycle 0
-        }
-        let mut seen_epoch = self.mem().wake_epoch();
-        let mut cancelled = false;
-
-        loop {
-            // Safe point: abandon the job between event steps if its token
-            // was raised (untaken `None` branch when no token is attached,
-            // so the uncancelled hot path pays one predictable test per
-            // event step, not per instruction).
-            if self.cancel_requested() {
-                cancelled = true;
-                break;
-            }
-            // Process every core scheduled for `now`, in ascending id.
-            let mut min_waker: Option<u32> = None;
-            for w in 0..words {
-                let mut bits = std::mem::take(&mut cur[w]);
-                while bits != 0 {
-                    let bit = bits & bits.wrapping_neg();
-                    let core = (w * 64) as u32 + bits.trailing_zeros();
-                    bits ^= bit;
-                    let ctx = &mut ctxs[core as usize];
-                    let did_mem = self.issue_fast(ctx, tables, &mut icaches, &mut banks, now, None)?;
-                    match ctx.state {
-                        CoreState::Ready => {
-                            // `.max(now + 1)` mirrors the naive scan's
-                            // `next_event.max(now + 1)`: a degenerate model
-                            // (e.g. `icache_refill == 0`) may leave
-                            // `wake_at == now`, which must retry next
-                            // cycle, not re-enter the current one.
-                            let wake = ctx.wake_at.max(now + 1);
-                            if wake == now + 1 {
-                                nxt[w] |= bit;
-                                nxt_count += 1;
-                            } else {
-                                wheel.push(now, wake, core);
-                            }
-                        }
-                        CoreState::Parked => parked.push(core),
-                        CoreState::Done => {}
-                    }
-                    // Wake-all publications can only happen inside a
-                    // memory-class instruction (a store to the control
-                    // region), so the epoch check is gated on `did_mem`.
-                    if did_mem && min_waker.is_none() && self.mem().wake_epoch() != seen_epoch {
-                        min_waker = Some(core);
-                    }
-                }
-            }
-
-            // Wake delivery. The naive scan observes a pending wake when
-            // its single pass reaches the parked core: cores *after* the
-            // waker see it in the same pass (cycle `now`), cores *before*
-            // it one pass later (`now + 1`). Replay exactly that.
-            if let Some(waker) = min_waker {
-                seen_epoch = self.mem().wake_epoch();
-                parked.retain(|&core| {
-                    if !self.mem().wake_pending(core) {
-                        return true;
-                    }
-                    let _ = self.mem().take_wake(core);
-                    let ctx = &mut ctxs[core as usize];
-                    let observed = if core > waker { now } else { now + 1 };
-                    ctx.stats.stall_wfi += observed.saturating_sub(ctx.parked_at);
-                    ctx.state = CoreState::Ready;
-                    ctx.wake_at = observed + 1;
-                    wheel.push(now, ctx.wake_at, core);
-                    false
-                });
-            }
-
-            // Advance to the next cycle with work.
-            if nxt_count > 0 {
-                now += 1;
-                std::mem::swap(&mut cur, &mut nxt);
-                nxt_count = 0;
-                wheel.migrate(now);
-                wheel.drain_slot_into(now, &mut cur);
-                continue;
-            }
-            // Nothing due next cycle: the nearest work lives in the wheel
-            // (or beyond its horizon in the overflow heap).
-            wheel.migrate(now);
-            if wheel.pending == 0 {
-                match wheel.next_overflow() {
-                    Some(at) => {
-                        now = at;
-                        wheel.migrate(now);
-                    }
-                    // Wheel and overflow empty: all cores are done, or
-                    // only parked cores remain (guest deadlock, surfaced
-                    // via `CycleResult::deadlocked`).
-                    None => break,
-                }
-            } else {
-                now += 1;
-            }
-            while wheel.slot_empty(now) {
-                now += 1;
-            }
-            wheel.drain_slot_into(now, &mut cur);
-        }
-
-        if cancelled {
-            self.tainted = true;
-        }
-        let mut res = Self::result_of(&ctxs);
-        res.cancelled = cancelled;
-        Ok(res)
+        self.run_sharded(cores, 1, true)
     }
 
     /// Runs the epoch-sharded engine, tainting this job if the run was
-    /// cancelled (the sharded driver only sees `&CycleSim`). Single-group
-    /// topologies have nothing to shard and run the event engine.
+    /// cancelled (the sharded driver only sees `&CycleSim`).
     fn run_sharded(&mut self, cores: u32, threads: usize, adaptive: bool) -> Result<CycleResult, Trap> {
         assert!(cores <= self.arts.topology().num_cores(), "core count out of range");
-        if self.arts.topology().num_domains() == 1 {
-            return self.run(cores);
-        }
         self.epoch_counters.reset();
         let res = epoch::run_sharded(self, cores, threads, adaptive)?;
         if res.cancelled {
@@ -973,13 +820,13 @@ impl CycleSim {
         Ok(res)
     }
 
-    /// Scheduling telemetry of the most recent sharded run
-    /// ([`CycleSim::run_parallel`], or [`CycleSim::run`] on multi-group
-    /// topologies): window counts, extension/trim tallies and cycle
-    /// coverage. All-zero before the first sharded run; a fixed-cadence
-    /// run (the `run_fixed_epochs` test hook) reports every window as a
-    /// plain base epoch. [`CycleSim::run_naive`] keeps its own epoch
-    /// loop and does not touch the report.
+    /// Scheduling telemetry of the most recent [`CycleSim::run`] or
+    /// [`CycleSim::run_parallel`], on every topology: window counts,
+    /// extension/trim tallies and cycle coverage. All-zero before the
+    /// first such run; a fixed-cadence run (the `run_fixed_epochs` test
+    /// hook) reports every window as a plain base epoch.
+    /// [`CycleSim::run_naive`] keeps its own epoch loop and does not touch
+    /// the report.
     pub fn epoch_report(&self) -> EpochReport {
         self.epoch_counters.snapshot()
     }
@@ -997,9 +844,8 @@ impl CycleSim {
     /// and [`CycleSim::run_naive`], because the schedule inside an epoch
     /// never depends on thread interleaving.
     ///
-    /// `threads` is clamped to `1..=num_domains`; on single-group
-    /// topologies there is nothing to shard and the event-driven engine
-    /// runs on the calling thread.
+    /// `threads` is clamped to `1..=num_domains`, so a single-group
+    /// topology (one domain) always runs on the calling thread alone.
     ///
     /// # Errors
     ///
@@ -1032,14 +878,16 @@ impl CycleSim {
         self.run_sharded(cores, threads.max(1), false)
     }
 
-    /// Runs harts `0..cores` with the original full-scan scheduler.
+    /// Runs harts `0..cores` with the full-scan reference scheduler.
     ///
     /// Retained as the semantic baseline: every event step rescans every
-    /// core context, exactly as the seed engine did (on multi-group
-    /// topologies the scan is epoch-clamped so it implements the same
-    /// epoch-deferred model as the other engines, with its own
-    /// independent boundary replay). Use [`CycleSim::run`] for anything
-    /// but differential validation and speedup measurement.
+    /// core context, clamped to lockstep epochs of
+    /// [`Topology::epoch_len`] cycles, and each boundary replays the
+    /// deferred requests in global `(cycle, core)` order with its **own**
+    /// replay — independent of the sharded engine's owner-computes
+    /// boundary — so the differential tests exercise two separate
+    /// implementations of the epoch-deferred model on every topology. Use
+    /// [`CycleSim::run`] for anything but differential validation.
     ///
     /// # Errors
     ///
@@ -1051,79 +899,8 @@ impl CycleSim {
     pub fn run_naive(&mut self, cores: u32) -> Result<CycleResult, Trap> {
         let topo = self.arts.topology();
         assert!(cores <= topo.num_cores(), "core count out of range");
-        if topo.num_domains() > 1 {
-            return self.run_naive_epochs(cores);
-        }
-        let mut ctxs = self.make_ctxs(cores, |core| self.mem().core_view(core));
-        let mut icaches: Vec<ICache> =
-            (0..topo.num_tiles()).map(|_| ICache::new(topo.icache_bytes, topo.icache_line)).collect();
-        let mut banks = DomainBanks::whole_cluster(topo);
-
-        let mut now: u64 = 0;
-        let mut cancelled = false;
-        loop {
-            // Safe point: abandon the job between scan passes on a raised
-            // cancel token.
-            if self.cancel_requested() {
-                cancelled = true;
-                break;
-            }
-            let mut alive = false;
-            let mut next_event = u64::MAX;
-
-            for ctx in ctxs.iter_mut() {
-                match ctx.state {
-                    CoreState::Done => continue,
-                    CoreState::Parked => {
-                        alive = true;
-                        if self.mem().wake_pending(ctx.cpu.hart_id()) {
-                            let _ = self.mem().take_wake(ctx.cpu.hart_id());
-                            ctx.stats.stall_wfi += now.saturating_sub(ctx.parked_at);
-                            ctx.state = CoreState::Ready;
-                            ctx.wake_at = now + 1;
-                            next_event = next_event.min(ctx.wake_at);
-                        }
-                        continue;
-                    }
-                    CoreState::Ready => {}
-                }
-                alive = true;
-                if ctx.wake_at > now {
-                    next_event = next_event.min(ctx.wake_at);
-                    continue;
-                }
-
-                self.issue_one(ctx, &mut icaches, &mut banks, now, None)?;
-                next_event = next_event.min(ctx.wake_at.max(now + 1));
-            }
-
-            if !alive {
-                break;
-            }
-            if next_event == u64::MAX {
-                // Only parked cores remain and nobody will wake them:
-                // guest deadlock; report what we have.
-                break;
-            }
-            now = next_event.max(now + 1);
-        }
-
-        if cancelled {
-            self.tainted = true;
-        }
-        let mut res = Self::result_of(&ctxs);
-        res.cancelled = cancelled;
-        Ok(res)
-    }
-
-    /// The full-scan reference scheduler under the epoch-deferred model
-    /// (multi-group topologies): the seed scan loop, clamped to lockstep
-    /// epochs, with its **own** boundary replay — independent of the
-    /// sharded engine's owner-computes boundary — so the differential tests exercise
-    /// two separate implementations of the deferred semantics.
-    fn run_naive_epochs(&mut self, cores: u32) -> Result<CycleResult, Trap> {
-        let topo = self.arts.topology();
-        let mut ctxs = self.make_ctxs(cores, |core| self.mem().core_view(core));
+        let mut ctxs: Vec<CoreCtx<CoreMem>> =
+            (0..cores).map(|core| self.fresh_ctx(core, self.mem().core_view(core))).collect();
         let mut icaches: Vec<ICache> =
             (0..topo.num_tiles()).map(|_| ICache::new(topo.icache_bytes, topo.icache_line)).collect();
         let mut banks = DomainBanks::whole_cluster(topo);
@@ -1163,9 +940,7 @@ impl CycleSim {
                     next_event = next_event.min(ctx.wake_at);
                     continue;
                 }
-                let mut defer =
-                    Defer { domain: topo.domain_of_core(ctx.cpu.hart_id()), topo, outbox: &mut mailbox };
-                self.issue_one(ctx, &mut icaches, &mut banks, now, Some(&mut defer))?;
+                self.issue_one(ctx, &mut icaches, &mut banks, now, &mut mailbox)?;
                 next_event = next_event.min(ctx.wake_at.max(now + 1));
             }
             if !alive && mailbox.is_empty() {
@@ -1274,20 +1049,22 @@ impl CycleSim {
     }
 
     /// Attempts to issue one instruction on `ctx` at cycle `now`; updates
-    /// `wake_at` to the next cycle the core can act. (Reference path used
-    /// by [`CycleSim::run_naive`].)
+    /// `wake_at` to the next cycle the core can act. Reference-only: the
+    /// issue step of [`CycleSim::run_naive`], decoding from [`Inst`] on
+    /// every issue; the engine issues through [`CycleSim::issue_fast`]
+    /// and [`CycleSim::issue_run`].
     ///
-    /// With `defer` present (multi-group topologies), accesses leaving
-    /// the issuing core's domain are deferred to the epoch boundary
-    /// instead of executing — see the module-level *epoch-deferred model*
-    /// notes and [`defer_issue`].
+    /// Accesses leaving the issuing core's domain (a remote-group bank or
+    /// the shared L2/control regions) are queued in `outbox` for the epoch
+    /// boundary instead of executing — see the module-level
+    /// *epoch-deferred model* notes and [`defer_issue`].
     fn issue_one(
         &self,
         ctx: &mut CoreCtx<CoreMem>,
         icaches: &mut [ICache],
         banks: &mut DomainBanks,
         now: u64,
-        defer: Option<&mut Defer>,
+        outbox: &mut Vec<XRequest>,
     ) -> Result<(), Trap> {
         if ctx.stats.instructions >= self.max_instructions {
             ctx.state = CoreState::Done;
@@ -1342,65 +1119,64 @@ impl CycleSim {
                 return Ok(());
             }
             let addr = effective_address(&ctx.cpu, &inst);
-            let l1 = self.arts.topology().l1_slot(addr & !3);
-            if let Some(df) = defer {
-                let meta = UopMeta::of(&inst, self.latency());
-                let remote_bank = match l1 {
-                    Some((bank, _)) if self.arts.topology().domain_of_bank(bank) != df.domain => Some(bank),
-                    _ => None,
+            let topo = self.arts.topology();
+            let l1 = topo.l1_slot(addr & !3);
+            let meta = UopMeta::of(&inst, self.latency());
+            let remote_bank = match l1 {
+                Some((bank, _)) if topo.domain_of_bank(bank) != topo.domain_of_core(core) => Some(bank),
+                _ => None,
+            };
+            // Everything outside L1 (L2, control region) is shared by
+            // all groups: defer loads too, so a core's own deferred
+            // store is visible to its later load (same boundary,
+            // earlier (cycle, core) key) and cross-core order stays
+            // deterministic.
+            if remote_bank.is_some() || l1.is_none() {
+                let value_reg = match inst {
+                    Inst::Store { rs2, .. } | Inst::ScW { rs2, .. } | Inst::Amo { rs2, .. } => {
+                        rs2.index() as u8
+                    }
+                    _ => 0,
                 };
-                // Everything outside L1 (L2, control region) is shared by
-                // all groups: defer loads too, so a core's own deferred
-                // store is visible to its later load (same boundary,
-                // earlier (cycle, core) key) and cross-core order stays
-                // deterministic.
-                if remote_bank.is_some() || l1.is_none() {
-                    let value_reg = match inst {
-                        Inst::Store { rs2, .. } | Inst::ScW { rs2, .. } | Inst::Amo { rs2, .. } => {
-                            rs2.index() as u8
-                        }
-                        _ => 0,
-                    };
-                    let base = ctx.cpu.reg(Reg::from_num(u32::from(meta.ea_base) & 31));
-                    let (bank, depart, hop) = match remote_bank {
-                        Some(bank) => {
-                            let hop = self.arts.topology().request_latency(core, bank);
-                            let depart = now.max(banks.port_free[tile]);
-                            banks.port_free[tile] = depart + 1;
-                            let busy: u64 = if matches!(class, InstClass::Amo) { 2 } else { 1 };
-                            result_latency = (depart + u64::from(hop) + busy - now) + u64::from(hop);
-                            (bank, depart, hop as u8)
-                        }
-                        // Shared L2/ctrl mutation: latency exact at issue.
-                        None => {
-                            result_latency = 16;
-                            (u32::MAX, now, 0)
-                        }
-                    };
-                    ctx.lsu_free[slot] = now + result_latency;
-                    defer_issue(
-                        ctx,
-                        meta.mem,
-                        meta.dst,
-                        meta.post_inc,
-                        value_reg,
-                        base,
-                        meta.ea_offset,
-                        pc,
-                        addr,
-                        now,
-                        result_latency,
-                        slot,
-                        bank,
-                        depart,
-                        hop,
-                        df.outbox,
-                    );
-                    return Ok(());
-                }
+                let base = ctx.cpu.reg(Reg::from_num(u32::from(meta.ea_base) & 31));
+                let (bank, depart, hop) = match remote_bank {
+                    Some(bank) => {
+                        let hop = topo.request_latency(core, bank);
+                        let depart = now.max(banks.port_free[tile]);
+                        banks.port_free[tile] = depart + 1;
+                        let busy: u64 = if matches!(class, InstClass::Amo) { 2 } else { 1 };
+                        result_latency = (depart + u64::from(hop) + busy - now) + u64::from(hop);
+                        (bank, depart, hop as u8)
+                    }
+                    // Shared L2/ctrl mutation: latency exact at issue.
+                    None => {
+                        result_latency = 16;
+                        (u32::MAX, now, 0)
+                    }
+                };
+                ctx.lsu_free[slot] = now + result_latency;
+                defer_issue(
+                    ctx,
+                    meta.mem,
+                    meta.dst,
+                    meta.post_inc,
+                    value_reg,
+                    base,
+                    meta.ea_offset,
+                    pc,
+                    addr,
+                    now,
+                    result_latency,
+                    slot,
+                    bank,
+                    depart,
+                    hop,
+                    outbox,
+                );
+                return Ok(());
             }
             if let Some((bank, _)) = l1 {
-                let hop = u64::from(self.arts.topology().request_latency(core, bank));
+                let hop = u64::from(topo.request_latency(core, bank));
                 // Remote requests serialize on the tile's shared outbound
                 // port (one request per cycle per tile, paper §II).
                 let depart = if hop > 0 {
@@ -1471,18 +1247,14 @@ impl CycleSim {
         Ok(())
     }
 
-    /// Hot-path issue used by the event-driven engines: identical
-    /// semantics to [`CycleSim::issue_one`], running from the pre-lowered
-    /// micro-op table (operands, metadata and a direct kernel pointer
-    /// resolved once at load — no per-issue field extraction or nested
-    /// matching), the tile-pair hop table and shift-based bank decoding.
-    ///
-    /// With `defer` present (the per-domain engines of the sharded
-    /// scheduler), accesses leaving the issuing core's domain are
-    /// deferred to the epoch boundary instead of executing.
-    ///
-    /// Returns `true` when a memory-class instruction *executed* (the
-    /// only case in which a wake-all can have been published).
+    /// The engine's full issue path: identical semantics to
+    /// [`CycleSim::issue_one`], running from the pre-lowered micro-op
+    /// table (operands, metadata and a direct kernel pointer resolved
+    /// once at load — no per-issue field extraction or nested matching),
+    /// the tile-pair hop table and shift-based bank decoding. Accesses
+    /// leaving the issuing core's domain — any bank outside `banks`, and
+    /// the shared L2/control regions — are queued in `outbox` for the
+    /// epoch boundary instead of executing.
     #[inline]
     fn issue_fast(
         &self,
@@ -1491,13 +1263,13 @@ impl CycleSim {
         icaches: &mut [FastICache],
         banks: &mut DomainBanks,
         now: u64,
-        defer: Option<&mut Defer>,
-    ) -> Result<bool, Trap> {
+        outbox: &mut Vec<XRequest>,
+    ) -> Result<(), Trap> {
         if ctx.stats.instructions >= self.max_instructions {
             ctx.state = CoreState::Done;
             ctx.budget_hit = true;
             ctx.stats.done_at = now;
-            return Ok(false);
+            return Ok(());
         }
 
         let pc = ctx.cpu.pc();
@@ -1509,7 +1281,7 @@ impl CycleSim {
         if !icaches[tile].access(pc) {
             ctx.stats.stall_ins += self.icache_refill;
             ctx.wake_at = now + self.icache_refill;
-            return Ok(false);
+            return Ok(());
         }
 
         // 2. RAW: wait for source operands. Unused `srcs` entries are
@@ -1522,14 +1294,14 @@ impl CycleSim {
         if ready_at > now {
             ctx.stats.stall_raw += ready_at - now;
             ctx.wake_at = ready_at;
-            return Ok(false);
+            return Ok(());
         }
 
         // 3. Structural hazard: non-pipelined div/sqrt unit.
         if meta.uses_fpu && ctx.fpu_busy_until > now {
             ctx.stats.stall_acc += ctx.fpu_busy_until - now;
             ctx.wake_at = ctx.fpu_busy_until;
-            return Ok(false);
+            return Ok(());
         }
 
         // 4. Memory: arbitrate for the target bank.
@@ -1547,52 +1319,50 @@ impl CycleSim {
             if slot_free > now {
                 ctx.stats.stall_lsu += slot_free - now;
                 ctx.wake_at = slot_free;
-                return Ok(false);
+                return Ok(());
             }
             let base = ctx.cpu.reg(Reg::from_num(u32::from(meta.ea_base) & 31));
             let addr = if meta.ea_no_offset { base } else { base.wrapping_add(meta.ea_offset as u32) };
             let l1 = tables.l1_bank(addr);
-            if let Some(df) = defer {
-                let remote_bank = l1.filter(|&bank| df.topo.domain_of_bank(bank) != df.domain);
-                // L2/ctrl accesses (loads included) are shared by all
-                // groups and defer wholesale — see `issue_one`.
-                if remote_bank.is_some() || l1.is_none() {
-                    let (bank, depart, hop) = match remote_bank {
-                        Some(bank) => {
-                            let hop = tables.hop(ctx.tile, tables.tile_of_bank(bank));
-                            let depart = now.max(banks.port_free[tile]);
-                            banks.port_free[tile] = depart + 1;
-                            let busy: u64 = if meta.is_amo { 2 } else { 1 };
-                            result_latency = (depart + hop + busy - now) + hop;
-                            (bank, depart, hop as u8)
-                        }
-                        // Shared L2/ctrl mutation: latency exact at issue.
-                        None => {
-                            result_latency = 16;
-                            (u32::MAX, now, 0)
-                        }
-                    };
-                    ctx.lsu_free[slot] = now + result_latency;
-                    defer_issue(
-                        ctx,
-                        meta.mem,
-                        meta.dst,
-                        meta.post_inc,
-                        lu.uop.rs2,
-                        base,
-                        meta.ea_offset,
-                        pc,
-                        addr,
-                        now,
-                        result_latency,
-                        slot,
-                        bank,
-                        depart,
-                        hop,
-                        df.outbox,
-                    );
-                    return Ok(true);
-                }
+            let remote_bank = l1.filter(|&bank| !banks.owns_bank(bank));
+            // L2/ctrl accesses (loads included) are shared by all
+            // groups and defer wholesale — see `issue_one`.
+            if remote_bank.is_some() || l1.is_none() {
+                let (bank, depart, hop) = match remote_bank {
+                    Some(bank) => {
+                        let hop = tables.hop(ctx.tile, tables.tile_of_bank(bank));
+                        let depart = now.max(banks.port_free[tile]);
+                        banks.port_free[tile] = depart + 1;
+                        let busy: u64 = if meta.is_amo { 2 } else { 1 };
+                        result_latency = (depart + hop + busy - now) + hop;
+                        (bank, depart, hop as u8)
+                    }
+                    // Shared L2/ctrl mutation: latency exact at issue.
+                    None => {
+                        result_latency = 16;
+                        (u32::MAX, now, 0)
+                    }
+                };
+                ctx.lsu_free[slot] = now + result_latency;
+                defer_issue(
+                    ctx,
+                    meta.mem,
+                    meta.dst,
+                    meta.post_inc,
+                    lu.uop.rs2,
+                    base,
+                    meta.ea_offset,
+                    pc,
+                    addr,
+                    now,
+                    result_latency,
+                    slot,
+                    bank,
+                    depart,
+                    hop,
+                    outbox,
+                );
+                return Ok(());
             }
             if let Some(bank) = l1 {
                 let hop = tables.hop(ctx.tile, tables.tile_of_bank(bank));
@@ -1655,16 +1425,16 @@ impl CycleSim {
                 }
             }
         }
-        Ok(meta.is_mem)
+        Ok(())
     }
 
-    /// The issue step of the sharded engine's domains: issues the
-    /// straight run starting at the core's PC ([`RunTables::runs`]), at
-    /// most `max_len` uops of it, one per cycle from `now`. `max_len` is
-    /// 0 in base windows (every uop takes the full path), 1 for a core
-    /// sharing its domain, and the distance to the window end for a solo
-    /// core in an extended window — where the epoch driver has already
-    /// proven no possibly-remote uop can issue.
+    /// The issue step of a solo core (a domain's other cores issue
+    /// through [`CycleSim::issue_fast`] directly): issues the straight run
+    /// starting at the core's PC ([`RunTables::runs`]), at most `max_len`
+    /// uops of it, one per cycle from `now`. `max_len` is the distance to
+    /// the window end in an extended window — where the epoch driver has
+    /// already proven no possibly-remote uop can issue — and 0 in a base
+    /// window (one uop on the full path).
     ///
     /// Run uops skip the RAW/FPU/LSU hazard checks and the scoreboard
     /// writes of [`CycleSim::issue_fast`] — each of which provably
@@ -1681,7 +1451,7 @@ impl CycleSim {
     ///
     /// Everything else (memory, FPU, multi-cycle results, CSR and
     /// `System` uops, a live hazard bound) takes the full path, including
-    /// local-L1 traffic inside sole-active windows.
+    /// local-L1 traffic inside solo drives.
     #[allow(clippy::too_many_arguments)]
     fn issue_run(
         &self,
@@ -1691,20 +1461,19 @@ impl CycleSim {
         banks: &mut DomainBanks,
         now: u64,
         max_len: u64,
-        defer: Option<&mut Defer>,
-    ) -> Result<bool, Trap> {
-        // Base windows (`max_len == 0`) skip even the table lookup: they
-        // are the dense-traffic common case.
+        outbox: &mut Vec<XRequest>,
+    ) -> Result<(), Trap> {
+        // Base windows (`max_len == 0`) skip even the table lookup.
         let pc = ctx.cpu.pc();
         let run = if max_len == 0 { 0 } else { tables.run_len(pc).min(max_len) };
         if run == 0 {
-            return self.issue_fast(ctx, tables, icaches, banks, now, defer);
+            return self.issue_fast(ctx, tables, icaches, banks, now, outbox);
         }
         if ctx.stats.instructions >= self.max_instructions {
             ctx.state = CoreState::Done;
             ctx.budget_hit = true;
             ctx.stats.done_at = now;
-            return Ok(false);
+            return Ok(());
         }
         if ctx.hazard_until == u64::MAX {
             // Lazy rescan after the full path or the boundary replay
@@ -1723,7 +1492,7 @@ impl CycleSim {
             ctx.hazard_until = h;
         }
         if ctx.hazard_until > now {
-            return self.issue_fast(ctx, tables, icaches, banks, now, defer);
+            return self.issue_fast(ctx, tables, icaches, banks, now, outbox);
         }
 
         // All hazard checks elided (`+0` stalls by the bound above):
@@ -1767,7 +1536,7 @@ impl CycleSim {
         } else {
             at
         };
-        Ok(false)
+        Ok(())
     }
 }
 

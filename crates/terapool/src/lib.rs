@@ -16,16 +16,17 @@
 //! * [`CycleSim`] — the QuestaSim stand-in: a cycle-stepped model with
 //!   per-bank arbitration, NUMA pipeline latencies, shared-I$ refills, a
 //!   non-pipelined FP divide/sqrt unit and `wfi` sleep — the reference
-//!   timing the paper's Figures 7–8 are measured against. Scheduling is
-//!   event-driven (a calendar-wheel ready queue keyed on per-core wake
-//!   cycles), and on multi-group topologies the engine **shards by
-//!   group**: each group is an independent arbitration domain advancing
-//!   in lockstep epochs, with cross-group traffic exchanged through
-//!   mailboxes at epoch boundaries ([`CycleSim::run_parallel`] runs the
-//!   domains on host threads; results are bit-identical at every thread
-//!   count). The original full-scan scheduler is retained as
-//!   [`CycleSim::run_naive`] and pinned bit-identical by the workspace's
-//!   differential tests.
+//!   timing the paper's Figures 7–8 are measured against. The engine
+//!   **shards by group** on every topology: each group is an independent
+//!   arbitration domain (a single-group cluster is one domain) advancing
+//!   in lockstep epochs, scheduled event-driven inside (a calendar-wheel
+//!   ready queue keyed on per-core wake cycles), with cross-group and
+//!   L2/control traffic exchanged through mailboxes at epoch boundaries
+//!   ([`CycleSim::run`] drives the domains on the calling thread,
+//!   [`CycleSim::run_parallel`] on host threads; results are
+//!   bit-identical at every thread count). A full-scan scheduler of the
+//!   same epoch-deferred model is retained as [`CycleSim::run_naive`] and
+//!   pinned bit-identical by the workspace's differential tests.
 //!
 //! Both backends execute the *same* pre-decoded program through the same
 //! [`Cpu`](terasim_iss::Cpu) semantics, so results are bit-identical and

@@ -583,7 +583,7 @@ impl ClusterMem {
 /// ports one arbitration domain owns, indexed locally so each domain's
 /// hot state is compact and exclusively its own during an epoch.
 ///
-/// The single-domain engines use a [`whole_cluster`](Self::whole_cluster)
+/// The full-scan reference uses a [`whole_cluster`](Self::whole_cluster)
 /// instance (bases 0), so every issue path arbitrates through the same
 /// structure.
 #[derive(Debug, Clone)]
@@ -597,7 +597,7 @@ pub(crate) struct DomainBanks {
 }
 
 impl DomainBanks {
-    /// Timing state covering every bank and tile (single-domain engines).
+    /// Timing state covering every bank and tile (the full-scan reference).
     pub fn whole_cluster(topo: Topology) -> Self {
         Self {
             bank_free: vec![0; topo.num_banks() as usize],
@@ -615,6 +615,12 @@ impl DomainBanks {
             bank_base: domain * topo.banks_per_group(),
             tile_base: domain * topo.tiles_per_group(),
         }
+    }
+
+    /// Whether this book holds the (globally numbered) `bank`.
+    #[inline]
+    pub fn owns_bank(&self, bank: u32) -> bool {
+        bank.wrapping_sub(self.bank_base) < self.bank_free.len() as u32
     }
 
     /// Local index of a (globally numbered) owned bank.
@@ -762,8 +768,8 @@ impl Memory for CoreMem {
     }
 }
 
-/// Fast view of the cluster memory used by the event-driven and
-/// epoch-sharded cycle engines.
+/// Fast view of the cluster memory used by the epoch-sharded cycle
+/// engine.
 ///
 /// Same bytes, same address decode and bit-identical values as
 /// [`CoreMem`], with **relaxed atomic orderings** (and plain

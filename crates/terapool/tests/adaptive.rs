@@ -87,10 +87,11 @@ fn sole_active_grants_extend_and_trim() {
 /// `wfi`, then wakes them all): hart 0 is its domain's only event for
 /// almost the whole run, so nearly every retired instruction must come
 /// from a solo drive — the share `EpochReport::solo_instructions`
-/// reports.
+/// reports. On a single-group topology too: `run` is the sharded engine
+/// there as well, so its report is populated and its windows cover the
+/// whole run.
 #[test]
 fn skew_guest_retires_solo() {
-    let topo = Topology::scaled(512);
     let image = image_of(|a| {
         a.csrr(Reg::T0, csr::MHARTID);
         let waker = a.new_label();
@@ -109,13 +110,19 @@ fn skew_guest_retires_solo() {
         a.sw(Reg::T2, 0, Reg::T2);
         a.bind(done);
     });
-    let mut sim = CycleSim::from_artifacts(SimArtifacts::build(topo, &image).unwrap());
-    let result = sim.run(512).unwrap();
-    assert!(!result.deadlocked, "every hart must be woken");
-    let retired: u64 = result.per_core.iter().map(|s| s.instructions).sum();
-    let solo = sim.epoch_report().solo_instructions;
-    assert!(solo <= retired, "solo {solo} > retired {retired}");
-    assert!(solo * 100 >= retired * 99, "solo drives retired only {solo} of {retired} instructions");
+    for cores in [16u32, 512] {
+        let topo = Topology::scaled(cores);
+        let mut sim = CycleSim::from_artifacts(SimArtifacts::build(topo, &image).unwrap());
+        let result = sim.run(cores).unwrap();
+        assert!(!result.deadlocked, "{cores} cores: every hart must be woken");
+        let retired: u64 = result.per_core.iter().map(|s| s.instructions).sum();
+        let report = sim.epoch_report();
+        assert!(report.windows >= 1, "{cores} cores: no windows recorded: {report:?}");
+        assert!(report.cycles >= result.cycles, "{cores} cores: windows miss the makespan: {report:?}");
+        let solo = report.solo_instructions;
+        assert!(solo <= retired, "{cores} cores: solo {solo} > retired {retired}");
+        assert!(solo * 100 >= retired * 99, "{cores} cores: solo drives retired only {solo} of {retired}");
+    }
 }
 
 /// Full-occupancy pure-int guests never defer, so the multi-active

@@ -1,5 +1,7 @@
-//! Lockstep differential validation of the epoch-sharded cycle engine on
-//! multi-group topologies: [`CycleSim::run_parallel`] must be
+//! Lockstep differential validation of the epoch-sharded cycle engine,
+//! mostly on multi-group topologies (a few cases also on single-group
+//! ones, where every thread count clamps to one domain):
+//! [`CycleSim::run_parallel`] must be
 //! **bit-identical** — per-core `CycleStats`, makespan, deadlock report
 //! and memory contents — to [`CycleSim::run`] and to the full-scan
 //! reference [`CycleSim::run_naive`], for every host thread count.
@@ -100,7 +102,6 @@ fn emit_barrier(a: &mut Assembler, counter_addr: i32, cores: u32) {
 fn cross_group_mix_bit_identical() {
     for cores in [512u32, 1024] {
         let topo = Topology::scaled(cores);
-        assert!(topo.num_domains() > 1, "topology must shard");
         let image = image_of(|a| {
             a.csrr(Reg::T0, terasim_riscv::csr::MHARTID);
             for phase in 0..2 {
@@ -235,8 +236,6 @@ fn dead_remote_load_does_not_clobber_waw_writer() {
 /// result (the documented bit-identity for data-race-free guests).
 #[test]
 fn l2_store_forwards_to_same_core_load() {
-    let cores = 512u32;
-    let topo = Topology::scaled(cores);
     let image = image_of(|a| {
         a.csrr(Reg::T0, terasim_riscv::csr::MHARTID);
         a.slli(Reg::A0, Reg::T0, 2);
@@ -249,15 +248,22 @@ fn l2_store_forwards_to_same_core_load() {
         a.add(Reg::A2, Reg::A2, Reg::A0);
         a.sw(Reg::T2, 0, Reg::A2); // result into the core's own L1 word
     });
-    assert_three_way_identical(topo, &image, cores, |_| {});
-    let mut cyc = CycleSim::new(topo, &image).unwrap();
-    cyc.run_parallel(cores, 4).unwrap();
-    let mut fast = FastSim::new(topo, &image).unwrap();
-    fast.run_all(2).unwrap();
-    for core in 0..cores {
-        let addr = 0x1800 + 4 * core;
-        assert_eq!(cyc.memory().read_u32(addr), core + 3, "core {core}: stale L2 reload");
-        assert_eq!(cyc.memory().read_u32(addr), fast.memory().read_u32(addr), "core {core}: vs fast mode");
+    for cores in [16u32, 256, 512] {
+        let topo = Topology::scaled(cores);
+        assert_three_way_identical(topo, &image, cores, |_| {});
+        let mut cyc = CycleSim::new(topo, &image).unwrap();
+        cyc.run_parallel(cores, 4).unwrap();
+        let mut fast = FastSim::new(topo, &image).unwrap();
+        fast.run_all(2).unwrap();
+        for core in 0..cores {
+            let addr = 0x1800 + 4 * core;
+            assert_eq!(cyc.memory().read_u32(addr), core + 3, "{cores} cores, core {core}: stale L2 reload");
+            assert_eq!(
+                cyc.memory().read_u32(addr),
+                fast.memory().read_u32(addr),
+                "{cores} cores, core {core}: vs fast mode"
+            );
+        }
     }
 }
 
@@ -519,7 +525,7 @@ fn dma_and_wake_all_ordered_against_cross_group_traffic() {
     const fn dst(round: u32) -> u32 {
         0x0f00 + 0x1000 * round
     }
-    for cores in [512u32, 1024] {
+    for cores in [16u32, 256, 512, 1024] {
         let topo = Topology::scaled(cores);
         let image = image_of(|a| {
             a.csrr(Reg::T0, terasim_riscv::csr::MHARTID);

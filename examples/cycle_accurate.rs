@@ -35,7 +35,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for precision in Precision::TIMED {
         let config = ParallelConfig { cores, n, precision, seed: 3, unroll: 2 };
         // The epoch-sharded engine: one arbitration domain per topology
-        // group, bit-identical to `run`/`run_naive` at any thread count.
+        // group (at most one host thread each), bit-identical to
+        // `run`/`run_naive` at any thread count.
         let out = ParallelScenario::prepare(&config)?
             .run_cycle(&JobSpec::seeded(config.seed), CycleEngine::Parallel(threads))?;
         let b = out.breakdown;

@@ -1,5 +1,5 @@
-//! Differential validation of the cycle-accurate schedulers: the
-//! event-driven ready-queue engine (`CycleSim::run`) must be
+//! Differential validation of the cycle-accurate schedulers: the engine
+//! (`CycleSim::run`, the epoch-sharded engine on one thread) must be
 //! **bit-identical** — per-core [`CycleStats`], makespan and memory
 //! contents — to the retained naive full-scan engine
 //! (`CycleSim::run_naive`) on every workload class we model.

@@ -9,9 +9,11 @@
 //! `CycleSim::run_fixed_epochs` test hook) and is pinned bit-identical
 //! to the fixed-cadence full-scan reference (`run_naive`): per-core
 //! `CycleStats`, makespan, deadlock flag, parked set, memory contents and
-//! trap state — across the event engine and `run_parallel` at 1/2/4/8
-//! host threads, with fresh and pooled cluster memory, on 2-group (512
-//! cores) and 4-group (1024 cores) topologies.
+//! trap state — across `run` and `run_parallel` at 1/2/4/8 host threads,
+//! with fresh and pooled cluster memory, on 2-group (512 cores) and
+//! 4-group (1024 cores) topologies and, for the barrier, AMO and deadlock
+//! guests, on single-group ones (16 and 256 cores: one domain, every
+//! thread count clamped to one).
 
 use std::sync::Arc;
 
@@ -120,7 +122,7 @@ fn assert_same(
     }
 }
 
-/// Runs the guest under both cadences — event engine, sharded engine at
+/// Runs the guest under both cadences — `run`, sharded engine at
 /// 1/2/4/8 host threads, pooled 1- and 4-thread legs — and pins
 /// every outcome against the fixed-cadence `run_naive` reference.
 /// `seed` prepares each simulator (memory contents, run knobs).
@@ -130,7 +132,6 @@ fn assert_cadence_invisible(cores: u32, image: &Image, seed: impl Fn(&mut CycleS
 
 /// [`assert_cadence_invisible`] on an explicit (e.g. I$-shrunk) topology.
 fn assert_cadence_invisible_on(topo: Topology, cores: u32, image: &Image, seed: impl Fn(&mut CycleSim)) {
-    assert!(topo.num_domains() > 1, "topology must shard");
     let arts = SimArtifacts::build(topo, image).unwrap();
     let reference = run_one(&arts, topo, cores, "naive", false, &seed);
     for mode in ["event", "par1", "par2", "par4", "par8", "fixed1", "fixed2", "fixed4", "fixed8"] {
@@ -148,7 +149,7 @@ fn assert_cadence_invisible_on(topo: Topology, cores: u32, image: &Image, seed: 
 /// sole-active grant rule fires, and the spin bodies are elision-eligible.
 #[test]
 fn barrier_guest_cadence_invisible() {
-    for cores in [512u32, 1024] {
+    for cores in [16u32, 256, 512, 1024] {
         let image = image_of(|a| {
             a.csrr(Reg::T0, csr::MHARTID);
             for phase in 0..2 {
@@ -167,7 +168,7 @@ fn barrier_guest_cadence_invisible() {
 /// and publishes a per-core result word the memory sample covers.
 #[test]
 fn amo_guest_cadence_invisible() {
-    for cores in [512u32, 1024] {
+    for cores in [16u32, 256, 512, 1024] {
         let image = image_of(|a| {
             a.csrr(Reg::T0, csr::MHARTID);
             a.li(Reg::T2, 1);
@@ -219,7 +220,7 @@ fn lrsc_subword_guest_cadence_invisible() {
 /// where the deadlock is detected, and the parked set must match.
 #[test]
 fn deadlock_guest_cadence_invisible() {
-    for cores in [512u32, 1024] {
+    for cores in [16u32, 256, 512, 1024] {
         let image = image_of(|a| {
             a.csrr(Reg::T0, csr::MHARTID);
             a.li(Reg::T1, 237);
