@@ -1,7 +1,8 @@
 //! Criterion benchmarks of the MMSE paths: native bit-true models (the
-//! Monte-Carlo workhorse) and the full ISS-executed kernel.
+//! Monte-Carlo workhorse and every job's verify layer) and the full
+//! ISS-executed kernel.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use terasim_kernels::{data, native, MmseKernel, Precision, C64};
 use terasim_phy::{ChannelKind, Mimo, Modulation, TxGenerator};
 use terasim_terapool::{FastSim, Topology};
@@ -26,6 +27,31 @@ fn bench_native(c: &mut Criterion) {
     group.finish();
 }
 
+/// The verify layer of a `symbol-fast` job: one OFDM symbol's 1 638
+/// quantized 16×16 problems through the native model, one `detect` per
+/// problem against `detect_batch` over the symbol. The element
+/// throughput is problems per second.
+fn bench_native_batch(c: &mut Criterion) {
+    const NSC: u64 = 1638;
+    let n = 16;
+    let problems: Vec<_> = (0..NSC).map(|p| transmission(n, 100 + p)).collect();
+    let mut group = c.benchmark_group("native_detect_batch");
+    group.throughput(Throughput::Elements(NSC));
+    for precision in [Precision::Half16, Precision::WDotp16, Precision::CDotp16] {
+        let operands: Vec<_> =
+            problems.iter().map(|(h, y, s)| native::Operands::quantize(precision, n, h, y, *s)).collect();
+        group.bench_function(&format!("{}/detect", precision.paper_name()), |bencher| {
+            bencher.iter(|| {
+                problems.iter().map(|(h, y, s)| native::detect(precision, n, h, y, *s)).collect::<Vec<_>>()
+            })
+        });
+        group.bench_function(&format!("{}/detect_batch", precision.paper_name()), |bencher| {
+            bencher.iter(|| native::detect_batch(precision, n, &operands))
+        });
+    }
+    group.finish();
+}
+
 fn bench_iss_kernel(c: &mut Criterion) {
     let n = 4u32;
     let topo = Topology::scaled(8);
@@ -44,5 +70,5 @@ fn bench_iss_kernel(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_native, bench_iss_kernel);
+criterion_group!(benches, bench_native, bench_native_batch, bench_iss_kernel);
 criterion_main!(benches);

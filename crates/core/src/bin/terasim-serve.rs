@@ -25,6 +25,9 @@ use terasim::serve::RunPolicy;
 mod args;
 use args::Args;
 
+/// Unwraps a flag or exits with the parse error naming the flag. With a
+/// fourth argument `positive`, zero is rejected too: the daemon needs at
+/// least one worker, one queue slot and one cache slot.
 macro_rules! flag {
     ($args:expr, $name:expr, $default:expr) => {
         match $args.get($name, $default) {
@@ -33,6 +36,15 @@ macro_rules! flag {
                 eprintln!("error: {e}");
                 return ExitCode::FAILURE;
             }
+        }
+    };
+    ($args:expr, $name:expr, $default:expr, positive) => {
+        match flag!($args, $name, $default) {
+            0 => {
+                eprintln!("error: invalid value for {}: 0 (want at least 1)", $name);
+                return ExitCode::FAILURE;
+            }
+            v => v,
         }
     };
 }
@@ -53,9 +65,9 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let workers: usize = flag!(args, "--workers", 1);
-    let depth: usize = flag!(args, "--depth", 16);
-    let cache: usize = flag!(args, "--cache", 4);
+    let workers: usize = flag!(args, "--workers", 1, positive);
+    let depth: usize = flag!(args, "--depth", 16, positive);
+    let cache: usize = flag!(args, "--cache", 4, positive);
     let requests: usize = flag!(args, "--requests", 40);
     let rate: f64 = flag!(args, "--rate", 0.0);
     let seed: u64 = flag!(args, "--seed", 1);

@@ -103,37 +103,35 @@ fn kernel_for(n: u32, precision: Precision, ppc: u32, active: u32, unroll: u32) 
     MmseKernel::new(n, precision).with_problems_per_core(ppc).with_active_cores(active).with_unroll(unroll)
 }
 
-/// Generated operands for verification.
+/// Generated operands for verification, quantized once: the bits
+/// written to L1 are the bits the native model checks against.
 struct ProblemSet {
-    problems: Vec<(Vec<C64>, Vec<C64>, f64)>,
+    problems: Vec<native::Operands>,
 }
 
 fn generate_problems(mem: &ClusterMem, layout: &ProblemLayout, seed: u64) -> ProblemSet {
-    let scenario = Mimo {
-        n_tx: layout.n as usize,
-        n_rx: layout.n as usize,
-        modulation: Modulation::Qam16,
-        channel: ChannelKind::Rayleigh,
-    };
+    let n = layout.n as usize;
+    let scenario = Mimo { n_tx: n, n_rx: n, modulation: Modulation::Qam16, channel: ChannelKind::Rayleigh };
     let mut generator = TxGenerator::new(scenario, 12.0, seed);
     let mut problems = Vec::with_capacity(layout.problems as usize);
     for p in 0..layout.problems {
         let t = generator.next_transmission();
         let h: Vec<C64> = t.h.iter().map(|z| (*z).into()).collect();
         let y: Vec<C64> = t.y.iter().map(|z| (*z).into()).collect();
-        data::write_problem(mem, layout, p, &h, &y, t.sigma);
-        problems.push((h, y, t.sigma));
+        let operands = native::Operands::quantize(layout.precision, n, &h, &y, t.sigma);
+        data::write_operands(mem, layout, p, &operands);
+        problems.push(operands);
     }
     ProblemSet { problems }
 }
 
+/// Checks every problem's result against the native model, a batch of
+/// [`native::LANES`] problems at a time, stopping at the first mismatch.
 fn verify(mem: &ClusterMem, layout: &ProblemLayout, set: &ProblemSet) -> bool {
-    set.problems.iter().enumerate().all(|(p, (h, y, sigma))| {
-        let got = data::read_xhat(mem, layout, p as u32);
-        let want = native::detect(layout.precision, layout.n as usize, h, y, *sigma);
-        got.iter()
-            .zip(&want)
-            .all(|(a, b)| a[0].to_bits() == b[0].to_bits() && a[1].to_bits() == b[1].to_bits())
+    let n = layout.n as usize;
+    set.problems.chunks(native::LANES).zip((0..).step_by(native::LANES)).all(|(chunk, first)| {
+        let want = native::detect_batch(layout.precision, n, chunk);
+        want.chunks(n).zip(first..).all(|(want, p)| data::read_xhat(mem, layout, p) == want)
     })
 }
 

@@ -45,6 +45,9 @@ fn out_of_range_numbers_are_rejected_before_anything_runs() {
     assert_rejected(TSIM, "info --cores 12", "--cores");
     assert_rejected(TSIM, "run --backend fast --threads 0", "--threads");
     assert_rejected(TSIM, "run --backend cycle --threads 0", "--threads");
+    assert_rejected(SERVE, "--workers 0", "--workers");
+    assert_rejected(SERVE, "--depth 0", "--depth");
+    assert_rejected(SERVE, "--cache 0", "--cache");
 }
 
 #[test]

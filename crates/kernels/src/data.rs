@@ -8,7 +8,8 @@ use terasim_softfloat::{F16, F8};
 use terasim_terapool::ClusterMem;
 
 use crate::layout::ProblemLayout;
-use crate::{Precision, C64};
+use crate::native::Operands;
+use crate::C64;
 
 /// Quantizes a real to binary16 (single RNE rounding from `f64`).
 pub fn q16(x: f64) -> F16 {
@@ -20,14 +21,26 @@ pub fn q8(x: f64) -> F8 {
     F8::from_f64(x)
 }
 
+/// Packs a quantized complex binary16 value as its memory word
+/// (`[im|re]`).
+pub(crate) fn pack_h16(c: [F16; 2]) -> u32 {
+    u32::from(c[0].to_bits()) | (u32::from(c[1].to_bits()) << 16)
+}
+
+/// Packs a quantized complex binary8 value as its memory halfword
+/// (`[im|re]`).
+pub(crate) fn pack_b8(c: [F8; 2]) -> u16 {
+    u16::from(c[0].to_bits()) | (u16::from(c[1].to_bits()) << 8)
+}
+
 /// Packs a complex binary16 value as its memory word (`[im|re]`).
 pub fn pack_c16(c: C64) -> u32 {
-    u32::from(q16(c.0).to_bits()) | (u32::from(q16(c.1).to_bits()) << 16)
+    pack_h16([q16(c.0), q16(c.1)])
 }
 
 /// Packs a complex binary8 value as its memory halfword (`[im|re]`).
 pub fn pack_c8(c: C64) -> u16 {
-    u16::from(q8(c.0).to_bits()) | (u16::from(q8(c.1).to_bits()) << 8)
+    pack_b8([q8(c.0), q8(c.1)])
 }
 
 /// An `n × n` identity channel (useful for smoke tests: `x̂ ≈ y`).
@@ -43,7 +56,8 @@ pub fn identity_channel(n: usize) -> Vec<C64> {
 ///
 /// `h` is row-major `h[k*n + i]` = element `(row k, column i)`; the writer
 /// transposes into the kernel's column-major storage. `y` has `n` entries;
-/// `sigma` is the noise power σ².
+/// `sigma` is the noise power σ². Quantizes (see [`Operands::quantize`])
+/// and writes with [`write_operands`].
 ///
 /// # Panics
 ///
@@ -57,36 +71,40 @@ pub fn write_problem(
     y: &[C64],
     sigma: f64,
 ) {
-    let n = layout.n;
-    assert_eq!(h.len(), (n * n) as usize, "H must be n*n");
-    assert_eq!(y.len(), n as usize, "y must be n");
-    assert!(problem < layout.problems, "problem index out of range");
+    let operands = Operands::quantize(layout.precision, layout.n as usize, h, y, sigma);
+    write_operands(mem, layout, problem, &operands);
+}
 
-    match layout.precision {
-        Precision::Half16 | Precision::WDotp16 | Precision::CDotp16 => {
-            for k in 0..n {
-                for i in 0..n {
-                    let addr = layout.h_addr(problem, k, i);
-                    mem.write_u32(addr, pack_c16(h[(k * n + i) as usize]));
-                }
-            }
-            for k in 0..n {
-                mem.write_u32(layout.y_addr(problem, k), pack_c16(y[k as usize]));
-            }
+/// Writes one subcarrier problem's quantized operands into cluster
+/// memory: `H` column-major, `y` and σ², at the layout's addresses.
+///
+/// # Panics
+///
+/// Panics if the operands' size is not `layout.n`, they were quantized
+/// for the other element width, or `problem` is out of range.
+pub fn write_operands(mem: &ClusterMem, layout: &ProblemLayout, problem: u32, operands: &Operands) {
+    let n = layout.n;
+    assert_eq!(operands.n(), n as usize, "operands must be n");
+    assert!(problem < layout.problems, "problem index out of range");
+    let wide = layout.precision.element_bytes() == 4;
+    assert_eq!(operands.is_16bit(), wide, "operands quantized for another precision");
+
+    let write = |addr: u32, word: u32| {
+        if wide {
+            mem.write_u32(addr, word);
+        } else {
+            mem.write_u16(addr, word as u16);
         }
-        Precision::Quarter8 | Precision::WDotp8 => {
-            for k in 0..n {
-                for i in 0..n {
-                    let addr = layout.h_addr(problem, k, i);
-                    mem.write_u16(addr, pack_c8(h[(k * n + i) as usize]));
-                }
-            }
-            for k in 0..n {
-                mem.write_u16(layout.y_addr(problem, k), pack_c8(y[k as usize]));
-            }
+    };
+    for k in 0..n {
+        for i in 0..n {
+            write(layout.h_addr(problem, k, i), operands.h_word(k as usize, i as usize));
         }
     }
-    mem.write_u16(layout.sigma_addr(problem), q16(sigma).to_bits());
+    for k in 0..n {
+        write(layout.y_addr(problem, k), operands.y_word(k as usize));
+    }
+    mem.write_u16(layout.sigma_addr(problem), operands.sigma().to_bits());
 }
 
 /// Reads back the detected symbol vector of one problem (packed binary16
@@ -118,7 +136,7 @@ mod tests {
     use terasim_terapool::Topology;
 
     use super::*;
-    use crate::MmseKernel;
+    use crate::{MmseKernel, Precision};
 
     #[test]
     fn roundtrip_through_memory() {

@@ -7,11 +7,34 @@
 //! Monte-Carlo BER sweeps at full host speed while the ISS remains the
 //! source of truth: `tests/bit_true.rs` asserts bit-equality between the
 //! two paths on random problems.
+//!
+//! # One problem, or eight at a time
+//!
+//! [`detect`] quantizes one problem from `f64` operands and runs the
+//! scalar model: the reference. A job that verifies a whole OFDM symbol
+//! quantizes each problem once into [`Operands`] (the same bits it writes
+//! to L1, see [`data::write_operands`](crate::data::write_operands)) and
+//! hands them to [`detect_batch`]. For the 16-bit precisions on an x86-64
+//! CPU with AVX2 and F16C, `detect_batch` runs [`LANES`] problems side by
+//! side, one per SIMD lane, through `terasim_softfloat::lanes`, which
+//! mirrors every scalar operation bit for bit. A problem whose result
+//! holds a NaN is recomputed by the scalar model: a NaN's sign depends on
+//! the operand order the compiler picked for the scalar code, which the
+//! lanes cannot see. The 8-bit precisions, other CPUs and other
+//! architectures run the scalar model problem by problem; the results are
+//! the same bits either way (`tests/bit_true.rs` pins `detect_batch`
+//! against `detect`).
 
 use terasim_softfloat::{ops, F16, F8};
 
-use crate::data::{q16, q8};
+use crate::data::{pack_b8, pack_h16, q16, q8};
 use crate::{Precision, C64};
+
+#[cfg(target_arch = "x86_64")]
+mod lanes;
+
+/// Problems [`detect_batch`] solves side by side when it runs on lanes.
+pub const LANES: usize = 8;
 
 /// Quantized operands of one problem, per precision.
 #[derive(Debug, Clone)]
@@ -34,33 +57,90 @@ enum Quant {
 
 fn quantize(precision: Precision, n: usize, h: &[C64], y: &[C64]) -> Quant {
     // h arrives row-major h[k*n+i]; store column-major like the kernel.
+    fn column_major<T>(n: usize, h: &[C64], q: impl Fn(f64) -> T) -> Vec<[T; 2]> {
+        let mut out = Vec::with_capacity(n * n);
+        for i in 0..n {
+            for k in 0..n {
+                let c = h[k * n + i];
+                out.push([q(c.0), q(c.1)]);
+            }
+        }
+        out
+    }
     match precision {
-        Precision::Half16 | Precision::WDotp16 | Precision::CDotp16 => Quant::H16 {
-            h: (0..n * n)
-                .map(|idx| {
-                    let (i, k) = (idx / n, idx % n);
-                    let c = h[k * n + i];
-                    [q16(c.0), q16(c.1)]
-                })
-                .collect(),
-            y: y.iter().map(|c| [q16(c.0), q16(c.1)]).collect(),
-        },
-        Precision::Quarter8 | Precision::WDotp8 => Quant::H8 {
-            h: (0..n * n)
-                .map(|idx| {
-                    let (i, k) = (idx / n, idx % n);
-                    let c = h[k * n + i];
-                    [q8(c.0), q8(c.1)]
-                })
-                .collect(),
-            y: y.iter().map(|c| [q8(c.0), q8(c.1)]).collect(),
-        },
+        Precision::Half16 | Precision::WDotp16 | Precision::CDotp16 => {
+            Quant::H16 { h: column_major(n, h, q16), y: y.iter().map(|c| [q16(c.0), q16(c.1)]).collect() }
+        }
+        Precision::Quarter8 | Precision::WDotp8 => {
+            Quant::H8 { h: column_major(n, h, q8), y: y.iter().map(|c| [q8(c.0), q8(c.1)]).collect() }
+        }
+    }
+}
+
+/// One problem's operands, quantized once for a precision's element
+/// type: binary16 for the 16-bit precisions, binary8 for the 8-bit ones
+/// (each rounded once from `f64`; never binary16 re-rounded to binary8).
+/// These are exactly the bits the kernel reads from L1, at a quarter of
+/// the memory of the `f64` operands they come from.
+#[derive(Debug, Clone)]
+pub struct Operands {
+    quant: Quant,
+    /// σ², quantized to binary16 for every precision.
+    sigma: F16,
+}
+
+impl Operands {
+    /// Quantizes one problem for `precision`: `h` is row-major
+    /// `h[k*n + i]`, `y` has `n` entries, `sigma` is σ².
+    ///
+    /// # Panics
+    ///
+    /// Panics if slice lengths do not match `n`.
+    pub fn quantize(precision: Precision, n: usize, h: &[C64], y: &[C64], sigma: f64) -> Self {
+        assert_eq!(h.len(), n * n, "H must be n*n");
+        assert_eq!(y.len(), n, "y must be n");
+        Self { quant: quantize(precision, n, h, y), sigma: q16(sigma) }
+    }
+
+    /// The MIMO size `n`.
+    pub(crate) fn n(&self) -> usize {
+        match &self.quant {
+            Quant::H16 { y, .. } => y.len(),
+            Quant::H8 { y, .. } => y.len(),
+        }
+    }
+
+    /// Whether the operands are binary16 (else binary8) elements.
+    pub(crate) fn is_16bit(&self) -> bool {
+        matches!(self.quant, Quant::H16 { .. })
+    }
+
+    /// Element `(row k, column i)` of `H`, packed as its memory word.
+    pub(crate) fn h_word(&self, k: usize, i: usize) -> u32 {
+        let n = self.n();
+        match &self.quant {
+            Quant::H16 { h, .. } => pack_h16(h[i * n + k]),
+            Quant::H8 { h, .. } => u32::from(pack_b8(h[i * n + k])),
+        }
+    }
+
+    /// Entry `k` of `y`, packed as its memory word.
+    pub(crate) fn y_word(&self, k: usize) -> u32 {
+        match &self.quant {
+            Quant::H16 { y, .. } => pack_h16(y[k]),
+            Quant::H8 { y, .. } => u32::from(pack_b8(y[k])),
+        }
+    }
+
+    /// σ² as binary16.
+    pub(crate) fn sigma(&self) -> F16 {
+        self.sigma
     }
 }
 
 /// `fnmsub.h`: `-(a*b) + c` with one terminal rounding.
 fn fnmsub(a: F16, b: F16, c: F16) -> F16 {
-    F16::from_f64(-(a.to_f64() * b.to_f64()) + c.to_f64())
+    ops::fnmsub_h(a, b, c)
 }
 
 /// `fmadd.h`.
@@ -190,22 +270,57 @@ fn dot_conj(
 /// assert!((xhat[0][0].to_f32() - 1.0).abs() < 0.01);
 /// ```
 pub fn detect(precision: Precision, n: usize, h: &[C64], y: &[C64], sigma: f64) -> Vec<[F16; 2]> {
-    assert_eq!(h.len(), n * n, "H must be n*n");
-    assert_eq!(y.len(), n, "y must be n");
-    let q = quantize(precision, n, h, y);
-    let sigma16 = q16(sigma);
+    detect_scalar(precision, &Operands::quantize(precision, n, h, y, sigma))
+}
+
+/// Runs [`detect`] on every problem of `problems`, already quantized for
+/// `precision`, and returns their `x̂` back to back (`n` entries per
+/// problem, in order). Bit-identical to calling [`detect`] per problem;
+/// faster where it can run [`LANES`] problems at a time (see the module
+/// docs).
+///
+/// # Panics
+///
+/// Panics if a problem's MIMO size is not `n` or its operands were
+/// quantized for the other element width.
+pub fn detect_batch(precision: Precision, n: usize, problems: &[Operands]) -> Vec<[F16; 2]> {
+    let wide = precision.element_bytes() == 4;
+    for p in problems {
+        assert_eq!(p.n(), n, "problem size must be n");
+        assert_eq!(p.is_16bit(), wide, "operands quantized for another precision");
+    }
+    let mut out = Vec::with_capacity(problems.len() * n);
+    #[cfg(target_arch = "x86_64")]
+    if wide && terasim_softfloat::lanes::available() {
+        for chunk in problems.chunks(LANES) {
+            // SAFETY: `lanes::available()` just confirmed AVX2 and F16C.
+            unsafe { lanes::detect(precision, n, chunk, &mut out) };
+        }
+        return out;
+    }
+    for p in problems {
+        out.extend(detect_scalar(precision, p));
+    }
+    out
+}
+
+/// The scalar model: [`detect`] on quantized operands. Never inlined, so
+/// that [`detect`] and the lanes' NaN fallback run the very same code.
+#[inline(never)]
+fn detect_scalar(precision: Precision, operands: &Operands) -> Vec<[F16; 2]> {
+    let (q, n, sigma16) = (&operands.quant, operands.n(), operands.sigma);
 
     // Gram lower triangle, row-major (like the guest scratch).
     let tri = |i: usize| i * (i + 1) / 2;
     let mut g = vec![[F16::ZERO; 2]; tri(n) + n];
     for i in 0..n {
         for j in 0..=i {
-            g[tri(i) + j] = dot_conj(precision, &q, n, i, false, j, sigma16, i == j);
+            g[tri(i) + j] = dot_conj(precision, q, n, i, false, j, sigma16, i == j);
         }
     }
     // Matched filter z.
     let mut w: Vec<[F16; 2]> =
-        (0..n).map(|i| dot_conj(precision, &q, n, i, true, 0, sigma16, false)).collect();
+        (0..n).map(|i| dot_conj(precision, q, n, i, true, 0, sigma16, false)).collect();
 
     // Cholesky in binary16 (exact emitted op order).
     let mut l = vec![[F16::ZERO; 2]; tri(n) + n];

@@ -7,6 +7,7 @@
 
 use terasim_kernels::{data, native, MmseKernel, Precision, C64};
 use terasim_phy::rng::Rng64;
+use terasim_softfloat::F16;
 use terasim_terapool::{FastSim, Topology};
 
 /// Standard-normal sampler (Box-Muller).
@@ -151,4 +152,78 @@ fn detection_quality_tracks_reference() {
         agree as f64 >= 0.9 * total as f64,
         "16bCDotp diverged from the reference too often: {agree}/{total}"
     );
+}
+
+/// `y = H x + noise` for a random channel and 16-QAM-like symbols.
+fn random_problem(rng: &mut Rng64, n: usize) -> (Vec<C64>, Vec<C64>, f64) {
+    let h = random_channel(rng, n);
+    let x = random_symbols(rng, n);
+    let mut y = vec![(0.0, 0.0); n];
+    for k in 0..n {
+        for i in 0..n {
+            let (hv, xv) = (h[k * n + i], x[i]);
+            y[k].0 += hv.0 * xv.0 - hv.1 * xv.1;
+            y[k].1 += hv.0 * xv.1 + hv.1 * xv.0;
+        }
+        y[k].0 += randn(rng) * 0.01;
+        y[k].1 += randn(rng) * 0.01;
+    }
+    (h, y, 0.01)
+}
+
+/// 24 problems: random ones, plus adversarial ones at scattered
+/// positions. An all-zero `H` with σ² = 0 drives `sqrt(0)` and `1/0` into
+/// Inf/NaN chains; one with σ² > 0 solves to zeros; entries near 65 504
+/// overflow the Gram sums.
+fn batch_pool(n: usize, seed: u64) -> Vec<(Vec<C64>, Vec<C64>, f64)> {
+    let mut rng = Rng64::seed_from_u64(seed);
+    (0..24)
+        .map(|p| {
+            let (h, y, sigma) = random_problem(&mut rng, n);
+            let zero = vec![(0.0, 0.0); n * n];
+            let huge = |s: f64| {
+                (0..n * n).map(|i| (s * 65_000.0, if i % 3 == 0 { -65_504.0 } else { 65_400.0 })).collect()
+            };
+            match p {
+                3 => (zero, y, 0.0),
+                7 => (zero, y, 0.01),
+                11 => (huge(1.0), y, 0.01),
+                14 => (h, vec![(65_504.0, -65_504.0); n], 65_504.0),
+                18 => (huge(-1.0), vec![(65_000.0, 1.0); n], 0.0),
+                _ => (h, y, sigma),
+            }
+        })
+        .collect()
+}
+
+/// The batch model is the scalar model, problem for problem and bit for
+/// bit: all five precisions, MIMO sizes 4 to 32, every batch length from
+/// 1 to 17 (so full, partial and single-problem lane chunks), and
+/// adversarial problems whose results hold Inf and NaN.
+#[test]
+fn detect_batch_matches_detect() {
+    for n in [4usize, 8, 16, 32] {
+        let pool = batch_pool(n, 0xba7c_0000 + n as u64);
+        for precision in Precision::ALL {
+            let operands: Vec<_> =
+                pool.iter().map(|(h, y, s)| native::Operands::quantize(precision, n, h, y, *s)).collect();
+            let want: Vec<Vec<[F16; 2]>> =
+                pool.iter().map(|(h, y, s)| native::detect(precision, n, h, y, *s)).collect();
+            assert!(
+                want.iter().flatten().any(|c| c[0].is_nan() || c[1].is_nan()),
+                "{precision} n={n}: the adversarial problems must reach NaN"
+            );
+            for len in 1..=17 {
+                let start = len % 7;
+                let got = native::detect_batch(precision, n, &operands[start..start + len]);
+                assert_eq!(got.len(), len * n, "{precision} n={n} len={len}");
+                for (p, (got, want)) in got.chunks(n).zip(&want[start..]).enumerate() {
+                    let bits = |x: &[[F16; 2]]| {
+                        x.iter().map(|c| [c[0].to_bits(), c[1].to_bits()]).collect::<Vec<_>>()
+                    };
+                    assert_eq!(bits(got), bits(want), "{precision} n={n} len={len}: problem {}", start + p);
+                }
+            }
+        }
+    }
 }

@@ -4,9 +4,9 @@
 //! The build environment has no network access, so the real crates.io
 //! `criterion` cannot be fetched. This shim keeps the bench sources
 //! compiling unchanged and produces simple wall-clock measurements
-//! (median of several samples, ns/iter plus element throughput) on
-//! stdout — enough to track relative regressions, without criterion's
-//! statistics machinery.
+//! (median of several samples, ns/iter plus element throughput and cost
+//! per element) on stdout — enough to track relative regressions,
+//! without criterion's statistics machinery.
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};
@@ -82,7 +82,11 @@ fn report(name: &str, ns_per_iter: f64, throughput: Option<Throughput>) {
     match throughput {
         Some(Throughput::Elements(n)) => {
             let rate = n as f64 / (ns_per_iter * 1e-9);
-            println!("{name:<40} {ns_per_iter:>14.1} ns/iter   {:>10.2} Melem/s", rate / 1e6);
+            let per_elem = ns_per_iter / n as f64;
+            println!(
+                "{name:<40} {ns_per_iter:>14.1} ns/iter   {:>10.2} Melem/s   {per_elem:>10.1} ns/elem",
+                rate / 1e6
+            );
         }
         Some(Throughput::Bytes(n)) => {
             let rate = n as f64 / (ns_per_iter * 1e-9);

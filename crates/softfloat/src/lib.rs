@@ -16,6 +16,9 @@
 //!   (`wDotp`, 8b→16b and 16b→32b accumulation) and the complex
 //!   dot-product/MAC (`CDotp`, 32-bit internal precision, 16-bit
 //!   accumulators) exactly as used by the five MMSE kernel precisions.
+//! * `lanes` (x86-64 only) — the binary16 operations of the 16-bit
+//!   kernels on eight independent problems at once, one per AVX2 lane,
+//!   bit-identical lane by lane to the scalar operations (see below).
 //!
 //! # Rounding semantics
 //!
@@ -27,6 +30,30 @@
 //! `f64` followed by a single RNE conversion; this is the reference
 //! semantics for the DUT and is used consistently by the ISS and the native
 //! models.
+//!
+//! # Eight lanes per instruction
+//!
+//! `lanes` runs on x86-64 CPUs that report AVX2 and F16C at run time
+//! (`lanes::available`); elsewhere, and for the 8-bit formats, callers
+//! use the scalar operations. Each lane op is bit-exact against the
+//! scalar op it mirrors, for these reasons:
+//!
+//! * `f32` → binary16 narrowing is `vcvtps2ph` with round-to-nearest-even
+//!   in its immediate, so it does not depend on MXCSR's rounding field.
+//! * The `f32`/`f64` arithmetic runs under the default MXCSR: RNE, with
+//!   flush-to-zero and denormals-are-zero off, so subnormals are exact,
+//!   as in the scalar code. Products and sums are never fused.
+//! * The `f64` chain of `fmadd.h`/`fnmsub.h` rounds to `f32` *to odd*
+//!   before the final RNE narrowing; `f32`'s 13 spare bits make the two
+//!   roundings one, as `F16::from_f64`'s single rounding requires.
+//! * Narrowed NaNs are canonicalized to `sign | 0x7e00`, as the scalar
+//!   converter does, and a result lane that is NaN is recomputed by the
+//!   scalar op, whose NaN sign depends on the operand order the compiler
+//!   chose for it.
+//!
+//! `tests/fastpath.rs` pins every lane op against its scalar op on seeded
+//! sweeps rich in zeros, subnormals, max-finite values, infinities and
+//! NaNs, and (ignored by default) both narrowings exhaustively.
 //!
 //! # Examples
 //!
@@ -45,6 +72,8 @@
 mod convert;
 mod f16;
 mod f8;
+#[cfg(target_arch = "x86_64")]
+pub mod lanes;
 pub mod ops;
 mod tables;
 

@@ -184,6 +184,12 @@ pub fn vfcdotpex_conj_s_h(acc: [F16; 2], a: [F16; 2], b: [F16; 2]) -> [F16; 2] {
     ]
 }
 
+/// `fnmsub.h` as the native kernel models evaluate it: `-(a*b) + c` in
+/// `f64` (the product is exact), rounded once to binary16.
+pub fn fnmsub_h(a: F16, b: F16, c: F16) -> F16 {
+    F16::from_f64(-(a.to_f64() * b.to_f64()) + c.to_f64())
+}
+
 /// Scalar conjugated complex MAC in pure binary16 (`acc + conj(a)*b`) with
 /// `fmadd.h`-family rounding, used by the "16bHalf" Gram/MVM loops.
 ///

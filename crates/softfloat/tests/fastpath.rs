@@ -331,3 +331,255 @@ fn early_out_boundary_cases() {
         }
     }
 }
+
+/// The eight-lane ops (`lanes`, AVX2 + F16C) against the scalar ops they
+/// mirror, lane by lane and bit for bit — NaN signs included, with NaN
+/// operands on either side and on both. Hosts without the features skip.
+#[cfg(target_arch = "x86_64")]
+mod lane_ops {
+    use terasim_softfloat::lanes::{self, H8, S8};
+    use terasim_softfloat::{ops, F16};
+
+    use super::Rng;
+
+    /// Special binary16 encodings: signed zeros, subnormals, max-finite,
+    /// infinities and NaNs of both signs with several payloads.
+    const SPECIALS: [u16; 18] = [
+        0x0000, 0x8000, 0x0001, 0x83ff, 0x0400, 0x3c00, 0xbc00, 0x7bff, 0xfbff, 0x7c00, 0xfc00, 0x7e00,
+        0xfe00, 0x7c01, 0xfd55, 0x7fff, 0x3555, 0xc7ff,
+    ];
+
+    fn h8(rng: &mut Rng) -> H8 {
+        H8::from_bits(std::array::from_fn(|_| rng.f16().to_bits()))
+    }
+
+    fn pair(rng: &mut Rng) -> [H8; 2] {
+        [h8(rng), h8(rng)]
+    }
+
+    /// An `f32` accumulator: a widened binary16, or any `f32` pattern.
+    fn s8(rng: &mut Rng) -> S8 {
+        S8::from_array(std::array::from_fn(|_| {
+            if rng.next().is_multiple_of(2) {
+                rng.f16().to_f32()
+            } else {
+                f32::from_bits(rng.next() as u32)
+            }
+        }))
+    }
+
+    fn at(x: [H8; 2], l: usize) -> [F16; 2] {
+        [x[0].lane(l), x[1].lane(l)]
+    }
+
+    #[track_caller]
+    fn same_h(got: H8, want: impl Fn(usize) -> F16, what: &str) {
+        for l in 0..8 {
+            let (g, w) = (got.lane(l).to_bits(), want(l).to_bits());
+            assert_eq!(g, w, "{what} lane {l}: lanes {g:#06x} != scalar {w:#06x}");
+        }
+    }
+
+    #[track_caller]
+    fn same_h2(got: [H8; 2], want: impl Fn(usize) -> [F16; 2], what: &str) {
+        same_h(got[0], |l| want(l)[0], what);
+        same_h(got[1], |l| want(l)[1], what);
+    }
+
+    #[track_caller]
+    fn same_s(got: S8, want: impl Fn(usize) -> f32, what: &str) {
+        for (l, g) in got.to_array().into_iter().enumerate() {
+            let w = want(l);
+            assert_eq!(g.to_bits(), w.to_bits(), "{what} lane {l}: lanes {g:e} != scalar {w:e}");
+        }
+    }
+
+    /// Every lane op on one set of inputs.
+    #[target_feature(enable = "avx2,f16c")]
+    fn check_all(a: H8, b: H8, c: H8, acc: [H8; 2], x: [H8; 2], y: [H8; 2], s: S8) {
+        let (al, bl, cl) = (|l| a.lane(l), |l| b.lane(l), |l| c.lane(l));
+        same_s(lanes::fcvt_s_h(a), |l| al(l).to_f32(), "fcvt_s_h");
+        same_h(lanes::fcvt_h_s(s), |l| F16::from_f32(s.to_array()[l]), "fcvt_h_s");
+        same_h(lanes::fadd_h(a, b), |l| al(l) + bl(l), "fadd_h");
+        same_h(lanes::fmul_h(a, b), |l| al(l) * bl(l), "fmul_h");
+        same_h(lanes::fmadd_h(a, b, c), |l| al(l).mul_add(bl(l), cl(l)), "fmadd_h");
+        same_h(lanes::fnmsub_h(a, b, c), |l| ops::fnmsub_h(al(l), bl(l), cl(l)), "fnmsub_h");
+        same_h(lanes::fsqrt_h(a), |l| al(l).sqrt(), "fsqrt_h");
+        same_h(lanes::recip_h(a), |l| al(l).recip(), "recip_h");
+        let sa = s.to_array();
+        same_s(lanes::fadd_s(s, lanes::fcvt_s_h(a)), |l| sa[l] + al(l).to_f32(), "fadd_s");
+        same_s(
+            lanes::vfdotpex_s_h(s, x, y),
+            |l| ops::vfdotpex_s_h(sa[l], at(x, l), at(y, l)),
+            "vfdotpex_s_h",
+        );
+        same_s(
+            lanes::vfndotpex_s_h(s, x, y),
+            |l| ops::vfndotpex_s_h(sa[l], at(x, l), at(y, l)),
+            "vfndotpex_s_h",
+        );
+        same_h2(
+            lanes::vfcdotpex_s_h(acc, x, y),
+            |l| ops::vfcdotpex_s_h(at(acc, l), at(x, l), at(y, l)),
+            "vfcdotpex_s_h",
+        );
+        same_h2(
+            lanes::vfcdotpex_conj_s_h(acc, x, y),
+            |l| ops::vfcdotpex_conj_s_h(at(acc, l), at(x, l), at(y, l)),
+            "vfcdotpex_conj_s_h",
+        );
+        same_h2(
+            lanes::cmac_conj_h(acc, x, y),
+            |l| ops::cmac_conj_h(at(acc, l), at(x, l), at(y, l)),
+            "cmac_conj_h",
+        );
+    }
+
+    #[test]
+    fn lane_ops_match_scalar_ops_on_seeded_sweeps() {
+        if !lanes::available() {
+            eprintln!("host lacks AVX2 + F16C: the lane ops never run here");
+            return;
+        }
+        let mut rng = Rng::new(0x1a9e_5eed);
+        for _ in 0..100_000 {
+            let (a, b, c) = (h8(&mut rng), h8(&mut rng), h8(&mut rng));
+            let (acc, x, y) = (pair(&mut rng), pair(&mut rng), pair(&mut rng));
+            let s = s8(&mut rng);
+            let tiny = tiny_addends(&mut rng, a, b);
+            // SAFETY: `lanes::available()` above confirmed AVX2 and F16C.
+            unsafe {
+                check_all(a, b, c, acc, x, y, s);
+                check_all(a, b, tiny, acc, x, y, s);
+            }
+        }
+    }
+
+    /// Per lane, an addend 2^-20 to 2^-40 the size of `a*b`: too small to
+    /// survive an `f64 -> f32` RNE step, yet it decides a binary16 tie of
+    /// `a*b`. A chain that rounded twice would get these wrong.
+    fn tiny_addends(rng: &mut Rng, a: H8, b: H8) -> H8 {
+        H8::from_bits(std::array::from_fn(|l| {
+            let p = a.lane(l).to_f64() * b.lane(l).to_f64();
+            let r = rng.next();
+            let scale = 2f64.powi(-20 - (r % 21) as i32) * (1.0 + (r >> 8) as u16 as f64 / 65536.0);
+            let c = if r & (1 << 7) == 0 { p * scale } else { -p * scale };
+            if c.is_finite() && c != 0.0 {
+                F16::from_f64(c).to_bits()
+            } else {
+                rng.f16().to_bits()
+            }
+        }))
+    }
+
+    /// Every pair of special encodings in every operand position, so each
+    /// op sees NaN on the left, on the right and on both sides.
+    #[test]
+    fn lane_ops_match_scalar_ops_on_special_pairs() {
+        if !lanes::available() {
+            eprintln!("host lacks AVX2 + F16C: the lane ops never run here");
+            return;
+        }
+        let mut rng = Rng::new(0x0005_bec1);
+        for (i, &p) in SPECIALS.iter().enumerate() {
+            // Lane l pairs `p` with SPECIALS[i + l] (wrapping), so every
+            // ordered pair appears across the outer loop.
+            let q = |k: usize| std::array::from_fn(|l| SPECIALS[(i + l + k) % SPECIALS.len()]);
+            for k in (0..SPECIALS.len()).step_by(8) {
+                let (a, b) = (H8::from_bits([p; 8]), H8::from_bits(q(k)));
+                for (a, b) in [(a, b), (b, a)] {
+                    let c = h8(&mut rng);
+                    let s = S8::from_array(b.to_bits().map(|h| F16::from_bits(h).to_f32()));
+                    let acc = [c, b];
+                    // SAFETY: `lanes::available()` above confirmed AVX2 and F16C.
+                    unsafe {
+                        check_all(a, b, c, acc, [a, b], [b, a], s);
+                        check_all(a, b, b, [a, a], [a, a], [b, b], s);
+                        check_all(b, a, a, [b, b], [b, a], [a, b], s);
+                    }
+                }
+            }
+        }
+    }
+
+    /// `fcvt_h_s` on all 2^32 `f32` inputs and this worker's share.
+    #[target_feature(enable = "avx2,f16c")]
+    fn narrowing_share(first: u64, end: u64) -> Option<u32> {
+        (first..end).step_by(8).find_map(|base| {
+            let x: [f32; 8] = std::array::from_fn(|l| f32::from_bits((base + l as u64) as u32));
+            let got = lanes::fcvt_h_s(S8::from_array(x)).to_bits();
+            (0..8).find(|&l| got[l] != F16::from_f32(x[l]).to_bits()).map(|l| x[l].to_bits())
+        })
+    }
+
+    /// The `f64` chain for every `b` against each `a` of this worker's
+    /// share, with a seeded addend per lane: `fmadd_h` for even `a`,
+    /// `fnmsub_h` for odd.
+    #[target_feature(enable = "avx2,f16c")]
+    fn f64_chain_share(first: u32, end: u32) -> Option<(u16, u16, u16)> {
+        for a in first..end {
+            let mut rng = Rng::new(0xadd0_0000 ^ u64::from(a));
+            let a = F16::from_bits(a as u16);
+            let negate = a.to_bits() % 2 == 1;
+            for base in (0..=u16::MAX).step_by(8) {
+                let b: [u16; 8] = std::array::from_fn(|l| base + l as u16);
+                let c: [u16; 8] = std::array::from_fn(|_| rng.next() as u16);
+                let (a8, b8, c8) = (H8::splat(a), H8::from_bits(b), H8::from_bits(c));
+                let got =
+                    if negate { lanes::fnmsub_h(a8, b8, c8) } else { lanes::fmadd_h(a8, b8, c8) }.to_bits();
+                for l in 0..8 {
+                    let (b, c) = (F16::from_bits(b[l]), F16::from_bits(c[l]));
+                    let want = if negate { ops::fnmsub_h(a, b, c) } else { a.mul_add(b, c) };
+                    if got[l] != want.to_bits() {
+                        return Some((a.to_bits(), b.to_bits(), c.to_bits()));
+                    }
+                }
+            }
+        }
+        None
+    }
+
+    /// The lanes' two narrowings exhaustively: `fcvt_h_s` on every `f32`
+    /// encoding, and the `f64` chain (round to odd, then RNE) behind
+    /// `fmadd_h`/`fnmsub_h` on every binary16 `a x b` pair, each with a
+    /// seeded addend. Ignored by default (tens of seconds in release);
+    /// run it with
+    /// `cargo test --release -p terasim-softfloat --test fastpath -- --ignored`.
+    #[test]
+    #[ignore = "exhaustive 2^32 sweeps; run with --ignored in release"]
+    fn lane_narrowings_exhaustive() {
+        if !lanes::available() {
+            eprintln!("host lacks AVX2 + F16C: the lane ops never run here");
+            return;
+        }
+        let threads = std::thread::available_parallelism().map_or(1, usize::from) as u64;
+        let span = (1u64 << 32).div_ceil(threads).next_multiple_of(8);
+        let narrowing = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..threads)
+                .map(|t| {
+                    let end = ((t + 1) * span).min(1 << 32);
+                    // SAFETY: `lanes::available()` above confirmed AVX2 and F16C.
+                    s.spawn(move || unsafe { narrowing_share(t * span, end) })
+                })
+                .collect();
+            workers.into_iter().find_map(|w| w.join().expect("sweep thread panicked"))
+        });
+        if let Some(bits) = narrowing {
+            panic!("lanes::fcvt_h_s differs from F16::from_f32 at {bits:#010x}");
+        }
+        let span = (1u32 << 16).div_ceil(threads as u32);
+        let chain = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..threads as u32)
+                .map(|t| {
+                    let end = ((t + 1) * span).min(1 << 16);
+                    // SAFETY: `lanes::available()` above confirmed AVX2 and F16C.
+                    s.spawn(move || unsafe { f64_chain_share(t * span, end) })
+                })
+                .collect();
+            workers.into_iter().find_map(|w| w.join().expect("sweep thread panicked"))
+        });
+        if let Some((a, b, c)) = chain {
+            panic!("lane f64 chain differs from the scalar op at a={a:#06x} b={b:#06x} c={c:#06x}");
+        }
+    }
+}

