@@ -1,9 +1,14 @@
 //! Criterion benchmark of raw ISS emulation speed (instructions per
 //! second of the translate-then-interpret loop) — the figure the paper
-//! quotes as 3.57 MIPS for single-thread Banshee.
+//! quotes as 3.57 MIPS for single-thread Banshee — and of SPMD lane
+//! groups against the same harts run one at a time.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use terasim_iss::{run_core, Cpu, DenseMemory, Program, RunConfig};
+use terasim_iss::uop::UopProgram;
+use terasim_iss::{
+    resume_blocks, resume_spmd, run_core, BlockProgram, Cpu, DenseMemory, Lane, Program, RunConfig, RunStats,
+    Scoreboard,
+};
 use terasim_riscv::{Assembler, Image, Reg, Segment};
 
 /// An integer/FP mix resembling the MMSE inner loop.
@@ -56,5 +61,67 @@ fn bench_translation(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_emulation, bench_translation);
+/// The per-hart state of `n` harts, all at the program's entry.
+struct Harts {
+    harts: Vec<(Cpu, DenseMemory, Scoreboard, RunStats)>,
+}
+
+impl Harts {
+    fn new(n: u32) -> Self {
+        let harts = (0..n)
+            .map(|hart| (Cpu::new(hart), DenseMemory::new(0, 0x200), Scoreboard::new(), RunStats::default()))
+            .collect();
+        Self { harts }
+    }
+
+    /// Back to the entry with fresh timing (memory keeps its contents:
+    /// the workload's addresses and control flow do not depend on them).
+    fn reset(&mut self) {
+        for (hart, (cpu, _, sb, stats)) in (0..).zip(&mut self.harts) {
+            *cpu = Cpu::new(hart);
+            *sb = Scoreboard::new();
+            *stats = RunStats::default();
+        }
+    }
+}
+
+/// `iss/spmd/<lanes>`: `lanes` harts converged on one program through
+/// `resume_spmd` (one group: each block timed once) against the same
+/// harts one at a time through `resume_blocks`. An element is one
+/// retired instruction, so `ns/elem` is ns per instruction.
+fn bench_spmd(c: &mut Criterion) {
+    let iters = 200;
+    let program = workload(iters);
+    let config = RunConfig::default();
+    let table = UopProgram::lower(&program, &config.latency);
+    let blocks: BlockProgram<DenseMemory> = BlockProgram::build(&program, &table);
+    let insts_per_hart = 7 * iters as u64 + 3;
+    let mut group = c.benchmark_group("iss/spmd");
+    for lanes in [16u32, 256, 1024] {
+        let mut harts = Harts::new(lanes);
+        group.throughput(Throughput::Elements(u64::from(lanes) * insts_per_hart));
+        group.bench_function(&format!("{lanes}/resume_spmd"), |bencher| {
+            bencher.iter(|| {
+                harts.reset();
+                let mut group: Vec<Lane<'_, DenseMemory>> = harts
+                    .harts
+                    .iter_mut()
+                    .map(|(cpu, mem, sb, stats)| Lane { cpu, mem, sb, stats })
+                    .collect();
+                resume_spmd(&mut group, &blocks, &config).unwrap()
+            })
+        });
+        group.bench_function(&format!("{lanes}/resume_blocks"), |bencher| {
+            bencher.iter(|| {
+                harts.reset();
+                for (cpu, mem, sb, stats) in &mut harts.harts {
+                    resume_blocks(cpu, &blocks, mem, &config, sb, stats).unwrap();
+                }
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_emulation, bench_translation, bench_spmd);
 criterion_main!(benches);

@@ -47,8 +47,11 @@ macro_rules! flag {
 /// `--cores`: the cluster sizes `Topology::scaled` builds.
 const CORES: (fn(u32) -> bool, &str) =
     (|c| c.is_power_of_two() && (8..=1024).contains(&c), "a power of two in 8..=1024");
-/// `--threads`: at least one host thread.
-const THREADS: (fn(u32) -> bool, &str) = (|t| t >= 1, "at least 1");
+/// `--mimo` on the simulated kernels: the sizes `MmseKernel` emits.
+const MIMO: (fn(u32) -> bool, &str) = (|n| n.is_power_of_two() && (4..=32).contains(&n), "4, 8, 16 or 32");
+/// `--threads`, `--nsc`, `--unroll`, `--errors`, native `--mimo`: at
+/// least one.
+const POSITIVE: (fn(u32) -> bool, &str) = (|v| v >= 1, "at least 1");
 
 fn parse_precision(s: &str) -> Option<Precision> {
     Precision::ALL.into_iter().find(|p| p.paper_name().eq_ignore_ascii_case(s))
@@ -86,7 +89,7 @@ fn main() -> ExitCode {
 }
 
 fn cmd_run(args: &Args) -> ExitCode {
-    let n = flag!(args, "--mimo", 4);
+    let n = flag!(args, "--mimo", 4, MIMO);
     let Some(precision) = parse_precision(args.value("--precision").unwrap_or("16bCDotp")) else {
         return usage();
     };
@@ -95,11 +98,11 @@ fn cmd_run(args: &Args) -> ExitCode {
         n,
         precision,
         seed: u64::from(flag!(args, "--seed", 1)),
-        unroll: flag!(args, "--unroll", 2),
+        unroll: flag!(args, "--unroll", 2, POSITIVE),
     };
     match args.value("--backend").unwrap_or("fast") {
         "fast" => {
-            let threads = flag!(args, "--threads", 2, THREADS) as usize;
+            let threads = flag!(args, "--threads", 2, POSITIVE) as usize;
             let job = JobSpec::seeded(config.seed);
             let run = ParallelScenario::prepare(&config)
                 .and_then(|s| s.run_fast(&job, threads, None).map_err(Into::into));
@@ -129,7 +132,7 @@ fn cmd_run(args: &Args) -> ExitCode {
             // Bit-identical at every thread count; one thread is
             // `CycleSim::run`. The engine shards by group, so it uses at
             // most one host thread per group: report what it used.
-            let threads = flag!(args, "--threads", 1, THREADS) as usize;
+            let threads = flag!(args, "--threads", 1, POSITIVE) as usize;
             let threads = threads.min(Topology::scaled(config.cores).num_domains() as usize);
             let job = JobSpec::seeded(config.seed);
             let run = ParallelScenario::prepare(&config)
@@ -170,11 +173,11 @@ fn cmd_symbol(args: &Args) -> ExitCode {
         return usage();
     };
     let config = BatchConfig {
-        n: flag!(args, "--mimo", 4),
+        n: flag!(args, "--mimo", 4, MIMO),
         precision,
-        nsc: flag!(args, "--nsc", 128),
+        nsc: flag!(args, "--nsc", 128, POSITIVE),
         seed: u64::from(flag!(args, "--seed", 1)),
-        unroll: flag!(args, "--unroll", 2),
+        unroll: flag!(args, "--unroll", 2, POSITIVE),
     };
     let run = SymbolScenario::prepare(&config)
         .and_then(|s| s.run(&JobSpec::seeded(config.seed)).map_err(Into::into));
@@ -194,7 +197,6 @@ fn cmd_symbol(args: &Args) -> ExitCode {
 }
 
 fn cmd_ber(args: &Args) -> ExitCode {
-    let n = flag!(args, "--mimo", 4) as usize;
     let detector = match args.value("--detector").unwrap_or("64b") {
         "64b" | "64bDouble" => DetectorKind::Reference64,
         s => {
@@ -211,6 +213,12 @@ fn cmd_ber(args: &Args) -> ExitCode {
             }
         }
     };
+    // The native models take any positive size, the simulated kernel only
+    // the ones it emits.
+    let n = match detector {
+        DetectorKind::Iss(_) => flag!(args, "--mimo", 4, MIMO),
+        _ => flag!(args, "--mimo", 4, POSITIVE),
+    } as usize;
     let modulation = match args.value("--mod").unwrap_or("16qam") {
         "qpsk" => Modulation::Qpsk,
         "16qam" => Modulation::Qam16,
@@ -236,7 +244,7 @@ fn cmd_ber(args: &Args) -> ExitCode {
         return usage();
     }
     let scenario = Mimo { n_tx: n, n_rx: n, modulation, channel };
-    let errors = u64::from(flag!(args, "--errors", 500));
+    let errors = u64::from(flag!(args, "--errors", 500, POSITIVE));
     println!("BER {}x{} {} {} — {}", n, n, modulation.name(), channel.name(), detector.label());
     for p in experiments::ber_curve(scenario, &snrs, detector, errors, 50_000, 1) {
         println!(

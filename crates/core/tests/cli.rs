@@ -45,6 +45,17 @@ fn out_of_range_numbers_are_rejected_before_anything_runs() {
     assert_rejected(TSIM, "info --cores 12", "--cores");
     assert_rejected(TSIM, "run --backend fast --threads 0", "--threads");
     assert_rejected(TSIM, "run --backend cycle --threads 0", "--threads");
+    for mimo in ["0", "2", "12", "64"] {
+        assert_rejected(TSIM, &format!("run --mimo {mimo}"), "--mimo");
+        assert_rejected(TSIM, &format!("symbol --mimo {mimo}"), "--mimo");
+        assert_rejected(TSIM, &format!("ber --mimo {mimo} --detector iss:16bCDotp"), "--mimo");
+    }
+    assert_rejected(TSIM, "symbol --nsc 0", "--nsc");
+    assert_rejected(TSIM, "run --unroll 0", "--unroll");
+    assert_rejected(TSIM, "symbol --unroll 0", "--unroll");
+    assert_rejected(TSIM, "ber --errors 0", "--errors");
+    assert_rejected(TSIM, "ber --mimo 0 --detector 64b", "--mimo");
+    assert_rejected(TSIM, "ber --mimo 0 --detector 16bCDotp", "--mimo");
     assert_rejected(SERVE, "--workers 0", "--workers");
     assert_rejected(SERVE, "--depth 0", "--depth");
     assert_rejected(SERVE, "--cache 0", "--cache");

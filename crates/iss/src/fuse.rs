@@ -19,7 +19,8 @@
 //!   (`remaining ≥ len`), a straight run of kernel + scoreboard issue per
 //!   uop (the per-address latency branch is hoisted out by monomorphizing
 //!   on it), then one `retired` + histogram fold, one taken-branch check
-//!   on the terminator and one `mcycle` publication.
+//!   on the terminator and one `mcycle` publication; an SPMD group pays
+//!   the issue and the fold once for all its lanes.
 //! - **Partial blocks fall back to the per-instruction step**: a block
 //!   entered mid-way (a `jalr` or resume target that is not a leader) or
 //!   straddling the budget boundary runs one uop at a time with exactly
@@ -30,13 +31,19 @@
 //! therefore bit-identical to `resume_lowered` and to `Cpu::execute`
 //! (pinned by `tests/fusion.rs` and the lockstep tests below).
 //!
-//! [`resume_spmd`] runs the same blocks across a *group* of lanes (harts)
-//! converged on one PC, **lane-major**: each lane executes the whole block
-//! before the next lane starts, so one lane's `Cpu`, `Scoreboard` and
-//! `RunStats` stay in L1 across the block while the lookup and budget test
-//! are still paid once per group. Divergence is checked once, at the
-//! block's terminator; a trap reports the lowest-indexed trapping lane,
-//! exactly what running the lanes one after another would report.
+//! [`resume_spmd`] runs the same blocks across a *group* of lanes (harts):
+//! lanes at one PC **with equal scoreboards**. Fast-mode timing is static
+//! per uop, so such lanes issue every block identically: the group owns
+//! one [`Scoreboard`] and one statistics delta (`retired`, class
+//! histogram, branch bubbles), times and folds each block **once**, and
+//! each lane runs only the block's kernels, lane-major, then checks its
+//! end PC and stores its `mcycle`. Every lane takes the group's
+//! scoreboard and delta when it leaves the group (budget, stop,
+//! divergence, trap; the rules are on [`resume_spmd`]). Divergence is
+//! checked once, at the block's terminator; a trap reports the
+//! lowest-indexed trapping lane, exactly what running the lanes one after
+//! another would report. Under per-address load latency, timing depends
+//! on each lane's addresses, so every lane runs alone.
 
 use std::collections::VecDeque;
 
@@ -242,6 +249,33 @@ fn fold_each<M>(stats: &mut RunStats, body: &[Slot<M>]) {
     }
 }
 
+/// Retires `run`: one histogram fold for a whole block, per instruction
+/// otherwise.
+#[inline(always)]
+fn fold<M>(stats: &mut RunStats, run: Run<'_, M>) {
+    match run.hist {
+        Some(hist) => {
+            stats.retired += run.body.len() as u64;
+            for (count, &n) in stats.class_counts.iter_mut().zip(hist) {
+                *count += u64::from(n);
+            }
+        }
+        None => fold_each(stats, run.body),
+    }
+}
+
+/// Issues `body` at its static latencies from the clock at
+/// [`Scoreboard::cycles`], without closing the run; returns the clock
+/// after the last issue.
+#[inline(always)]
+fn issue_static<M>(sb: &mut Scoreboard, body: &[Slot<M>]) -> u64 {
+    let mut next = sb.cycles();
+    for s in body {
+        next = sb.issue_in_run(next, s.srcs, s.dst, s.post_inc, s.lat);
+    }
+    next
+}
+
 /// Accounting of a trap right after `prefix`, whose issues left the
 /// run's clock at `next`: the prefix is issued, retired and its estimate
 /// published, as the per-instruction loop leaves them.
@@ -291,15 +325,7 @@ fn run_straight<M: Memory, const PER_ADDR: bool>(
         next = sb.issue_in_run(next, s.srcs, s.dst, s.post_inc, latency);
     }
     sb.end_run(next, run.body.len() as u64);
-    match run.hist {
-        Some(hist) => {
-            stats.retired += run.body.len() as u64;
-            for (count, &n) in stats.class_counts.iter_mut().zip(hist) {
-                *count += u64::from(n);
-            }
-        }
-        None => fold_each(stats, run.body),
-    }
+    fold(stats, run);
     // Only the last uop can redirect, so "left the fall-through" is
     // exactly "a taken control-flow terminator".
     if cpu.pc() != start.wrapping_add(4 * run.body.len() as u32) {
@@ -310,16 +336,14 @@ fn run_straight<M: Memory, const PER_ADDR: bool>(
     Ok(out)
 }
 
-/// Finalizes the hart's statistics when `out` stops it.
+/// The stop `out` means for the hart, if any.
 #[inline(always)]
-fn stop_on(out: Outcome, cpu: &mut Cpu, sb: &Scoreboard, stats: &mut RunStats) -> Option<StopReason> {
-    let stop = match out {
-        Outcome::Continue => return None,
-        Outcome::Exit { code } => StopReason::Exit { code },
-        Outcome::Wfi => StopReason::Wfi,
-    };
-    finalize(stats, sb, cpu, stop);
-    Some(stop)
+fn stop_of(out: Outcome) -> Option<StopReason> {
+    match out {
+        Outcome::Continue => None,
+        Outcome::Exit { code } => Some(StopReason::Exit { code }),
+        Outcome::Wfi => Some(StopReason::Wfi),
+    }
 }
 
 // --- Drivers -----------------------------------------------------------
@@ -367,7 +391,8 @@ fn resume_impl<M: Memory, const PER_ADDR: bool>(
         let pc = cpu.pc();
         let run = bp.run_at(pc, rem).ok_or(Trap::IllegalFetch { pc })?;
         let out = run_straight::<M, PER_ADDR>(cpu, mem, sb, stats, config, run)?;
-        if let Some(stop) = stop_on(out, cpu, sb, stats) {
+        if let Some(stop) = stop_of(out) {
+            finalize(stats, sb, cpu, stop);
             return Ok(stop);
         }
     }
@@ -386,13 +411,38 @@ pub struct Lane<'a, M> {
     pub stats: &'a mut RunStats,
 }
 
-/// Runs a set of lanes to their next stop (exit, `wfi` park, budget),
-/// executing converged lanes as a group: lanes at the same PC share one
-/// block lookup and budget test per block and run the block lane-major,
-/// with per-lane timing and statistics accounted exactly as the per-core
-/// loop would. Lanes whose terminators resolve differently split into
-/// subgroups (singletons continue through [`resume_blocks`]); every result
-/// is bit-identical to running each lane alone.
+impl<M> Lane<'_, M> {
+    /// Hands the lane a group's timing: `sb` plus `bubble` taken-branch
+    /// cycles of its own, and the group's statistics `delta`. The lane
+    /// published its `mcycle` itself, at the end of its last block.
+    fn take(&mut self, sb: &Scoreboard, delta: &RunStats, bubble: u32) {
+        self.sb.clone_from(sb);
+        self.sb.bubble(bubble);
+        self.stats.merge(delta);
+        self.stats.branch_bubbles += u64::from(bubble);
+    }
+}
+
+/// Runs a set of lanes to their next stop (exit, `wfi` park, budget).
+///
+/// Lanes at the same PC **with equal scoreboards** form a group: each of
+/// the group's blocks is looked up, budget-tested and timed once, and the
+/// lanes run only its kernels, lane-major, checking their end PC and
+/// storing `mcycle`. A group accounts one statistics delta (`retired`,
+/// class histogram, branch bubbles) and hands it, with its scoreboard,
+/// to every lane on each way out:
+///
+/// - budget, illegal fetch, `ecall`/`wfi` stop: every lane gets both;
+/// - divergence (terminators resolve differently): as above, plus each
+///   lane's own taken-branch bubble, and the lanes regroup;
+/// - trap: lanes below the trapping lane get the completed block and
+///   regroup; the trapping lane gets the block-start scoreboard with the
+///   executed prefix issued; lanes above it get the block-start state.
+///
+/// A lane alone in its group runs through [`resume_blocks`]. Under
+/// [`RunConfig::per_address_latency`] a load's latency depends on the
+/// lane's own address, so every lane runs alone. Every result is
+/// bit-identical to running each lane alone.
 ///
 /// Returns one [`StopReason`] per lane, in input order.
 ///
@@ -408,17 +458,11 @@ pub fn resume_spmd<M: Memory>(
     config: &RunConfig,
 ) -> Result<Vec<StopReason>, Trap> {
     if config.per_address_latency {
-        spmd_impl::<M, true>(lanes, bp, config)
-    } else {
-        spmd_impl::<M, false>(lanes, bp, config)
+        return lanes
+            .iter_mut()
+            .map(|l| resume_impl::<M, true>(l.cpu, bp, l.mem, config, l.sb, l.stats))
+            .collect();
     }
-}
-
-fn spmd_impl<M: Memory, const PER_ADDR: bool>(
-    lanes: &mut [Lane<'_, M>],
-    bp: &BlockProgram<M>,
-    config: &RunConfig,
-) -> Result<Vec<StopReason>, Trap> {
     let mut stops: Vec<StopReason> = vec![StopReason::Budget; lanes.len()];
     for lane in lanes.iter_mut() {
         if lane.cpu.pc() == 0 {
@@ -426,7 +470,7 @@ fn spmd_impl<M: Memory, const PER_ADDR: bool>(
         }
     }
     let mut work: VecDeque<Vec<usize>> = VecDeque::new();
-    split_by_pc(lanes, 0..lanes.len(), &mut work);
+    split(lanes, 0..lanes.len(), &mut work);
 
     // The lowest-indexed trap so far; lanes at or above it never run again.
     let mut trap: Option<(usize, Trap)> = None;
@@ -439,12 +483,12 @@ fn spmd_impl<M: Memory, const PER_ADDR: bool>(
             1 => {
                 let i = group[0];
                 let l = &mut lanes[i];
-                match resume_impl::<M, PER_ADDR>(l.cpu, bp, l.mem, config, l.sb, l.stats) {
+                match resume_impl::<M, false>(l.cpu, bp, l.mem, config, l.sb, l.stats) {
                     Ok(stop) => stops[i] = stop,
                     Err(t) => trap = Some((i, t)),
                 }
             }
-            _ => run_group::<M, PER_ADDR>(lanes, group, bp, config, &mut stops, &mut work, &mut trap),
+            _ => run_group(lanes, group, bp, config, &mut stops, &mut work, &mut trap),
         }
     }
     match trap {
@@ -453,36 +497,54 @@ fn spmd_impl<M: Memory, const PER_ADDR: bool>(
     }
 }
 
-/// Partitions `members` by PC into convergence groups, queued in order of
-/// their lowest lane.
-fn split_by_pc<M>(
+/// Partitions `members` (ascending) into groups of lanes at one PC with
+/// equal scoreboards, queued in order of their lowest lane.
+fn split<M>(
     lanes: &[Lane<'_, M>],
     members: impl IntoIterator<Item = usize>,
     work: &mut VecDeque<Vec<usize>>,
 ) {
-    let mut parts: Vec<(u32, Vec<usize>)> = Vec::new();
+    let mut parts: Vec<Vec<usize>> = Vec::new();
     for i in members {
-        let pc = lanes[i].cpu.pc();
-        match parts.iter_mut().find(|(q, _)| *q == pc) {
-            Some((_, v)) => v.push(i),
-            None => parts.push((pc, vec![i])),
+        let l = &lanes[i];
+        let same = |v: &&mut Vec<usize>| {
+            let h = &lanes[v[0]];
+            h.cpu.pc() == l.cpu.pc() && *h.sb == *l.sb
+        };
+        match parts.iter_mut().find(same) {
+            Some(v) => v.push(i),
+            None => parts.push(vec![i]),
         }
     }
-    parts.sort_by_key(|(_, v)| v[0]);
-    work.extend(parts.into_iter().map(|(_, v)| v));
+    work.extend(parts);
 }
 
-/// Lane-major execution of one convergence group (lanes ascending) until
-/// it stops, splits, or traps.
-fn run_group<M: Memory, const PER_ADDR: bool>(
+/// Executes the kernels of `body` on one lane; a trap reports how many
+/// uops completed before it.
+#[inline(always)]
+fn exec_run<M: Memory>(cpu: &mut Cpu, mem: &mut M, body: &[Slot<M>]) -> Result<Outcome, (usize, Trap)> {
+    let mut out = Outcome::Continue;
+    for (k, s) in body.iter().enumerate() {
+        out = (s.exec)(cpu, s.uop, mem).map_err(|t| (k, t))?;
+    }
+    Ok(out)
+}
+
+/// Runs one group (lanes ascending, at one PC, equal scoreboards) on one
+/// scoreboard and one statistics delta until it stops, diverges or
+/// traps; see [`resume_spmd`] for what each lane gets on the way out.
+fn run_group<M: Memory>(
     lanes: &mut [Lane<'_, M>],
-    mut group: Vec<usize>,
+    group: Vec<usize>,
     bp: &BlockProgram<M>,
     config: &RunConfig,
     stops: &mut [StopReason],
     work: &mut VecDeque<Vec<usize>>,
     trap: &mut Option<(usize, Trap)>,
 ) {
+    let penalty = config.latency.taken_branch_penalty;
+    let mut sb = lanes[group[0]].sb.clone();
+    let mut delta = RunStats::default();
     let mut pc = lanes[group[0]].cpu.pc();
     // Lanes of a group retire the same instructions, so the smallest
     // remaining budget bounds every lane.
@@ -498,7 +560,8 @@ fn run_group<M: Memory, const PER_ADDR: bool>(
             // boundary exact.
             for &i in &group {
                 let l = &mut lanes[i];
-                match resume_impl::<M, PER_ADDR>(l.cpu, bp, l.mem, config, l.sb, l.stats) {
+                l.take(&sb, &delta, 0);
+                match resume_impl::<M, false>(l.cpu, bp, l.mem, config, l.sb, l.stats) {
                     Ok(stop) => stops[i] = stop,
                     Err(t) => {
                         *trap = Some((i, t));
@@ -509,43 +572,85 @@ fn run_group<M: Memory, const PER_ADDR: bool>(
             return;
         }
         let Some(run) = bp.run_at(pc, rem) else {
+            for &i in &group {
+                lanes[i].take(&sb, &delta, 0);
+            }
             *trap = Some((group[0], Trap::IllegalFetch { pc }));
             return;
         };
 
-        let mut next: Option<u32> = None;
+        // Timing is static per uop, so the block is issued once for the
+        // group; the block-start state is kept for a trapping lane.
+        let start = sb.clone();
+        let next = issue_static(&mut sb, run.body);
+        sb.end_run(next, run.body.len() as u64);
+        let fall = pc.wrapping_add(4 * run.body.len() as u32);
+        let published = sb.cycles();
+
+        let mut end: Option<u32> = None;
         let mut diverged = false;
         let mut stopped = false;
-        for pos in 0..group.len() {
-            let i = group[pos];
+        let mut failed: Option<(usize, usize, Trap)> = None;
+        for (pos, &i) in group.iter().enumerate() {
             let l = &mut lanes[i];
-            match run_straight::<M, PER_ADDR>(l.cpu, l.mem, l.sb, l.stats, config, run) {
+            match exec_run(l.cpu, l.mem, run.body) {
                 Ok(out) => {
+                    let at = l.cpu.pc();
+                    l.cpu.set_mcycle(if at == fall { published } else { published + u64::from(penalty) });
                     // The block is the same for every lane, so an `ecall`
                     // or `wfi` terminator stops every lane.
-                    if let Some(stop) = stop_on(out, l.cpu, l.sb, l.stats) {
+                    if let Some(stop) = stop_of(out) {
                         stops[i] = stop;
                         stopped = true;
                     }
+                    diverged |= *end.get_or_insert(at) != at;
                 }
-                Err(t) => {
-                    *trap = Some((i, t));
-                    group.truncate(pos);
+                Err((k, t)) => {
+                    failed = Some((pos, k, t));
                     break;
                 }
             }
-            let end = l.cpu.pc();
-            diverged |= *next.get_or_insert(end) != end;
         }
-        let Some(next) = next.filter(|_| !stopped) else {
-            return;
-        };
-        if diverged {
-            split_by_pc(lanes, group, work);
-            return;
+
+        if !(stopped || diverged || failed.is_some()) {
+            let next_pc = end.expect("a group has at least two lanes");
+            fold(&mut delta, run);
+            if next_pc != fall {
+                sb.bubble(penalty);
+                delta.branch_bubbles += u64::from(penalty);
+            }
+            rem -= run.body.len() as u64;
+            pc = next_pc;
+            continue;
         }
-        rem -= run.body.len() as u64;
-        pc = next;
+
+        // Leaving the group: lanes that completed the block take it, with
+        // their own taken-branch bubble.
+        let done = failed.as_ref().map_or(group.len(), |&(pos, ..)| pos);
+        let mut after = delta.clone();
+        fold(&mut after, run);
+        for &i in &group[..done] {
+            let l = &mut lanes[i];
+            let bubble = if l.cpu.pc() == fall { 0 } else { penalty };
+            l.take(&sb, &after, bubble);
+            if stopped {
+                finalize(l.stats, l.sb, l.cpu, stops[i]);
+            }
+        }
+        if !stopped {
+            split(lanes, group[..done].iter().copied(), work);
+        }
+        if let Some((pos, k, t)) = failed {
+            let l = &mut lanes[group[pos]];
+            l.take(&start, &delta, 0);
+            let prefix = &run.body[..k];
+            let next = issue_static(l.sb, prefix);
+            *trap = Some((group[pos], trapped(l.cpu, l.sb, l.stats, prefix, next, t)));
+            for &i in &group[pos + 1..] {
+                lanes[i].take(&start, &delta, 0);
+            }
+        }
+        return;
     }
 }
 
@@ -730,10 +835,218 @@ mod tests {
         }
     }
 
+    // --- SPMD groups against the same lanes run alone --------------------
+
+    /// Everything a lane owns.
+    #[derive(Clone)]
+    struct LaneState<M> {
+        cpu: Cpu,
+        mem: M,
+        sb: Scoreboard,
+        stats: RunStats,
+    }
+
+    /// `n` fresh lanes, hart ids `0..n`, each over its own 4 KiB memory.
+    fn fresh_lanes(n: u32) -> Vec<LaneState<DenseMemory>> {
+        (0..n)
+            .map(|hart| LaneState {
+                cpu: Cpu::new(hart),
+                mem: DenseMemory::new(0, 0x1000),
+                sb: Scoreboard::new(),
+                stats: RunStats::default(),
+            })
+            .collect()
+    }
+
+    fn blocks_of<M: Memory>(program: &Program, config: &RunConfig) -> BlockProgram<M> {
+        BlockProgram::build(program, &UopProgram::lower(program, &config.latency))
+    }
+
+    /// Runs `init` as one SPMD set and, on a copy, each lane alone through
+    /// [`resume_blocks`] in order up to the first trap; asserts that every
+    /// lane up to that trap ends with the same registers, PC, memory
+    /// (`bytes`), statistics, scoreboard, `mcycle`, `minstret` and stop or
+    /// trap. Returns the SPMD result.
+    fn assert_spmd_matches_alone<M: Memory + Clone>(
+        bp: &BlockProgram<M>,
+        config: &RunConfig,
+        init: &[LaneState<M>],
+        bytes: fn(&M) -> Vec<u8>,
+    ) -> Result<Vec<StopReason>, Trap> {
+        let mut alone = init.to_vec();
+        let mut want = Vec::new();
+        for l in &mut alone {
+            let r = resume_blocks(&mut l.cpu, bp, &mut l.mem, config, &mut l.sb, &mut l.stats);
+            want.push(r);
+            if r.is_err() {
+                break;
+            }
+        }
+        let mut grouped = init.to_vec();
+        let got = {
+            let mut lanes: Vec<Lane<'_, M>> = grouped
+                .iter_mut()
+                .map(|l| Lane { cpu: &mut l.cpu, mem: &mut l.mem, sb: &mut l.sb, stats: &mut l.stats })
+                .collect();
+            resume_spmd(&mut lanes, bp, config)
+        };
+        match &got {
+            Ok(stops) => assert_eq!(stops.iter().map(|&s| Ok(s)).collect::<Vec<_>>(), want, "stops"),
+            Err(t) => assert_eq!(want.last(), Some(&Err(*t)), "trap"),
+        }
+        for (i, (g, a)) in grouped.iter().zip(&alone).take(want.len()).enumerate() {
+            assert_eq!(g.stats, a.stats, "lane {i}: stats");
+            assert_eq!(g.sb, a.sb, "lane {i}: scoreboard");
+            assert_eq!(g.cpu.mcycle, a.cpu.mcycle, "lane {i}: mcycle");
+            assert_eq!(g.cpu.retired(), a.cpu.retired(), "lane {i}: minstret");
+            assert_eq!(g.cpu.pc(), a.cpu.pc(), "lane {i}: pc");
+            for r in 0..32u8 {
+                assert_eq!(g.cpu.reg_raw(r), a.cpu.reg_raw(r), "lane {i}: x{r}");
+            }
+            assert_eq!(bytes(&g.mem), bytes(&a.mem), "lane {i}: memory");
+        }
+        got
+    }
+
+    fn dense_bytes(mem: &DenseMemory) -> Vec<u8> {
+        mem.read_bytes(0, 0x1000).to_vec()
+    }
+
+    /// A counted loop of loads and dependent adds, the sum stored per hart.
+    fn load_loop(a: &mut Assembler, trips: i32) {
+        a.add(Reg::A3, Reg::A1, Reg::A1); // reads a register a lane may have in flight
+        a.li(Reg::T0, trips);
+        let top = a.new_label();
+        a.bind(top);
+        a.lw(Reg::A1, 0x40, Reg::Zero);
+        a.add(Reg::A2, Reg::A2, Reg::A1);
+        a.addi(Reg::T0, Reg::T0, -1);
+        a.bnez(Reg::T0, top);
+        a.csrr(Reg::T1, terasim_riscv::csr::MHARTID);
+        a.slli(Reg::T1, Reg::T1, 2);
+        a.sw(Reg::A2, 0x80, Reg::T1);
+        a.sw(Reg::A3, 0xc0, Reg::T1);
+    }
+
+    #[test]
+    fn spmd_groups_lanes_by_scoreboard_not_pc_alone() {
+        let program = program_of(|a| load_loop(a, 5));
+        let config = RunConfig::default();
+        let bp = blocks_of(&program, &config);
+        let mut lanes = fresh_lanes(6);
+        // One PC, four scoreboards: fresh (lanes 0, 1), advanced past a
+        // barrier (2), and a load in flight into `a1` (3, 4, 5).
+        lanes[2].sb.advance_to(40);
+        for l in &mut lanes[3..] {
+            l.sb.issue_slots([0; 3], Reg::A1.index() as u8, crate::uop::NO_REG, 9);
+        }
+        for l in &mut lanes {
+            l.cpu.set_pc(program.entry());
+        }
+        assert_spmd_matches_alone(&bp, &config, &lanes, dense_bytes).unwrap();
+    }
+
+    #[test]
+    fn spmd_group_publishes_mcycle_and_minstret_per_lane() {
+        let program = program_of(|a| {
+            // Reads the `mcycle` and `minstret` each lane entered with.
+            a.csrr(Reg::A0, terasim_riscv::csr::MCYCLE);
+            a.csrr(Reg::A1, terasim_riscv::csr::MINSTRET);
+            a.li(Reg::T0, 3);
+            let top = a.new_label();
+            a.bind(top);
+            a.lw(Reg::A2, 0x40, Reg::Zero);
+            a.addi(Reg::T0, Reg::T0, -1);
+            a.csrr(Reg::A3, terasim_riscv::csr::MCYCLE);
+            a.csrr(Reg::A4, terasim_riscv::csr::MINSTRET);
+            a.add(Reg::A5, Reg::A5, Reg::A3);
+            a.add(Reg::A5, Reg::A5, Reg::A4);
+            a.bnez(Reg::T0, top);
+            a.csrr(Reg::T1, terasim_riscv::csr::MHARTID);
+            a.slli(Reg::T1, Reg::T1, 4);
+            a.sw(Reg::A0, 0x100, Reg::T1);
+            a.sw(Reg::A1, 0x104, Reg::T1);
+            a.sw(Reg::A5, 0x108, Reg::T1);
+        });
+        let config = RunConfig::default();
+        let bp = blocks_of(&program, &config);
+        let mut lanes = fresh_lanes(4);
+        for (i, l) in lanes.iter_mut().enumerate() {
+            l.cpu.set_mcycle(1000 + 7 * i as u64);
+            l.cpu.retired = 3 * i as u64;
+        }
+        assert_spmd_matches_alone(&bp, &config, &lanes, dense_bytes).unwrap();
+    }
+
+    #[test]
+    fn spmd_trap_at_every_block_position_of_first_middle_and_last_lane() {
+        const LEN: usize = 6;
+        let lanes = fresh_lanes(5);
+        for victim in [0, 2, 4] {
+            for at in 0..LEN {
+                let program = program_of(|a| {
+                    // a2 = 0x100, or unmapped on the victim, without a branch:
+                    // the lanes stay one group up to the trapping block.
+                    a.csrr(Reg::T0, terasim_riscv::csr::MHARTID);
+                    a.li(Reg::T1, victim);
+                    a.xor(Reg::T2, Reg::T0, Reg::T1);
+                    a.sltu(Reg::T2, Reg::Zero, Reg::T2);
+                    a.addi(Reg::T2, Reg::T2, -1);
+                    a.lui(Reg::T3, 0x4000_0000);
+                    a.and(Reg::T2, Reg::T2, Reg::T3);
+                    a.addi(Reg::A2, Reg::T2, 0x100);
+                    let body = a.new_label();
+                    a.j(body);
+                    a.bind(body);
+                    for k in 0..LEN {
+                        match k {
+                            _ if k == at => a.lw(Reg::A4, 0, Reg::A2),
+                            _ if k % 2 == 0 => a.lw(Reg::A6, 0x40, Reg::Zero),
+                            _ => a.add(Reg::A5, Reg::A5, Reg::A6),
+                        };
+                    }
+                });
+                let config = RunConfig::default();
+                let bp = blocks_of(&program, &config);
+                let got = assert_spmd_matches_alone(&bp, &config, &lanes, dense_bytes);
+                assert!(
+                    matches!(got, Err(Trap::Mem { pc, .. }) if pc == program.entry() + 4 * (9 + at as u32)),
+                    "victim {victim} at {at}: {got:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn spmd_budget_straddling_a_block() {
+        let program = program_of(|a| load_loop(a, 6));
+        let mut lanes = fresh_lanes(4);
+        // Unequal histories: each lane is `i` instructions nearer its budget.
+        for (i, l) in lanes.iter_mut().enumerate() {
+            l.stats.retired = i as u64;
+            l.cpu.set_pc(program.entry());
+        }
+        let (mut budget_stops, mut exits) = (0, 0);
+        for max_instructions in 4..40 {
+            let config = RunConfig { max_instructions, ..RunConfig::default() };
+            let bp = blocks_of(&program, &config);
+            for stop in assert_spmd_matches_alone(&bp, &config, &lanes, dense_bytes).unwrap() {
+                match stop {
+                    StopReason::Budget => budget_stops += 1,
+                    _ => exits += 1,
+                }
+            }
+        }
+        assert!(budget_stops > 50 && exits > 10, "{budget_stops} budget stops, {exits} exits");
+    }
+
+    /// Divergence: each lane leaves its group with its own taken-branch
+    /// bubble.
     #[test]
     fn spmd_lockstep_matches_per_lane() {
-        // Four lanes diverging on hart id, then reconverging.
         let program = program_of(|a| {
+            // Split on hart parity, rejoin, then loop `hart + 1` times: the
+            // loop's back edge diverges lanes one at a time.
             a.csrr(Reg::T0, terasim_riscv::csr::MHARTID);
             a.andi(Reg::T1, Reg::T0, 1);
             let odd = a.new_label();
@@ -744,48 +1057,73 @@ mod tests {
             a.bind(odd);
             a.addi(Reg::A0, Reg::T0, 100);
             a.bind(join);
+            a.addi(Reg::T3, Reg::T0, 1);
+            let top = a.new_label();
+            a.bind(top);
+            a.lw(Reg::A1, 0x40, Reg::Zero);
+            a.add(Reg::A0, Reg::A0, Reg::A1);
+            a.addi(Reg::T3, Reg::T3, -1);
+            a.bnez(Reg::T3, top);
             a.slli(Reg::T2, Reg::T0, 2);
             a.sw(Reg::A0, 0x80, Reg::T2);
         });
         let config = RunConfig::default();
-        let table: UopProgram<DenseMemory> = UopProgram::lower(&program, &config.latency);
-        let blocks = BlockProgram::build(&program, &table);
-
-        let run_ref = |hart: u32| {
-            let mut cpu = Cpu::new(hart);
-            let mut mem = DenseMemory::new(0, 0x1000);
-            let mut sb = Scoreboard::new();
-            let mut st = RunStats::default();
-            let stop = resume_lowered(&mut cpu, &table, &mut mem, &config, &mut sb, &mut st).unwrap();
-            (cpu, mem, st, stop)
-        };
-
-        let mut cpus: Vec<Cpu> = (0..4).map(Cpu::new).collect();
-        let mut mems: Vec<DenseMemory> = (0..4).map(|_| DenseMemory::new(0, 0x1000)).collect();
-        let mut sbs: Vec<Scoreboard> = (0..4).map(|_| Scoreboard::new()).collect();
-        let mut sts: Vec<RunStats> = (0..4).map(|_| RunStats::default()).collect();
-        let mut lanes: Vec<Lane<'_, DenseMemory>> = cpus
-            .iter_mut()
-            .zip(mems.iter_mut())
-            .zip(sbs.iter_mut())
-            .zip(sts.iter_mut())
-            .map(|(((cpu, mem), sb), stats)| Lane { cpu, mem, sb, stats })
-            .collect();
-        let stops = resume_spmd(&mut lanes, &blocks, &config).unwrap();
-
-        for hart in 0..4u32 {
-            let (rc, rm, rst, rstop) = run_ref(hart);
-            let i = hart as usize;
-            assert_eq!(stops[i], rstop, "hart {hart} stop diverged");
-            assert_eq!(sts[i], rst, "hart {hart} stats diverged");
-            for r in 0..32u8 {
-                assert_eq!(cpus[i].reg_raw(r), rc.reg_raw(r), "hart {hart} x{r} diverged");
-            }
-            assert_eq!(
-                mems[i].read_bytes(0, 0x1000),
-                rm.read_bytes(0, 0x1000),
-                "hart {hart} memory diverged"
-            );
+        let bp = blocks_of(&program, &config);
+        let mut lanes = fresh_lanes(5);
+        for l in &mut lanes {
+            l.mem.store(0x40, 4, 3).unwrap();
         }
+        assert_spmd_matches_alone(&bp, &config, &lanes, dense_bytes).unwrap();
+    }
+
+    /// Memory whose load latency depends on the address, as on a NUMA L1.
+    #[derive(Clone)]
+    struct Numa(DenseMemory);
+
+    impl Memory for Numa {
+        fn load(&mut self, addr: u32, size: u32) -> Result<u32, crate::MemError> {
+            self.0.load(addr, size)
+        }
+        fn store(&mut self, addr: u32, size: u32, value: u32) -> Result<(), crate::MemError> {
+            self.0.store(addr, size, value)
+        }
+        fn amo(&mut self, op: terasim_riscv::AmoOp, addr: u32, value: u32) -> Result<u32, crate::MemError> {
+            self.0.amo(op, addr, value)
+        }
+        fn latency(&self, addr: u32) -> u32 {
+            1 + (addr >> 2) % 11
+        }
+    }
+
+    #[test]
+    fn spmd_per_address_latency_times_each_lane_by_its_addresses() {
+        let program = program_of(|a| {
+            a.csrr(Reg::T0, terasim_riscv::csr::MHARTID);
+            a.slli(Reg::T1, Reg::T0, 2);
+            a.li(Reg::T2, 4);
+            let top = a.new_label();
+            a.bind(top);
+            a.lw(Reg::A1, 0x40, Reg::T1); // a different bank per hart
+            a.add(Reg::A2, Reg::A2, Reg::A1);
+            a.addi(Reg::T2, Reg::T2, -1);
+            a.bnez(Reg::T2, top);
+            a.sw(Reg::A2, 0x80, Reg::T1);
+        });
+        let config = RunConfig { per_address_latency: true, ..RunConfig::default() };
+        let bp = blocks_of(&program, &config);
+        let lanes: Vec<LaneState<Numa>> = fresh_lanes(4)
+            .into_iter()
+            .map(|l| LaneState { cpu: l.cpu, mem: Numa(l.mem), sb: l.sb, stats: l.stats })
+            .collect();
+        assert_spmd_matches_alone(&bp, &config, &lanes, |m| dense_bytes(&m.0)).unwrap();
+        let cycles: Vec<u64> = lanes
+            .iter()
+            .map(|l| {
+                let mut l = l.clone();
+                resume_blocks(&mut l.cpu, &bp, &mut l.mem, &config, &mut l.sb, &mut l.stats).unwrap();
+                l.stats.est_cycles
+            })
+            .collect();
+        assert!(cycles.windows(2).any(|w| w[0] != w[1]), "lanes must time differently: {cycles:?}");
     }
 }

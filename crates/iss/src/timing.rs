@@ -219,7 +219,7 @@ impl LatencyModel {
 /// // The dependent add waited for the 9-cycle load.
 /// assert_eq!(sb.raw_stalls(), 8);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Scoreboard {
     ready: [u64; 32],
     next_issue: u64,

@@ -347,34 +347,8 @@ impl<M> CoreCtx<M> {
     }
 }
 
-/// Direct-mapped, per-tile shared instruction cache model. Reference-only:
-/// the seed implementation, used by [`CycleSim::run_naive`] alone; the
-/// engine probes [`FastICache`].
-struct ICache {
-    line: u32,
-    sets: Vec<u32>,
-}
-
-impl ICache {
-    fn new(bytes: u32, line: u32) -> Self {
-        Self { line, sets: vec![u32::MAX; (bytes / line) as usize] }
-    }
-
-    /// Returns `true` on hit; installs the line on miss.
-    fn access(&mut self, pc: u32) -> bool {
-        let line_addr = pc / self.line;
-        let idx = (line_addr as usize) % self.sets.len();
-        if self.sets[idx] == line_addr {
-            true
-        } else {
-            self.sets[idx] = line_addr;
-            false
-        }
-    }
-}
-
-/// [`ICache`] with identical hit/miss behaviour, optimized for the
-/// engine and used by its domains alone (never by the reference):
+/// Direct-mapped, per-tile shared instruction cache model, probed by the
+/// engine's domains and by the reference [`CycleSim::run_naive`] alike:
 /// shift/mask indexing (line size and set count are powers of two on
 /// every TeraPool configuration) and a last-line memo — the last line
 /// touched is always resident in a direct-mapped cache, so the common
@@ -382,8 +356,8 @@ impl ICache {
 struct FastICache {
     /// `Some((log2(line), sets - 1))` when line size and set count are
     /// powers of two (true for every TeraPool configuration): branch-free
-    /// shift/mask indexing. `None` falls back to the div/mod path so
-    /// custom geometries keep working like the naive [`ICache`].
+    /// shift/mask indexing. `None` falls back to the div/mod path for
+    /// custom geometries.
     shift: Option<(u32, usize)>,
     line: u32,
     sets: Vec<u32>,
@@ -906,8 +880,8 @@ impl CycleSim {
         assert!(cores <= topo.num_cores(), "core count out of range");
         let mut ctxs: Vec<CoreCtx<CoreMem>> =
             (0..cores).map(|core| self.fresh_ctx(core, self.mem().core_view(core))).collect();
-        let mut icaches: Vec<ICache> =
-            (0..topo.num_tiles()).map(|_| ICache::new(topo.icache_bytes, topo.icache_line)).collect();
+        let mut icaches: Vec<FastICache> =
+            (0..topo.num_tiles()).map(|_| FastICache::new(topo.icache_bytes, topo.icache_line)).collect();
         let mut banks = DomainBanks::whole_cluster(topo);
         let epoch = topo.epoch_len();
         let mut mailbox: Vec<XRequest> = Vec::new();
@@ -1066,7 +1040,7 @@ impl CycleSim {
     fn issue_one(
         &self,
         ctx: &mut CoreCtx<CoreMem>,
-        icaches: &mut [ICache],
+        icaches: &mut [FastICache],
         banks: &mut DomainBanks,
         now: u64,
         outbox: &mut Vec<XRequest>,
@@ -1685,6 +1659,61 @@ mod tests {
         // 65 instructions over 32-byte lines: ~9 lines.
         let ins = result.per_core[0].stall_ins;
         assert!(ins >= 8 * sim.icache_refill, "stall_ins = {ins}");
+    }
+
+    #[test]
+    fn fast_icache_is_a_direct_mapped_cache() {
+        /// The textbook model: one line address per set, indexed by
+        /// line address modulo the set count.
+        struct DirectMapped {
+            line: u32,
+            sets: Vec<Option<u32>>,
+        }
+        impl DirectMapped {
+            fn access(&mut self, pc: u32) -> bool {
+                let line = pc / self.line;
+                let set = line as usize % self.sets.len();
+                self.sets[set].replace(line) == Some(line)
+            }
+        }
+
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut rand = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 16) as u32
+        };
+        let topo = Topology::scaled(8);
+        // TeraPool's geometry, then a set count and a line size that are
+        // not powers of two (the div/mod branch).
+        for (bytes, line) in [(topo.icache_bytes, topo.icache_line), (96 * 32, 32), (240, 24)] {
+            let mut fast = FastICache::new(bytes, line);
+            let mut model = DirectMapped { line, sets: vec![None; (bytes / line) as usize] };
+            assert_eq!(fast.shift.is_some(), line.is_power_of_two() && (bytes / line).is_power_of_two());
+            let base = 0x8000_0000u32;
+            let (mut hits, mut misses) = (0u32, 0u32);
+            let mut pc = base;
+            for k in 0..30_000u32 {
+                pc = match (k / 64) % 3 {
+                    // Straight-line text: the last-line memo's case.
+                    0 => pc.wrapping_add(4),
+                    // Random PCs over four times the cache.
+                    1 => base + ((rand() % (4 * bytes)) & !3),
+                    // Set conflicts: the same offset in lines one cache
+                    // size apart.
+                    _ => base + (rand() % 4) * bytes + ((rand() % (2 * line)) & !3),
+                };
+                let hit = model.access(pc);
+                assert_eq!(fast.access(pc), hit, "{bytes} B / {line} B lines, access {k} at {pc:#x}");
+                if hit {
+                    hits += 1;
+                } else {
+                    misses += 1;
+                }
+            }
+            assert!(hits > 5_000 && misses > 5_000, "{bytes}/{line}: {hits} hits, {misses} misses");
+        }
     }
 
     #[test]

@@ -84,7 +84,8 @@ enum Code {
     /// `run_cores_per_instruction` test hook).
     Lowered(Arc<UopProgram<CoreMem>>),
     /// The block engine with lane-major SPMD groups: harts of a chunk on
-    /// the same PC share each block's dispatch.
+    /// the same PC with equal scoreboards share each block's dispatch and
+    /// timing.
     Blocks(Arc<BlockProgram<CoreMem>>),
 }
 
