@@ -57,9 +57,27 @@ fn parse_precision(s: &str) -> Option<Precision> {
     Precision::ALL.into_iter().find(|p| p.paper_name().eq_ignore_ascii_case(s))
 }
 
+/// The `--precision` names, comma-separated.
+fn precisions() -> String {
+    Precision::ALL.map(|p| p.paper_name()).join(", ")
+}
+
+/// The error for a flag value outside the names the flag takes.
+fn invalid(flag: &str, value: &str, want: &str) -> ExitCode {
+    eprintln!("error: invalid value for {flag}: {value:?} (want one of {want})");
+    ExitCode::FAILURE
+}
+
+/// `--precision`, defaulting to 16bCDotp.
+fn precision_of(args: &Args) -> Result<Precision, ExitCode> {
+    let v = args.value("--precision").unwrap_or("16bCDotp");
+    parse_precision(v).ok_or_else(|| invalid("--precision", v, &precisions()))
+}
+
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  tsim run    --mimo <4|8|16|32> --precision <name> [--cores N] [--backend fast|cycle] [--threads T] [--seed S] [--unroll U]\n  tsim symbol --mimo <N> --precision <name> [--nsc N] [--seed S] [--unroll U]\n  tsim ber    --mimo <N> --detector <64b|name|iss:name> [--mod qpsk|16qam|64qam] [--channel awgn|rayleigh] [--snr a,b,c] [--errors E]\n  tsim info   [--cores N]\n\nprecisions: 16bHalf 16bwDotp 16bCDotp 8bQuarter 8bwDotp"
+        "usage (defaults after =):\n  tsim run    [--mimo 4|8|16|32 =4] [--precision P =16bCDotp] [--cores N =64] [--backend fast|cycle =fast] [--threads T =2 fast, 1 cycle] [--seed S =1] [--unroll U =2]\n  tsim symbol [--mimo 4|8|16|32 =4] [--precision P =16bCDotp] [--nsc N =128] [--seed S =1] [--unroll U =2]\n  tsim ber    [--mimo N =4] [--detector 64b|P|iss:P =64b] [--mod qpsk|16qam|64qam =16qam] [--channel awgn|rayleigh =awgn] [--snr a,b,c =6,10,14,18] [--errors E =500]\n  tsim info   [--cores N =1024]\n\nprecisions P: {}",
+        precisions()
     );
     ExitCode::FAILURE
 }
@@ -90,8 +108,9 @@ fn main() -> ExitCode {
 
 fn cmd_run(args: &Args) -> ExitCode {
     let n = flag!(args, "--mimo", 4, MIMO);
-    let Some(precision) = parse_precision(args.value("--precision").unwrap_or("16bCDotp")) else {
-        return usage();
+    let precision = match precision_of(args) {
+        Ok(p) => p,
+        Err(code) => return code,
     };
     let config = ParallelConfig {
         cores: flag!(args, "--cores", 64, CORES),
@@ -164,13 +183,14 @@ fn cmd_run(args: &Args) -> ExitCode {
                 }
             }
         }
-        _ => usage(),
+        other => invalid("--backend", other, "fast, cycle"),
     }
 }
 
 fn cmd_symbol(args: &Args) -> ExitCode {
-    let Some(precision) = parse_precision(args.value("--precision").unwrap_or("16bCDotp")) else {
-        return usage();
+    let precision = match precision_of(args) {
+        Ok(p) => p,
+        Err(code) => return code,
     };
     let config = BatchConfig {
         n: flag!(args, "--mimo", 4, MIMO),
@@ -200,16 +220,13 @@ fn cmd_ber(args: &Args) -> ExitCode {
     let detector = match args.value("--detector").unwrap_or("64b") {
         "64b" | "64bDouble" => DetectorKind::Reference64,
         s => {
-            if let Some(rest) = s.strip_prefix("iss:") {
-                match parse_precision(rest) {
-                    Some(p) => DetectorKind::Iss(p),
-                    None => return usage(),
-                }
-            } else {
-                match parse_precision(s) {
-                    Some(p) => DetectorKind::Native(p),
-                    None => return usage(),
-                }
+            let kind = match s.strip_prefix("iss:") {
+                Some(rest) => parse_precision(rest).map(DetectorKind::Iss),
+                None => parse_precision(s).map(DetectorKind::Native),
+            };
+            match kind {
+                Some(kind) => kind,
+                None => return invalid("--detector", s, &format!("64b, P, iss:P for P in {}", precisions())),
             }
         }
     };
@@ -223,12 +240,12 @@ fn cmd_ber(args: &Args) -> ExitCode {
         "qpsk" => Modulation::Qpsk,
         "16qam" => Modulation::Qam16,
         "64qam" => Modulation::Qam64,
-        _ => return usage(),
+        other => return invalid("--mod", other, "qpsk, 16qam, 64qam"),
     };
     let channel = match args.value("--channel").unwrap_or("awgn") {
         "awgn" => ChannelKind::Awgn,
         "rayleigh" => ChannelKind::Rayleigh,
-        _ => return usage(),
+        other => return invalid("--channel", other, "awgn, rayleigh"),
     };
     let mut snrs: Vec<f64> = Vec::new();
     for part in args.value("--snr").unwrap_or("6,10,14,18").split(',') {

@@ -62,6 +62,36 @@ fn out_of_range_numbers_are_rejected_before_anything_runs() {
 }
 
 #[test]
+fn unknown_names_are_rejected_with_the_names_a_flag_takes() {
+    for (args, flag, want) in [
+        ("run --precision foo", "--precision", "16bCDotp"),
+        ("symbol --precision foo", "--precision", "16bHalf"),
+        ("run --backend foo", "--backend", "fast, cycle"),
+        ("ber --detector foo", "--detector", "iss:P"),
+        ("ber --detector iss:foo", "--detector", "iss:P"),
+        ("ber --mod 256qam", "--mod", "qpsk, 16qam, 64qam"),
+        ("ber --channel foo", "--channel", "awgn, rayleigh"),
+    ] {
+        let out = run(TSIM, args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let value = args.rsplit(' ').next().unwrap();
+        assert_eq!(out.status.code(), Some(1), "`{args}`: {stderr}");
+        assert!(
+            stderr.contains(&format!("error: invalid value for {flag}: \"{value}\" (want one of ")),
+            "`{args}`: {stderr}"
+        );
+        assert!(stderr.contains(want), "`{args}`: error does not list {want}: {stderr}");
+    }
+}
+
+#[test]
+fn usage_shows_the_defaults() {
+    let stderr = String::from_utf8_lossy(&run(TSIM, "--help").stderr).into_owned();
+    assert!(stderr.contains("--precision P =16bCDotp"), "{stderr}");
+    assert!(stderr.contains("--backend fast|cycle =fast"), "{stderr}");
+}
+
+#[test]
 fn a_valid_cycle_run_is_accepted_and_verifies() {
     let out = run(TSIM, "run --mimo 4 --precision 16bCDotp --cores 16 --backend cycle --threads 2");
     let stdout = String::from_utf8_lossy(&out.stdout);

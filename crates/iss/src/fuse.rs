@@ -36,14 +36,36 @@
 //! per uop, so such lanes issue every block identically: the group owns
 //! one [`Scoreboard`] and one statistics delta (`retired`, class
 //! histogram, branch bubbles), times and folds each block **once**, and
-//! each lane runs only the block's kernels, lane-major, then checks its
-//! end PC and stores its `mcycle`. Every lane takes the group's
-//! scoreboard and delta when it leaves the group (budget, stop,
-//! divergence, trap; the rules are on [`resume_spmd`]). Divergence is
-//! checked once, at the block's terminator; a trap reports the
-//! lowest-indexed trapping lane, exactly what running the lanes one after
-//! another would report. Under per-address load latency, timing depends
-//! on each lane's addresses, so every lane runs alone.
+//! runs the block **uop-major**: each uop dispatches once and its batch
+//! kernel loops over the lanes (binary16 arithmetic eight lanes per AVX2 +
+//! F16C instruction), then every lane commits the block: `retired`, end
+//! PC, `mcycle`. Every lane takes the group's scoreboard and delta when
+//! it leaves the group (budget, stop, divergence, trap; the rules are on
+//! [`resume_spmd`]). Divergence is checked once, at the block's
+//! terminator; a trap reports the lowest-indexed trapping lane, exactly
+//! what running the lanes one after another would report. Under
+//! per-address load latency, timing depends on each lane's addresses, so
+//! every lane runs alone.
+//!
+//! A uop-major block runs optimistically. First every lane's registers
+//! in the block's static write set (those written up to its last memory
+//! access) are snapshot; each store logs the bytes it overwrites; the PC
+//! and `retired` move only at the commit. A memory access that would trap
+//! or reach a device register ([`Memory::peek`] returns `None`, as for
+//! TeraPool's control region) aborts before it takes effect: the stores
+//! are undone newest first, the registers restored, and the block replays
+//! **lane-major** (each lane runs the whole block through its per-lane
+//! kernels before the next lane starts), the order that defines traps and
+//! stops. Blocks holding a uop without a batch kernel stay lane-major by a
+//! static rule: CSR accesses, AMOs, `lr`/`sc`, `ecall`, `ebreak`, `wfi`.
+//!
+//! Uop-major order interleaves the lanes' memory accesses unlike
+//! lane-major: within one block a lane may see a store another lane made
+//! at an earlier uop, or miss one made at a later uop. Only a guest with
+//! a data race between the lanes of one block can tell. The paper's
+//! kernels are data-race free (§IV: harts share data only across
+//! barriers, which are AMOs, control-region stores and `wfi`), so their
+//! results are bit-identical to running each lane alone.
 
 use std::collections::VecDeque;
 
@@ -54,10 +76,38 @@ use crate::mem::Memory;
 use crate::program::Program;
 use crate::runner::{finalize, RunConfig, RunStats, StopReason};
 use crate::timing::{InstClass, Scoreboard};
-use crate::uop::{Kernel, Uop, UopProgram};
+use crate::uop::{lower_uop, simd_available, Batch, BatchKernel, Kernel, Uop, UopProgram, NO_REG};
 
 /// Retired-instruction counts of one block, by [`InstClass::index`].
 type Histogram = [u8; InstClass::COUNT];
+
+/// How an SPMD group runs a straight-line run of slots.
+#[derive(Debug, Clone, Copy)]
+struct Plan {
+    /// Every uop has a batch kernel: the run goes uop-major.
+    uop_major: bool,
+    /// The registers the uops up to the last memory access write (the
+    /// last uop a batch kernel can abort on): what a rollback restores.
+    wset: u32,
+}
+
+impl Plan {
+    fn of<M>(body: &[Slot<M>], batch: &[Option<BatchKernel<M>>]) -> Self {
+        let bit = |r: u8| if r < NO_REG { 1u32 << r } else { 0 };
+        let upto = body.iter().rposition(|s| s.mem).map_or(0, |k| k + 1);
+        Self {
+            uop_major: batch.iter().all(Option::is_some),
+            wset: body[..upto].iter().fold(0, |w, s| w | bit(s.dst) | bit(s.post_inc)),
+        }
+    }
+}
+
+/// What a block's leader slot carries besides its body.
+#[derive(Debug, Clone, Copy)]
+struct Head {
+    hist: Histogram,
+    plan: Plan,
+}
 
 /// One text slot: what the block loop touches for every executed uop.
 struct Slot<M> {
@@ -76,6 +126,10 @@ struct Slot<M> {
     /// `ea_no_offset` (post-increment).
     is_load: bool,
     ea_no_offset: bool,
+    /// Accesses data memory: the uops a batch kernel may abort on.
+    mem: bool,
+    /// May redirect the PC (only a block's last uop can).
+    flow: bool,
 }
 
 /// The kernel of an undecodable text slot: fetching it is the trap.
@@ -93,8 +147,12 @@ pub struct BlockProgram<M> {
     entry: u32,
     text_base: u32,
     slots: Vec<Slot<M>>,
-    /// Per slot: the histogram of the block it leads (zero elsewhere).
-    hists: Vec<Histogram>,
+    /// Per slot: its lane-batched kernel; `None` keeps the blocks holding
+    /// it lane-major. Kept out of `slots` so that single harts, which
+    /// never read it, touch no more bytes per uop.
+    batch: Vec<Option<BatchKernel<M>>>,
+    /// Per slot: the head of the block it leads (unused elsewhere).
+    heads: Vec<Head>,
 }
 
 impl<M> std::fmt::Debug for BlockProgram<M> {
@@ -118,7 +176,9 @@ const _: () = {
 /// a whole block (with its histogram) or a single partial-block step.
 struct Run<'a, M> {
     body: &'a [Slot<M>],
-    hist: Option<&'a Histogram>,
+    /// The batch kernels of `body`, slot for slot.
+    batch: &'a [Option<BatchKernel<M>>],
+    head: Option<&'a Head>,
 }
 
 impl<M> Clone for Run<'_, M> {
@@ -177,6 +237,8 @@ impl<M: Memory> BlockProgram<M> {
                         block_len: 0,
                         is_load: m.is_load,
                         ea_no_offset: m.ea_no_offset,
+                        mem: m.is_mem,
+                        flow: m.is_control_flow,
                     }
                 }
                 // Never retires, so its class is never counted.
@@ -184,18 +246,23 @@ impl<M: Memory> BlockProgram<M> {
                     exec: illegal_fetch::<M>,
                     uop: Uop::new(),
                     srcs: [0; 3],
-                    dst: crate::uop::NO_REG,
-                    post_inc: crate::uop::NO_REG,
+                    dst: NO_REG,
+                    post_inc: NO_REG,
                     lat: 0,
                     class: 0,
                     block_len: 0,
                     is_load: false,
                     ea_no_offset: true,
+                    mem: false,
+                    flow: false,
                 },
             })
             .collect();
+        let batch: Vec<_> =
+            (0..len).map(|i| program.fetch(pc_of(i)).and_then(|inst| lower_uop::<M>(&inst).1)).collect();
 
-        let mut hists = vec![[0u8; InstClass::COUNT]; len];
+        let mut heads =
+            vec![Head { hist: [0; InstClass::COUNT], plan: Plan { uop_major: false, wset: 0 } }; len];
         let mut start = 0;
         while start < len {
             let mut end = start + 1;
@@ -203,13 +270,15 @@ impl<M: Memory> BlockProgram<M> {
                 end += 1;
             }
             slots[start].block_len = (end - start) as u8;
+            let head = &mut heads[start];
             for s in &slots[start..end] {
-                hists[start][usize::from(s.class)] += 1;
+                head.hist[usize::from(s.class)] += 1;
             }
+            head.plan = Plan::of(&slots[start..end], &batch[start..end]);
             start = end;
         }
 
-        Self { entry: program.entry(), text_base: base, slots, hists }
+        Self { entry: program.entry(), text_base: base, slots, batch, heads }
     }
 }
 
@@ -234,9 +303,13 @@ impl<M> BlockProgram<M> {
         let idx = (pc.wrapping_sub(self.text_base) / 4) as usize;
         let len = usize::from(self.slots.get(idx)?.block_len);
         Some(if len != 0 && rem >= len as u64 {
-            Run { body: &self.slots[idx..idx + len], hist: Some(&self.hists[idx]) }
+            Run {
+                body: &self.slots[idx..idx + len],
+                batch: &self.batch[idx..idx + len],
+                head: Some(&self.heads[idx]),
+            }
         } else {
-            Run { body: &self.slots[idx..=idx], hist: None }
+            Run { body: &self.slots[idx..=idx], batch: &self.batch[idx..=idx], head: None }
         })
     }
 }
@@ -253,10 +326,10 @@ fn fold_each<M>(stats: &mut RunStats, body: &[Slot<M>]) {
 /// otherwise.
 #[inline(always)]
 fn fold<M>(stats: &mut RunStats, run: Run<'_, M>) {
-    match run.hist {
-        Some(hist) => {
+    match run.head {
+        Some(head) => {
             stats.retired += run.body.len() as u64;
-            for (count, &n) in stats.class_counts.iter_mut().zip(hist) {
+            for (count, &n) in stats.class_counts.iter_mut().zip(&head.hist) {
                 *count += u64::from(n);
             }
         }
@@ -426,11 +499,23 @@ impl<M> Lane<'_, M> {
 /// Runs a set of lanes to their next stop (exit, `wfi` park, budget).
 ///
 /// Lanes at the same PC **with equal scoreboards** form a group: each of
-/// the group's blocks is looked up, budget-tested and timed once, and the
-/// lanes run only its kernels, lane-major, checking their end PC and
-/// storing `mcycle`. A group accounts one statistics delta (`retired`,
-/// class histogram, branch bubbles) and hands it, with its scoreboard,
-/// to every lane on each way out:
+/// the group's blocks is looked up, budget-tested and timed once, and runs
+/// **uop-major**: each uop once, its batch kernel looping over the lanes,
+/// then each lane commits `retired`, its end PC and `mcycle`. A block runs
+/// over a snapshot of the registers it writes and an undo log of its
+/// stores; an access that would trap or reach a device register
+/// ([`Memory::peek`] returns `None`) rolls every lane back to the block
+/// start and the block replays **lane-major**, each lane through the
+/// whole block before the next. Blocks with a CSR access, AMO, `lr`/`sc`,
+/// `ecall`, `ebreak` or `wfi` always run lane-major. Uop-major order lets
+/// a lane see another lane's store from an earlier uop of the same
+/// block, so a guest racing between lanes inside one block may see a
+/// different interleaving than lane-major; data-race-free guests (paper
+/// §IV) cannot tell.
+///
+/// A group accounts one statistics delta (`retired`, class histogram,
+/// branch bubbles) and hands it, with its scoreboard, to every lane on
+/// each way out:
 ///
 /// - budget, illegal fetch, `ecall`/`wfi` stop: every lane gets both;
 /// - divergence (terminators resolve differently): as above, plus each
@@ -441,8 +526,8 @@ impl<M> Lane<'_, M> {
 ///
 /// A lane alone in its group runs through [`resume_blocks`]. Under
 /// [`RunConfig::per_address_latency`] a load's latency depends on the
-/// lane's own address, so every lane runs alone. Every result is
-/// bit-identical to running each lane alone.
+/// lane's own address, so every lane runs alone. For data-race-free
+/// guests every result is bit-identical to running each lane alone.
 ///
 /// Returns one [`StopReason`] per lane, in input order.
 ///
@@ -530,9 +615,109 @@ fn exec_run<M: Memory>(cpu: &mut Cpu, mem: &mut M, body: &[Slot<M>]) -> Result<O
     Ok(out)
 }
 
+/// The harts and memory views of a group's lanes (ascending indices), for
+/// the batch kernels.
+fn batch_of<'g, M>(lanes: &'g mut [Lane<'_, M>], group: &[usize]) -> Batch<'g, M> {
+    let (lo, hi) = (group[0], group[group.len() - 1]);
+    let mut members = group.iter().copied().peekable();
+    let mut cpus = Vec::with_capacity(group.len());
+    let mut mems = Vec::with_capacity(group.len());
+    for (i, l) in (lo..).zip(&mut lanes[lo..=hi]) {
+        if members.next_if_eq(&i).is_some() {
+            cpus.push(&mut *l.cpu);
+            mems.push(&mut *l.mem);
+        }
+    }
+    Batch { cpus, mems, undo: Vec::new(), simd: simd_available() }
+}
+
+/// The register indices in `set`, ascending, and how many there are.
+fn regs_in(mut set: u32) -> ([usize; 32], usize) {
+    let (mut regs, mut n) = ([0; 32], 0);
+    while set != 0 {
+        regs[n] = set.trailing_zeros() as usize;
+        set &= set - 1;
+        n += 1;
+    }
+    (regs, n)
+}
+
+/// Runs `run` (at `pc`) on every lane of `b` uop-major: each uop's batch
+/// kernel once over all lanes, over a snapshot of `plan.wset` in `snap`
+/// and an undo log of the stores. Neither the PC nor `retired` moves
+/// before the caller commits the block. Returns `false` if a kernel
+/// aborted, with every store undone and every lane's registers restored:
+/// the group is back at the block start.
+fn run_uop_major<M: Memory>(
+    b: &mut Batch<'_, M>,
+    snap: &mut Vec<u32>,
+    run: Run<'_, M>,
+    plan: Plan,
+    pc: u32,
+) -> bool {
+    b.undo.clear();
+    snap.clear();
+    if plan.wset != 0 {
+        let (regs, n) = regs_in(plan.wset);
+        for cpu in &b.cpus {
+            snap.extend(regs[..n].iter().map(|&r| cpu.regs[r]));
+        }
+    }
+    for (k, (s, kernel)) in run.body.iter().zip(run.batch).enumerate() {
+        let kernel = kernel.expect("a uop-major plan has a batch kernel per uop");
+        if kernel(b, s.uop, pc.wrapping_add(4 * k as u32)).is_err() {
+            roll_back(b, snap, plan.wset);
+            return false;
+        }
+    }
+    true
+}
+
+/// Undoes a uop-major block: its stores, newest first, then the snapshot
+/// registers of every lane.
+#[cold]
+fn roll_back<M: Memory>(b: &mut Batch<'_, M>, snap: &[u32], wset: u32) {
+    for u in b.undo.iter().rev() {
+        let undone = b.mems[u.lane as usize].store(u.addr, u.size, u.old);
+        debug_assert!(undone.is_ok(), "the store being undone succeeded");
+    }
+    let (regs, n) = regs_in(wset);
+    for (cpu, saved) in b.cpus.iter_mut().zip(snap.chunks_exact(n.max(1))) {
+        for (&r, &v) in regs[..n].iter().zip(saved) {
+            cpu.regs[r] = v;
+        }
+    }
+}
+
+/// How one block ended on a group's lanes.
+struct BlockEnd {
+    /// The PC the lanes that completed the block are at, if they agree.
+    end: Option<u32>,
+    diverged: bool,
+    /// An `ecall` or `wfi` terminator stopped every lane.
+    stopped: bool,
+    /// The lowest trapping lane (position in the group), how many uops it
+    /// completed, and its trap.
+    failed: Option<(usize, usize, Trap)>,
+}
+
+impl BlockEnd {
+    const fn new() -> Self {
+        Self { end: None, diverged: false, stopped: false, failed: None }
+    }
+
+    /// A lane completed the block at `at`: publish its `mcycle`.
+    #[inline(always)]
+    fn completed(&mut self, cpu: &mut Cpu, at: u32, fall: u32, published: u64, penalty: u32) {
+        cpu.set_mcycle(if at == fall { published } else { published + u64::from(penalty) });
+        self.diverged |= *self.end.get_or_insert(at) != at;
+    }
+}
+
 /// Runs one group (lanes ascending, at one PC, equal scoreboards) on one
 /// scoreboard and one statistics delta until it stops, diverges or
-/// traps; see [`resume_spmd`] for what each lane gets on the way out.
+/// traps; see [`resume_spmd`] for the execution order and what each lane
+/// gets on the way out.
 fn run_group<M: Memory>(
     lanes: &mut [Lane<'_, M>],
     group: Vec<usize>,
@@ -542,6 +727,14 @@ fn run_group<M: Memory>(
     work: &mut VecDeque<Vec<usize>>,
     trap: &mut Option<(usize, Trap)>,
 ) {
+    /// Why the group's loop ended.
+    enum Leave<'a, M> {
+        Budget,
+        IllegalFetch(u32),
+        /// After a block that stopped, diverged or trapped.
+        Block(Run<'a, M>, BlockEnd),
+    }
+
     let penalty = config.latency.taken_branch_penalty;
     let mut sb = lanes[group[0]].sb.clone();
     let mut delta = RunStats::default();
@@ -554,8 +747,75 @@ fn run_group<M: Memory>(
         .min()
         .unwrap_or(0);
 
-    loop {
+    let mut b = batch_of(lanes, &group);
+    let mut snap = Vec::new();
+    // The scoreboard at the start of the current block, for a trapping lane.
+    let mut start = sb.clone();
+    let leave = loop {
         if rem == 0 {
+            break Leave::Budget;
+        }
+        let Some(run) = bp.run_at(pc, rem) else {
+            break Leave::IllegalFetch(pc);
+        };
+
+        // Timing is static per uop, so the block is issued once for the
+        // group; the block-start state is kept for a trapping lane.
+        start.clone_from(&sb);
+        let next = issue_static(&mut sb, run.body);
+        sb.end_run(next, run.body.len() as u64);
+        let fall = pc.wrapping_add(4 * run.body.len() as u32);
+        let published = sb.cycles();
+
+        let mut end = BlockEnd::new();
+        let plan = run.head.map_or_else(|| Plan::of(run.body, run.batch), |h| h.plan);
+        if plan.uop_major && run_uop_major(&mut b, &mut snap, run, plan, pc) {
+            // Commit: uop-major blocks hold no `ecall`, `wfi` or trap.
+            let (n, flow) = (run.body.len() as u64, run.body[run.body.len() - 1].flow);
+            for cpu in b.cpus.iter_mut() {
+                cpu.retired += n;
+                if !flow {
+                    cpu.pc = fall;
+                }
+                end.completed(cpu, cpu.pc, fall, published, penalty);
+            }
+        } else {
+            for (pos, (cpu, mem)) in b.cpus.iter_mut().zip(b.mems.iter_mut()).enumerate() {
+                match exec_run(cpu, &mut **mem, run.body) {
+                    Ok(out) => {
+                        end.completed(cpu, cpu.pc(), fall, published, penalty);
+                        // The block is the same for every lane, so an
+                        // `ecall` or `wfi` terminator stops every lane.
+                        if let Some(stop) = stop_of(out) {
+                            stops[group[pos]] = stop;
+                            end.stopped = true;
+                        }
+                    }
+                    Err((k, t)) => {
+                        end.failed = Some((pos, k, t));
+                        break;
+                    }
+                }
+            }
+        }
+
+        if !(end.stopped || end.diverged || end.failed.is_some()) {
+            let next_pc = end.end.expect("a group has at least two lanes");
+            fold(&mut delta, run);
+            if next_pc != fall {
+                sb.bubble(penalty);
+                delta.branch_bubbles += u64::from(penalty);
+            }
+            rem -= run.body.len() as u64;
+            pc = next_pc;
+            continue;
+        }
+        break Leave::Block(run, end);
+    };
+    drop(b);
+
+    match leave {
+        Leave::Budget => {
             // A lane is at its budget: each lane finishes alone, its own
             // boundary exact.
             for &i in &group {
@@ -569,88 +829,42 @@ fn run_group<M: Memory>(
                     }
                 }
             }
-            return;
         }
-        let Some(run) = bp.run_at(pc, rem) else {
+        Leave::IllegalFetch(pc) => {
             for &i in &group {
                 lanes[i].take(&sb, &delta, 0);
             }
             *trap = Some((group[0], Trap::IllegalFetch { pc }));
-            return;
-        };
-
-        // Timing is static per uop, so the block is issued once for the
-        // group; the block-start state is kept for a trapping lane.
-        let start = sb.clone();
-        let next = issue_static(&mut sb, run.body);
-        sb.end_run(next, run.body.len() as u64);
-        let fall = pc.wrapping_add(4 * run.body.len() as u32);
-        let published = sb.cycles();
-
-        let mut end: Option<u32> = None;
-        let mut diverged = false;
-        let mut stopped = false;
-        let mut failed: Option<(usize, usize, Trap)> = None;
-        for (pos, &i) in group.iter().enumerate() {
-            let l = &mut lanes[i];
-            match exec_run(l.cpu, l.mem, run.body) {
-                Ok(out) => {
-                    let at = l.cpu.pc();
-                    l.cpu.set_mcycle(if at == fall { published } else { published + u64::from(penalty) });
-                    // The block is the same for every lane, so an `ecall`
-                    // or `wfi` terminator stops every lane.
-                    if let Some(stop) = stop_of(out) {
-                        stops[i] = stop;
-                        stopped = true;
-                    }
-                    diverged |= *end.get_or_insert(at) != at;
+        }
+        Leave::Block(run, end) => {
+            // Leaving the group: lanes that completed the block take it,
+            // with their own taken-branch bubble.
+            let fall = pc.wrapping_add(4 * run.body.len() as u32);
+            let done = end.failed.as_ref().map_or(group.len(), |&(pos, ..)| pos);
+            let mut after = delta.clone();
+            fold(&mut after, run);
+            for &i in &group[..done] {
+                let l = &mut lanes[i];
+                let bubble = if l.cpu.pc() == fall { 0 } else { penalty };
+                l.take(&sb, &after, bubble);
+                if end.stopped {
+                    finalize(l.stats, l.sb, l.cpu, stops[i]);
                 }
-                Err((k, t)) => {
-                    failed = Some((pos, k, t));
-                    break;
+            }
+            if !end.stopped {
+                split(lanes, group[..done].iter().copied(), work);
+            }
+            if let Some((pos, k, t)) = end.failed {
+                let l = &mut lanes[group[pos]];
+                l.take(&start, &delta, 0);
+                let prefix = &run.body[..k];
+                let next = issue_static(l.sb, prefix);
+                *trap = Some((group[pos], trapped(l.cpu, l.sb, l.stats, prefix, next, t)));
+                for &i in &group[pos + 1..] {
+                    lanes[i].take(&start, &delta, 0);
                 }
             }
         }
-
-        if !(stopped || diverged || failed.is_some()) {
-            let next_pc = end.expect("a group has at least two lanes");
-            fold(&mut delta, run);
-            if next_pc != fall {
-                sb.bubble(penalty);
-                delta.branch_bubbles += u64::from(penalty);
-            }
-            rem -= run.body.len() as u64;
-            pc = next_pc;
-            continue;
-        }
-
-        // Leaving the group: lanes that completed the block take it, with
-        // their own taken-branch bubble.
-        let done = failed.as_ref().map_or(group.len(), |&(pos, ..)| pos);
-        let mut after = delta.clone();
-        fold(&mut after, run);
-        for &i in &group[..done] {
-            let l = &mut lanes[i];
-            let bubble = if l.cpu.pc() == fall { 0 } else { penalty };
-            l.take(&sb, &after, bubble);
-            if stopped {
-                finalize(l.stats, l.sb, l.cpu, stops[i]);
-            }
-        }
-        if !stopped {
-            split(lanes, group[..done].iter().copied(), work);
-        }
-        if let Some((pos, k, t)) = failed {
-            let l = &mut lanes[group[pos]];
-            l.take(&start, &delta, 0);
-            let prefix = &run.body[..k];
-            let next = issue_static(l.sb, prefix);
-            *trap = Some((group[pos], trapped(l.cpu, l.sb, l.stats, prefix, next, t)));
-            for &i in &group[pos + 1..] {
-                lanes[i].take(&start, &delta, 0);
-            }
-        }
-        return;
     }
 }
 
@@ -873,7 +1087,19 @@ mod tests {
         init: &[LaneState<M>],
         bytes: fn(&M) -> Vec<u8>,
     ) -> Result<Vec<StopReason>, Trap> {
-        let mut alone = init.to_vec();
+        assert_spmd_matches_alone_from(bp, config, || init.to_vec(), bytes)
+    }
+
+    /// [`assert_spmd_matches_alone`] with a fresh set of lanes from `make`
+    /// for each of the two runs (lanes that share memory share it within
+    /// one run only).
+    fn assert_spmd_matches_alone_from<M: Memory + Clone>(
+        bp: &BlockProgram<M>,
+        config: &RunConfig,
+        make: impl Fn() -> Vec<LaneState<M>>,
+        bytes: fn(&M) -> Vec<u8>,
+    ) -> Result<Vec<StopReason>, Trap> {
+        let mut alone = make();
         let mut want = Vec::new();
         for l in &mut alone {
             let r = resume_blocks(&mut l.cpu, bp, &mut l.mem, config, &mut l.sb, &mut l.stats);
@@ -882,7 +1108,7 @@ mod tests {
                 break;
             }
         }
-        let mut grouped = init.to_vec();
+        let mut grouped = make();
         let got = {
             let mut lanes: Vec<Lane<'_, M>> = grouped
                 .iter_mut()
@@ -1072,6 +1298,212 @@ mod tests {
         let mut lanes = fresh_lanes(5);
         for l in &mut lanes {
             l.mem.store(0x40, 4, 3).unwrap();
+        }
+        assert_spmd_matches_alone(&bp, &config, &lanes, dense_bytes).unwrap();
+    }
+
+    // --- Uop-major blocks that roll back ----------------------------------
+
+    /// A per-hart read-modify-write through a post-increment store, then
+    /// a load that traps on `victim` only, placed first or last in one
+    /// uop-major block. A replay that saw the uop-major store (undo
+    /// dropped) or the incremented base (post-increment base left out of
+    /// the snapshot) stores a different value or at another address.
+    fn rollback_program(victim: i32, trap_first: bool) -> Program {
+        program_of(|a| {
+            // a3 = 0x100, or unmapped on the victim, without a branch;
+            // a2 = 0x200 + 16 * hart, holding 7.
+            a.csrr(Reg::T0, terasim_riscv::csr::MHARTID);
+            a.li(Reg::T1, victim);
+            a.xor(Reg::T2, Reg::T0, Reg::T1);
+            a.sltu(Reg::T2, Reg::Zero, Reg::T2);
+            a.addi(Reg::T2, Reg::T2, -1);
+            a.lui(Reg::T3, 0x4000_0000);
+            a.and(Reg::T2, Reg::T2, Reg::T3);
+            a.addi(Reg::A3, Reg::T2, 0x100);
+            a.slli(Reg::T4, Reg::T0, 4);
+            a.addi(Reg::A2, Reg::T4, 0x200);
+            a.li(Reg::A5, 7);
+            a.sw(Reg::A5, 0, Reg::A2);
+            let (body, done) = (a.new_label(), a.new_label());
+            a.j(body);
+            a.bind(body);
+            if trap_first {
+                a.lw(Reg::A4, 0, Reg::A3);
+            }
+            a.lw(Reg::A5, 0, Reg::A2);
+            a.addi(Reg::A5, Reg::A5, 1);
+            a.p_sw(Reg::A5, 4, Reg::A2);
+            if !trap_first {
+                a.lw(Reg::A4, 0, Reg::A3);
+            }
+            a.j(done);
+            a.bind(done);
+        })
+    }
+
+    #[test]
+    fn spmd_trap_in_top_lane_after_a_store_rolls_the_block_back() {
+        let program = rollback_program(4, false);
+        let config = RunConfig::default();
+        let bp = blocks_of(&program, &config);
+        let got = assert_spmd_matches_alone(&bp, &config, &fresh_lanes(5), dense_bytes);
+        assert!(matches!(got, Err(Trap::Mem { .. })), "{got:?}");
+    }
+
+    #[test]
+    fn spmd_trap_in_middle_lane_at_first_and_last_uop_rolls_the_block_back() {
+        for trap_first in [true, false] {
+            let program = rollback_program(2, trap_first);
+            let config = RunConfig::default();
+            let bp = blocks_of(&program, &config);
+            let got = assert_spmd_matches_alone(&bp, &config, &fresh_lanes(5), dense_bytes);
+            assert!(matches!(got, Err(Trap::Mem { .. })), "trap first {trap_first}: {got:?}");
+        }
+    }
+
+    /// The address of [`Shared`]'s device register.
+    const DEV: u32 = 0xf00;
+
+    /// Memory all lanes of one run share, like the cluster's L1, with one
+    /// device register at [`DEV`] that counts the stores to it (a load
+    /// reads the count) and peeks as `None`, like TeraPool's control
+    /// region.
+    #[derive(Clone)]
+    struct Shared(std::rc::Rc<std::cell::RefCell<(DenseMemory, u32)>>);
+
+    impl Memory for Shared {
+        fn load(&mut self, addr: u32, size: u32) -> Result<u32, crate::MemError> {
+            let mut s = self.0.borrow_mut();
+            if addr == DEV {
+                return Ok(s.1);
+            }
+            s.0.load(addr, size)
+        }
+        fn store(&mut self, addr: u32, size: u32, value: u32) -> Result<(), crate::MemError> {
+            let mut s = self.0.borrow_mut();
+            if addr == DEV {
+                s.1 += 1;
+                return Ok(());
+            }
+            s.0.store(addr, size, value)
+        }
+        fn amo(&mut self, op: terasim_riscv::AmoOp, addr: u32, value: u32) -> Result<u32, crate::MemError> {
+            self.0.borrow_mut().0.amo(op, addr, value)
+        }
+        fn peek(&self, addr: u32, size: u32) -> Option<u32> {
+            let s = self.0.borrow();
+            (addr != DEV).then(|| s.0.peek(addr, size)).flatten()
+        }
+    }
+
+    /// `n` lanes over one fresh [`Shared`] memory.
+    fn shared_lanes(n: u32) -> Vec<LaneState<Shared>> {
+        let shared = Shared(std::rc::Rc::new(std::cell::RefCell::new((DenseMemory::new(0, 0x1000), 0))));
+        fresh_lanes(n)
+            .into_iter()
+            .map(|l| LaneState { cpu: l.cpu, mem: shared.clone(), sb: l.sb, stats: l.stats })
+            .collect()
+    }
+
+    fn shared_bytes(m: &Shared) -> Vec<u8> {
+        let s = m.0.borrow();
+        let mut bytes = s.0.read_bytes(0, 0x1000).to_vec();
+        bytes.extend(s.1.to_le_bytes());
+        bytes
+    }
+
+    /// Runs `body` as one block of a converged group over shared memory
+    /// (`t1` = 4 × hart, `a0` = 0x40, `a1` = 1 on entry) and checks it
+    /// against the lanes run alone. Only lane-major order gives each lane
+    /// the shared word or device count its predecessors left.
+    fn shared_block_matches_alone(body: impl FnOnce(&mut Assembler)) {
+        let program = program_of(|a| {
+            a.li(Reg::A0, 0x40);
+            a.li(Reg::A1, 1);
+            a.csrr(Reg::T0, terasim_riscv::csr::MHARTID);
+            a.slli(Reg::T1, Reg::T0, 2);
+            let (start, done) = (a.new_label(), a.new_label());
+            a.j(start);
+            a.bind(start);
+            body(a);
+            a.j(done);
+            a.bind(done);
+        });
+        let config = RunConfig::default();
+        let bp = blocks_of(&program, &config);
+        assert_spmd_matches_alone_from(&bp, &config, || shared_lanes(6), shared_bytes).unwrap();
+    }
+
+    #[test]
+    fn spmd_control_region_store_aborts_the_block_and_replays_it_lane_major() {
+        shared_block_matches_alone(|a| {
+            a.li(Reg::T2, DEV as i32);
+            a.sw(Reg::A1, 0, Reg::T2);
+            a.lw(Reg::A3, 0, Reg::T2);
+            a.sw(Reg::A3, 0x100, Reg::T1);
+        });
+    }
+
+    #[test]
+    fn spmd_amo_and_lr_sc_blocks_stay_lane_major() {
+        shared_block_matches_alone(|a| {
+            a.amoadd_w(Reg::A2, Reg::A1, Reg::A0);
+            a.lw(Reg::A3, 0, Reg::A0);
+            a.add(Reg::A4, Reg::A2, Reg::A3);
+            a.sw(Reg::A4, 0x100, Reg::T1);
+        });
+        shared_block_matches_alone(|a| {
+            a.inst(Inst::LrW { rd: Reg::A2, rs1: Reg::A0 });
+            a.addi(Reg::A2, Reg::A2, 1);
+            a.inst(Inst::ScW { rd: Reg::A3, rs1: Reg::A0, rs2: Reg::A2 });
+            a.lw(Reg::A4, 0, Reg::A0);
+            a.sw(Reg::A4, 0x100, Reg::T1);
+            a.sw(Reg::A3, 0x180, Reg::T1);
+        });
+    }
+
+    /// NaN results of every sign and source: binary16 operands per lane
+    /// `(a, b, c)`, `fnmsub.h` computing `-(a*b) + c`.
+    const NAN_CASES: [(u16, u16, u16); 11] = [
+        (0x7e00, 0x3c00, 0x3c00), // +qNaN * 1 + 1
+        (0xfe00, 0x3c00, 0x3c00), // -qNaN * 1 + 1
+        (0x7d01, 0x3c00, 0x0000), // +sNaN with payload
+        (0xfc01, 0x4000, 0x8000), // -sNaN with payload
+        (0x3c00, 0x3c00, 0xfe55), // NaN addend only
+        (0x7e00, 0x3c00, 0xfe00), // NaNs of both signs
+        (0xfe00, 0xfe00, 0x7e00), // three NaNs
+        (0x7c00, 0x0000, 0x3c00), // Inf * 0: invalid
+        (0x7c00, 0x3c00, 0x7c00), // -(Inf) + Inf: invalid
+        (0xfc00, 0x3c00, 0xfc00), // -(-Inf) + -Inf: invalid
+        (0x3c00, 0x4000, 0x3800), // no NaN: 0.5 - 2 = -1.5
+    ];
+
+    #[test]
+    fn spmd_nan_producing_fnmsub_h_matches_lanes_alone() {
+        let program = program_of(|a| {
+            a.lw(Reg::A2, 0x40, Reg::Zero);
+            a.lw(Reg::A3, 0x44, Reg::Zero);
+            a.lw(Reg::A4, 0x48, Reg::Zero);
+            let body = a.new_label();
+            a.j(body);
+            a.bind(body);
+            a.fnmsub_h(Reg::A5, Reg::A2, Reg::A3, Reg::A4);
+            a.fmadd_h(Reg::A6, Reg::A2, Reg::A3, Reg::A4);
+            a.vfcdotpex_c_s_h(Reg::A4, Reg::A2, Reg::A3);
+            a.sw(Reg::A5, 0x80, Reg::Zero);
+            a.sw(Reg::A6, 0x84, Reg::Zero);
+            a.sw(Reg::A4, 0x88, Reg::Zero);
+        });
+        let config = RunConfig::default();
+        let bp = blocks_of(&program, &config);
+        let mut lanes = fresh_lanes(NAN_CASES.len() as u32);
+        for (l, &(x, y, z)) in lanes.iter_mut().zip(&NAN_CASES) {
+            // Words whose upper halves are not the sign extension, so the
+            // complex op sees a second, different lane.
+            l.mem.store(0x40, 4, u32::from(x) | u32::from(z) << 16).unwrap();
+            l.mem.store(0x44, 4, u32::from(y) | u32::from(x) << 16).unwrap();
+            l.mem.store(0x48, 4, u32::from(z) | u32::from(y) << 16).unwrap();
         }
         assert_spmd_matches_alone(&bp, &config, &lanes, dense_bytes).unwrap();
     }

@@ -73,6 +73,20 @@ pub trait Memory {
         let _ = addr;
         9
     }
+
+    /// Looks at the `size` bytes at `addr` without accessing them: their
+    /// value, zero-extended, when the address is plain memory that a load
+    /// of `size` bytes would read and a store would only overwrite; `None`
+    /// when the access would fail, would reach a device register (whose
+    /// accesses have effects beyond its bytes), or the view cannot tell.
+    ///
+    /// No side effects. SPMD groups run a block uop-major only while every
+    /// access peeks as plain memory (see [`resume_spmd`](crate::resume_spmd)),
+    /// so the default `None` only costs speed.
+    fn peek(&self, addr: u32, size: u32) -> Option<u32> {
+        let _ = (addr, size);
+        None
+    }
 }
 
 pub(crate) fn check_align(addr: u32, size: u32) -> Result<(), MemError> {
@@ -154,6 +168,13 @@ impl DenseMemory {
         &self.bytes[start..start + len]
     }
 
+    /// The `size` bytes at byte offset `off`, zero-extended.
+    fn read_at(&self, off: usize, size: u32) -> u32 {
+        let mut word = [0u8; 4];
+        word[..size as usize].copy_from_slice(&self.bytes[off..off + size as usize]);
+        u32::from_le_bytes(word)
+    }
+
     fn offset(&self, addr: u32, size: u32) -> Result<usize, MemError> {
         check_align(addr, size)?;
         let off = addr.wrapping_sub(self.base);
@@ -167,10 +188,11 @@ impl DenseMemory {
 
 impl Memory for DenseMemory {
     fn load(&mut self, addr: u32, size: u32) -> Result<u32, MemError> {
-        let off = self.offset(addr, size)?;
-        let mut word = [0u8; 4];
-        word[..size as usize].copy_from_slice(&self.bytes[off..off + size as usize]);
-        Ok(u32::from_le_bytes(word))
+        Ok(self.read_at(self.offset(addr, size)?, size))
+    }
+
+    fn peek(&self, addr: u32, size: u32) -> Option<u32> {
+        Some(self.read_at(self.offset(addr, size).ok()?, size))
     }
 
     fn store(&mut self, addr: u32, size: u32, value: u32) -> Result<(), MemError> {

@@ -766,6 +766,15 @@ impl Memory for CoreMem {
     fn latency(&self, addr: u32) -> u32 {
         self.mem.topology().access_latency(self.core, addr)
     }
+
+    /// L1 and L2 words are plain memory; the control region is not.
+    #[inline(always)]
+    fn peek(&self, addr: u32, size: u32) -> Option<u32> {
+        if misaligned(addr, size) {
+            return None;
+        }
+        self.mem.word_slot(addr).map(|slot| subword(slot.load(Ordering::SeqCst), addr, size))
+    }
 }
 
 /// Fast view of the cluster memory used by the epoch-sharded cycle
@@ -979,6 +988,22 @@ mod tests {
         assert!(!mem.wake_pending(3));
         assert!(mem.take_wake(7));
         assert!(!mem.take_wake(7), "wake is one-shot");
+    }
+
+    #[test]
+    fn peek_reads_l1_and_l2_but_not_the_control_region() {
+        let mem = ClusterMem::new(Topology::scaled(16));
+        mem.write_u32(0x100, 0xa1b2_c3d4);
+        mem.write_u32(Topology::L2_BASE + 8, 7);
+        let v = mem.core_view(3);
+        assert_eq!(v.peek(0x100, 4), Some(0xa1b2_c3d4));
+        assert_eq!(v.peek(0x102, 2), Some(0xa1b2));
+        assert_eq!(v.peek(0x103, 1), Some(0xa1));
+        assert_eq!(v.peek(Topology::L2_BASE + 8, 4), Some(7));
+        assert_eq!(v.peek(0x102, 4), None, "misaligned");
+        assert_eq!(v.peek(Topology::CTRL_EOC, 4), None);
+        assert_eq!(v.peek(Topology::CTRL_NUM_CORES, 4), None);
+        assert_eq!(mem.dirty_pages(), 2, "peeking marks nothing dirty");
     }
 
     #[test]
