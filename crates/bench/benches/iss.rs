@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use terasim_iss::uop::UopProgram;
 use terasim_iss::{
     resume_blocks, resume_spmd, run_core, BlockProgram, Cpu, DenseMemory, Lane, Memory, Program, RunConfig,
-    RunStats, Scoreboard,
+    RunStats, Scoreboard, MAX_GROUP,
 };
 use terasim_riscv::{Assembler, Image, Reg, Segment};
 
@@ -87,7 +87,7 @@ impl Harts {
 }
 
 /// `iss/spmd/<lanes>`: `lanes` harts converged on one program through
-/// `resume_spmd` (one group: each block timed once) against the same
+/// `resume_spmd` (groups of at most `MAX_GROUP` lanes) against the same
 /// harts one at a time through `resume_blocks`. An element is one
 /// retired instruction, so `ns/elem` is ns per instruction.
 fn bench_spmd(c: &mut Criterion) {
@@ -98,7 +98,7 @@ fn bench_spmd(c: &mut Criterion) {
     let blocks: BlockProgram<DenseMemory> = BlockProgram::build(&program, &table);
     let insts_per_hart = 7 * iters as u64 + 3;
     let mut group = c.benchmark_group("iss/spmd");
-    for lanes in [16u32, 256, 1024] {
+    for lanes in [16u32, MAX_GROUP as u32, 256, 1024] {
         let mut harts = Harts::new(lanes);
         group.throughput(Throughput::Elements(u64::from(lanes) * insts_per_hart));
         group.bench_function(&format!("{lanes}/resume_spmd"), |bencher| {
@@ -161,7 +161,7 @@ fn bench_spmd_fp16(c: &mut Criterion) {
     let blocks: BlockProgram<DenseMemory> = BlockProgram::build(&program, &table);
     let insts_per_hart = 10 * iters as u64 + 3;
     let mut group = c.benchmark_group("iss/spmd_fp16");
-    for lanes in [16u32, 256, 1024] {
+    for lanes in [16u32, MAX_GROUP as u32, 256, 1024] {
         let mut harts = Harts::new(lanes);
         for (hart, (_, mem, _, _)) in (0u32..).zip(&mut harts.harts) {
             // [1 + hart/1024, 1 - hart/2048] and [0.5, 0.75 + hart/4096].

@@ -32,7 +32,8 @@
 //! (pinned by `tests/fusion.rs` and the lockstep tests below).
 //!
 //! [`resume_spmd`] runs the same blocks across a *group* of lanes (harts):
-//! lanes at one PC **with equal scoreboards**. Fast-mode timing is static
+//! lanes at one PC **with equal scoreboards**, at most [`MAX_GROUP`] of
+//! them. Fast-mode timing is static
 //! per uop, so such lanes issue every block identically: the group owns
 //! one [`Scoreboard`] and one statistics delta (`retired`, class
 //! histogram, branch bubbles), times and folds each block **once**, and
@@ -46,6 +47,14 @@
 //! what running the lanes one after another would report. Under
 //! per-address load latency, timing depends on each lane's addresses, so
 //! every lane runs alone.
+//!
+//! A group is closed at [`MAX_GROUP`] lanes because each uop of a
+//! uop-major block sweeps every lane's `Cpu`, memory view, snapshot
+//! registers, undo entries and operand words. The `Cpu`s of 1 024 lanes
+//! alone are 160 KiB, several times a 48 KiB L1d, so their sweep is
+//! served from L2; those of 64 lanes are 10 KiB. Timing a block once per
+//! 64 lanes instead of once per 1 024 costs less than those misses (the
+//! sweep is in BENCHMARKS.md, "L1-sized groups").
 //!
 //! A uop-major block runs optimistically. First every lane's registers
 //! in the block's static write set (those written up to its last memory
@@ -498,8 +507,10 @@ impl<M> Lane<'_, M> {
 
 /// Runs a set of lanes to their next stop (exit, `wfi` park, budget).
 ///
-/// Lanes at the same PC **with equal scoreboards** form a group: each of
-/// the group's blocks is looked up, budget-tested and timed once, and runs
+/// Lanes at the same PC **with equal scoreboards** form groups of at most
+/// [`MAX_GROUP`] lanes, ascending and run in order of their lowest lane
+/// (the cap keeps each uop's sweep over the lanes in L1). Each of a
+/// group's blocks is looked up, budget-tested and timed once, and runs
 /// **uop-major**: each uop once, its batch kernel looping over the lanes,
 /// then each lane commits `retired`, its end PC and `mcycle`. A block runs
 /// over a snapshot of the registers it writes and an undo log of its
@@ -582,8 +593,15 @@ pub fn resume_spmd<M: Memory>(
     }
 }
 
-/// Partitions `members` (ascending) into groups of lanes at one PC with
-/// equal scoreboards, queued in order of their lowest lane.
+/// The most lanes one SPMD group holds. Each uop of a uop-major block
+/// sweeps all of its group's lanes, so the cap bounds that sweep's working
+/// set to what L1 holds; 64 is the fastest cap of the sweep in
+/// BENCHMARKS.md ("L1-sized groups").
+pub const MAX_GROUP: usize = 64;
+
+/// Partitions `members` (ascending) into groups of at most [`MAX_GROUP`]
+/// lanes at one PC with equal scoreboards, queued in order of their
+/// lowest lane.
 fn split<M>(
     lanes: &[Lane<'_, M>],
     members: impl IntoIterator<Item = usize>,
@@ -594,7 +612,7 @@ fn split<M>(
         let l = &lanes[i];
         let same = |v: &&mut Vec<usize>| {
             let h = &lanes[v[0]];
-            h.cpu.pc() == l.cpu.pc() && *h.sb == *l.sb
+            v.len() < MAX_GROUP && h.cpu.pc() == l.cpu.pc() && *h.sb == *l.sb
         };
         match parts.iter_mut().find(same) {
             Some(v) => v.push(i),
@@ -1204,6 +1222,18 @@ mod tests {
         assert_spmd_matches_alone(&bp, &config, &lanes, dense_bytes).unwrap();
     }
 
+    /// `rd` = 0x100, or an unmapped address on hart `victim`, without a
+    /// branch. Reads the hart id from `t0`; clobbers `t1`–`t3`.
+    fn addr_or_unmapped_on(a: &mut Assembler, victim: i32, rd: Reg) {
+        a.li(Reg::T1, victim);
+        a.xor(Reg::T2, Reg::T0, Reg::T1);
+        a.sltu(Reg::T2, Reg::Zero, Reg::T2);
+        a.addi(Reg::T2, Reg::T2, -1);
+        a.lui(Reg::T3, 0x4000_0000);
+        a.and(Reg::T2, Reg::T2, Reg::T3);
+        a.addi(rd, Reg::T2, 0x100);
+    }
+
     #[test]
     fn spmd_trap_at_every_block_position_of_first_middle_and_last_lane() {
         const LEN: usize = 6;
@@ -1211,16 +1241,9 @@ mod tests {
         for victim in [0, 2, 4] {
             for at in 0..LEN {
                 let program = program_of(|a| {
-                    // a2 = 0x100, or unmapped on the victim, without a branch:
-                    // the lanes stay one group up to the trapping block.
+                    // The lanes stay one group up to the trapping block.
                     a.csrr(Reg::T0, terasim_riscv::csr::MHARTID);
-                    a.li(Reg::T1, victim);
-                    a.xor(Reg::T2, Reg::T0, Reg::T1);
-                    a.sltu(Reg::T2, Reg::Zero, Reg::T2);
-                    a.addi(Reg::T2, Reg::T2, -1);
-                    a.lui(Reg::T3, 0x4000_0000);
-                    a.and(Reg::T2, Reg::T2, Reg::T3);
-                    a.addi(Reg::A2, Reg::T2, 0x100);
+                    addr_or_unmapped_on(a, victim, Reg::A2);
                     let body = a.new_label();
                     a.j(body);
                     a.bind(body);
@@ -1243,27 +1266,34 @@ mod tests {
         }
     }
 
+    /// Four lanes, and more lanes than two full groups hold.
     #[test]
     fn spmd_budget_straddling_a_block() {
         let program = program_of(|a| load_loop(a, 6));
-        let mut lanes = fresh_lanes(4);
-        // Unequal histories: each lane is `i` instructions nearer its budget.
-        for (i, l) in lanes.iter_mut().enumerate() {
-            l.stats.retired = i as u64;
-            l.cpu.set_pc(program.entry());
-        }
-        let (mut budget_stops, mut exits) = (0, 0);
-        for max_instructions in 4..40 {
-            let config = RunConfig { max_instructions, ..RunConfig::default() };
-            let bp = blocks_of(&program, &config);
-            for stop in assert_spmd_matches_alone(&bp, &config, &lanes, dense_bytes).unwrap() {
-                match stop {
-                    StopReason::Budget => budget_stops += 1,
-                    _ => exits += 1,
+        for n in [4, MANY] {
+            let mut lanes = fresh_lanes(n);
+            // Unequal histories: lane `i` is `i % 4` instructions nearer
+            // its budget.
+            for (i, l) in lanes.iter_mut().enumerate() {
+                l.stats.retired = (i % 4) as u64;
+                l.cpu.set_pc(program.entry());
+            }
+            let (mut budget_stops, mut exits) = (0, 0);
+            for max_instructions in 4..40 {
+                let config = RunConfig { max_instructions, ..RunConfig::default() };
+                let bp = blocks_of(&program, &config);
+                for stop in assert_spmd_matches_alone(&bp, &config, &lanes, dense_bytes).unwrap() {
+                    match stop {
+                        StopReason::Budget => budget_stops += 1,
+                        _ => exits += 1,
+                    }
                 }
             }
+            assert!(
+                budget_stops > 50 * n / 4 && exits > 10 * n / 4,
+                "{n} lanes: {budget_stops} budget stops, {exits} exits"
+            );
         }
-        assert!(budget_stops > 50 && exits > 10, "{budget_stops} budget stops, {exits} exits");
     }
 
     /// Divergence: each lane leaves its group with its own taken-branch
@@ -1302,6 +1332,148 @@ mod tests {
         assert_spmd_matches_alone(&bp, &config, &lanes, dense_bytes).unwrap();
     }
 
+    // --- Groups of at most MAX_GROUP lanes --------------------------------
+
+    /// More lanes than two full groups hold.
+    const MANY: u32 = 2 * MAX_GROUP as u32 + 22;
+
+    #[test]
+    fn split_fills_groups_of_at_most_max_group_lanes_queued_by_lowest_lane() {
+        const N: usize = 5 * MAX_GROUP;
+        // Four (PC, scoreboard) keys, interleaved, holding 8/15, 2/15,
+        // 4/15 and 1/15 of the lanes.
+        let mut states = fresh_lanes(N as u32);
+        let key = |i: usize| (i.is_multiple_of(3), i.is_multiple_of(5));
+        for (i, l) in states.iter_mut().enumerate() {
+            let (other_pc, late) = key(i);
+            l.cpu.set_pc(0x8000_0000 + if other_pc { 0x40 } else { 0 });
+            if late {
+                l.sb.advance_to(40);
+            }
+        }
+        let lanes: Vec<Lane<'_, DenseMemory>> = states
+            .iter_mut()
+            .map(|l| Lane { cpu: &mut l.cpu, mem: &mut l.mem, sb: &mut l.sb, stats: &mut l.stats })
+            .collect();
+        // All lanes, and the odd ones (a group's lanes after a divergence).
+        for step in [1, 2] {
+            let members: Vec<usize> = (step - 1..N).step_by(step).collect();
+            let mut work = VecDeque::new();
+            split(&lanes, members.iter().copied(), &mut work);
+            // Each key's lanes, ascending, cut into MAX_GROUP-lane groups;
+            // the groups in order of their lowest lane.
+            let mut want: Vec<Vec<usize>> = Vec::new();
+            for k in [(false, false), (false, true), (true, false), (true, true)] {
+                let of_key: Vec<usize> = members.iter().copied().filter(|&i| key(i) == k).collect();
+                want.extend(of_key.chunks(MAX_GROUP).map(<[usize]>::to_vec));
+            }
+            want.sort_by_key(|g| g[0]);
+            let got = Vec::from(work);
+            assert!(got.iter().all(|g| g.len() <= MAX_GROUP), "a group exceeds MAX_GROUP");
+            assert_eq!(got, want, "members step {step}");
+        }
+    }
+
+    #[test]
+    fn spmd_lowest_trap_in_the_last_lane_of_a_full_group_and_the_first_of_the_next() {
+        for victim in [MAX_GROUP as i32 - 1, MAX_GROUP as i32] {
+            let program = program_of(|a| {
+                a.csrr(Reg::T0, terasim_riscv::csr::MHARTID);
+                addr_or_unmapped_on(a, victim, Reg::A2);
+                a.slli(Reg::T4, Reg::T0, 2);
+                let body = a.new_label();
+                a.j(body);
+                a.bind(body);
+                // A store before the trapping load: uop-major, rolled back.
+                a.lw(Reg::A6, 0x40, Reg::Zero);
+                a.sw(Reg::T0, 0x300, Reg::T4);
+                a.lw(Reg::A4, 0, Reg::A2);
+                a.add(Reg::A5, Reg::A4, Reg::A6);
+                a.sw(Reg::A5, 0x600, Reg::T4);
+            });
+            let config = RunConfig::default();
+            let bp = blocks_of(&program, &config);
+            let got = assert_spmd_matches_alone(&bp, &config, &fresh_lanes(MANY), dense_bytes);
+            assert!(matches!(got, Err(Trap::Mem { .. })), "victim {victim}: {got:?}");
+        }
+    }
+
+    /// Lane 100 traps in the first block of the second group while the
+    /// first group diverges on its loop and lane 10 traps after it: the
+    /// lower lane's trap is the one reported.
+    #[test]
+    fn spmd_low_lane_trapping_late_outranks_a_higher_lane_trapping_first() {
+        let program = program_of(|a| {
+            a.csrr(Reg::T0, terasim_riscv::csr::MHARTID);
+            addr_or_unmapped_on(a, 100, Reg::A2);
+            addr_or_unmapped_on(a, 10, Reg::A3);
+            a.andi(Reg::T4, Reg::T0, 3);
+            a.addi(Reg::T4, Reg::T4, 1);
+            a.slli(Reg::T5, Reg::T0, 2);
+            let (first, top) = (a.new_label(), a.new_label());
+            a.j(first);
+            a.bind(first);
+            a.lw(Reg::A4, 0, Reg::A2);
+            a.sw(Reg::T4, 0x300, Reg::T5);
+            a.bind(top);
+            a.lw(Reg::A1, 0x40, Reg::Zero);
+            a.add(Reg::A5, Reg::A5, Reg::A1);
+            a.addi(Reg::T4, Reg::T4, -1);
+            a.bnez(Reg::T4, top);
+            a.lw(Reg::A4, 0, Reg::A3);
+            a.sw(Reg::A5, 0x600, Reg::T5);
+        });
+        let config = RunConfig::default();
+        let bp = blocks_of(&program, &config);
+        let mut lanes = fresh_lanes(MANY);
+        for l in &mut lanes {
+            l.mem.store(0x40, 4, 3).unwrap();
+        }
+        let got = assert_spmd_matches_alone(&bp, &config, &lanes, dense_bytes);
+        assert!(matches!(got, Err(Trap::Mem { .. })), "{got:?}");
+    }
+
+    /// Odd lanes enter later, so the even lanes 0, 2, …, 126 fill one
+    /// group that a branch on `hart < MAX_GROUP` splits at lane 64; both
+    /// sides regroup, rejoin and diverge again on a loop of `hart % 4 + 1`
+    /// trips.
+    #[test]
+    fn spmd_divergence_at_the_cap_boundary_regroups_both_sides() {
+        let program = program_of(|a| {
+            a.csrr(Reg::T0, terasim_riscv::csr::MHARTID);
+            a.slti(Reg::T1, Reg::T0, MAX_GROUP as i32);
+            a.slli(Reg::T2, Reg::T0, 2);
+            let (start, low, join, top) = (a.new_label(), a.new_label(), a.new_label(), a.new_label());
+            a.j(start);
+            a.bind(start);
+            a.lw(Reg::A1, 0x40, Reg::Zero);
+            a.bnez(Reg::T1, low);
+            a.addi(Reg::A0, Reg::A1, 100);
+            a.j(join);
+            a.bind(low);
+            a.slli(Reg::A0, Reg::T0, 4);
+            a.bind(join);
+            a.andi(Reg::T3, Reg::T0, 3);
+            a.addi(Reg::T3, Reg::T3, 1);
+            a.bind(top);
+            a.lw(Reg::A1, 0x40, Reg::Zero);
+            a.add(Reg::A0, Reg::A0, Reg::A1);
+            a.addi(Reg::T3, Reg::T3, -1);
+            a.bnez(Reg::T3, top);
+            a.sw(Reg::A0, 0x80, Reg::T2);
+        });
+        let config = RunConfig::default();
+        let bp = blocks_of(&program, &config);
+        let mut lanes = fresh_lanes(MANY);
+        for (i, l) in lanes.iter_mut().enumerate() {
+            l.mem.store(0x40, 4, 3).unwrap();
+            if i % 2 == 1 {
+                l.sb.advance_to(40);
+            }
+        }
+        assert_spmd_matches_alone(&bp, &config, &lanes, dense_bytes).unwrap();
+    }
+
     // --- Uop-major blocks that roll back ----------------------------------
 
     /// A per-hart read-modify-write through a post-increment store, then
@@ -1311,16 +1483,9 @@ mod tests {
     /// the snapshot) stores a different value or at another address.
     fn rollback_program(victim: i32, trap_first: bool) -> Program {
         program_of(|a| {
-            // a3 = 0x100, or unmapped on the victim, without a branch;
             // a2 = 0x200 + 16 * hart, holding 7.
             a.csrr(Reg::T0, terasim_riscv::csr::MHARTID);
-            a.li(Reg::T1, victim);
-            a.xor(Reg::T2, Reg::T0, Reg::T1);
-            a.sltu(Reg::T2, Reg::Zero, Reg::T2);
-            a.addi(Reg::T2, Reg::T2, -1);
-            a.lui(Reg::T3, 0x4000_0000);
-            a.and(Reg::T2, Reg::T2, Reg::T3);
-            a.addi(Reg::A3, Reg::T2, 0x100);
+            addr_or_unmapped_on(a, victim, Reg::A3);
             a.slli(Reg::T4, Reg::T0, 4);
             a.addi(Reg::A2, Reg::T4, 0x200);
             a.li(Reg::A5, 7);
@@ -1443,6 +1608,24 @@ mod tests {
             a.lw(Reg::A3, 0, Reg::T2);
             a.sw(Reg::A3, 0x100, Reg::T1);
         });
+    }
+
+    /// Each lane takes a ticket from one shared counter. Lanes run alone
+    /// in order take tickets 0, 1, 2, …, so the groups of more lanes than
+    /// one group holds must run in order of their lowest lane.
+    #[test]
+    fn spmd_groups_of_many_lanes_take_shared_tickets_in_lane_order() {
+        let program = program_of(|a| {
+            a.li(Reg::A0, 0x40);
+            a.li(Reg::A1, 1);
+            a.csrr(Reg::T0, terasim_riscv::csr::MHARTID);
+            a.slli(Reg::T1, Reg::T0, 2);
+            a.amoadd_w(Reg::A2, Reg::A1, Reg::A0);
+            a.sw(Reg::A2, 0x100, Reg::T1);
+        });
+        let config = RunConfig::default();
+        let bp = blocks_of(&program, &config);
+        assert_spmd_matches_alone_from(&bp, &config, || shared_lanes(MANY), shared_bytes).unwrap();
     }
 
     #[test]

@@ -64,7 +64,7 @@ mod timing;
 pub mod uop;
 
 pub use cpu::{Cpu, Outcome, Trap};
-pub use fuse::{resume_blocks, resume_spmd, BlockProgram, Lane};
+pub use fuse::{resume_blocks, resume_spmd, BlockProgram, Lane, MAX_GROUP};
 pub use mem::{DenseMemory, MemError, Memory};
 pub use program::{Program, TranslateError};
 pub use runner::{

@@ -83,9 +83,9 @@ enum Code {
     /// The per-instruction reference loop (the
     /// `run_cores_per_instruction` test hook).
     Lowered(Arc<UopProgram<CoreMem>>),
-    /// The block engine with lane-major SPMD groups: harts of a chunk on
-    /// the same PC with equal scoreboards share each block's dispatch and
-    /// timing.
+    /// The block engine with SPMD groups: up to
+    /// [`MAX_GROUP`](terasim_iss::MAX_GROUP) harts of a chunk on the same
+    /// PC with equal scoreboards share each block's dispatch and timing.
     Blocks(Arc<BlockProgram<CoreMem>>),
 }
 
@@ -328,7 +328,7 @@ impl FastSim {
 
     /// Test hook: [`run_cores`](Self::run_cores) on the per-instruction
     /// reference loop ([`resume_lowered`], one hart after another) instead
-    /// of the block loop with lane-major SPMD groups. The two are
+    /// of the block loop with SPMD groups. The two are
     /// bit-identical; the differential suites pin it through this hook.
     ///
     /// # Errors
