@@ -1,5 +1,5 @@
 //! Criterion benchmark of the guest memory path: the cost of one access
-//! through the views the two engines' load and store kernels use, and of
+//! through the view both engines' load and store kernels use, and of
 //! recycling an arena. An iteration of the `mem/*_load` and `mem/*_store`
 //! rows is 16 384 accesses, so ns per access = ns/iter ÷ 16 384 = 1000 ÷
 //! the Melem/s column. Gates nothing; it is the per-operation number a
@@ -31,7 +31,7 @@ fn bench_views(c: &mut Criterion) {
     for addr in (0..topo.l1_bytes()).step_by(4) {
         mem.write_u32(Topology::L1_BASE + addr, addr);
     }
-    let (mut core, mut turbo) = (mem.core_view(0), mem.turbo_view(0));
+    let mut core = mem.core_view(0);
     let window = 4 * ACCESSES;
     let seq_tile = Topology::SEQ_BASE + 5 * Topology::SEQ_STRIDE;
 
@@ -46,17 +46,16 @@ fn bench_views(c: &mut Criterion) {
     group.bench_function("core_load/sequential/unit_stride", |bencher| {
         bencher.iter(|| sweep(&mut core, black_box(seq_tile), 4, topo.tile_spm_bytes))
     });
-    group.bench_function("core_store/halfword", |bencher| {
-        bencher.iter(|| {
-            let base = black_box(Topology::L1_BASE);
-            for i in 0..ACCESSES {
-                core.store(base + 2 * i, 2, i).expect("mapped");
-            }
-        })
-    });
-    group.bench_function("turbo_load/interleaved/unit_stride", |bencher| {
-        bencher.iter(|| sweep(&mut turbo, black_box(Topology::L1_BASE), 4, window))
-    });
+    for (row, size) in [("core_store/halfword", 2), ("core_store/word", 4)] {
+        group.bench_function(row, |bencher| {
+            bencher.iter(|| {
+                let base = black_box(Topology::L1_BASE);
+                for i in 0..ACCESSES {
+                    core.store(base + size * i, size, i).expect("mapped");
+                }
+            })
+        });
+    }
     group.finish();
 }
 

@@ -12,7 +12,9 @@
 //!
 //! `--rate 0` (the default) saturates the admission queue to measure
 //! sustained capacity; a positive rate paces Poisson arrivals at that
-//! many requests per second, shedding on overload. `--check` makes the
+//! many requests per second, shedding on overload. A negative or
+//! non-finite rate is an error. `--budget 0` (the default) sets no
+//! instruction budget. `--check` makes the
 //! exit status a smoke-test verdict: failure unless every admitted
 //! request completed and the artifact cache was actually hit.
 
@@ -49,7 +51,7 @@ macro_rules! flag {
     };
 }
 
-const USAGE: &str = "usage: terasim-serve [--workers N] [--depth N] [--cache N] [--requests N] [--rate R] [--seed S] [--budget B] [--check]";
+const USAGE: &str = "usage (defaults after =): terasim-serve [--workers N =1] [--depth N =16] [--cache N =4] [--requests N =40] [--rate R =0 (saturating)] [--seed S =1] [--budget B =0 (none)] [--check]";
 
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
@@ -70,6 +72,10 @@ fn main() -> ExitCode {
     let cache: usize = flag!(args, "--cache", 4, positive);
     let requests: usize = flag!(args, "--requests", 40);
     let rate: f64 = flag!(args, "--rate", 0.0);
+    if !(rate.is_finite() && rate >= 0.0) {
+        eprintln!("error: invalid value for --rate: {rate} (want a finite rate >= 0)");
+        return ExitCode::FAILURE;
+    }
     let seed: u64 = flag!(args, "--seed", 1);
     let budget: u64 = flag!(args, "--budget", 0);
     let check = args.switch("--check");

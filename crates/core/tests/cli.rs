@@ -59,6 +59,9 @@ fn out_of_range_numbers_are_rejected_before_anything_runs() {
     assert_rejected(SERVE, "--workers 0", "--workers");
     assert_rejected(SERVE, "--depth 0", "--depth");
     assert_rejected(SERVE, "--cache 0", "--cache");
+    for rate in ["-5", "nan", "inf", "-inf"] {
+        assert_rejected(SERVE, &format!("--rate {rate}"), "--rate");
+    }
 }
 
 #[test]
@@ -89,6 +92,9 @@ fn usage_shows_the_defaults() {
     let stderr = String::from_utf8_lossy(&run(TSIM, "--help").stderr).into_owned();
     assert!(stderr.contains("--precision P =16bCDotp"), "{stderr}");
     assert!(stderr.contains("--backend fast|cycle =fast"), "{stderr}");
+    let stderr = String::from_utf8_lossy(&run(SERVE, "--help").stderr).into_owned();
+    assert!(stderr.contains("--rate R =0 (saturating)"), "{stderr}");
+    assert!(stderr.contains("--budget B =0 (none)"), "{stderr}");
 }
 
 #[test]

@@ -15,7 +15,7 @@ use terasim_iss::Trap;
 use crate::mem::{ClusterMem, DomainBanks, XRequest};
 
 use super::reach::ReachMap;
-use super::{CoreCtx, CoreState, CycleSim, FastICache, RunTables, TurboMem};
+use super::{CoreCtx, CoreState, CycleSim, FastICache, RunTables};
 
 /// Wheel size in one-cycle slots (power of two; covers every short
 /// latency in the model — longer delays take the overflow heap).
@@ -114,7 +114,7 @@ pub(super) struct DomainEngine {
     /// First global core id of the domain.
     pub(super) core_base: u32,
     /// Per-core contexts (local index).
-    pub(super) ctxs: Vec<CoreCtx<TurboMem>>,
+    pub(super) ctxs: Vec<CoreCtx>,
     /// Per-tile shared instruction caches (local index).
     pub(super) icaches: Vec<FastICache>,
     /// This domain's bank/port reservation books.
@@ -180,7 +180,7 @@ impl DomainEngine {
         let topo = sim.topology();
         let lo = (domain * topo.cores_per_group()).min(cores);
         let hi = ((domain + 1) * topo.cores_per_group()).min(cores);
-        let ctxs: Vec<CoreCtx<TurboMem>> = (lo..hi).map(|core| sim.make_ctx(core)).collect();
+        let ctxs: Vec<CoreCtx> = (lo..hi).map(|core| sim.fresh_ctx(core)).collect();
         let n = hi - lo;
         let wheel = Wheel::new(n.max(1));
         let words = wheel.words;

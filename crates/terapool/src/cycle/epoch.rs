@@ -89,7 +89,7 @@ use terasim_riscv::Reg;
 
 use super::domain::{DomainEngine, WindowOpts, WHEEL_SLOTS};
 use super::{CoreCtx, CycleResult, CycleSim, RunTables};
-use crate::mem::{ClusterMem, DomainBanks, TurboMem, XRequest};
+use crate::mem::{ClusterMem, CoreMem, DomainBanks, XRequest};
 
 /// Extension cap in base epochs. Equal to one wheel revolution at the
 /// standard 4-cycle epoch — the slot scan is only aliasing-free within
@@ -141,7 +141,7 @@ fn grant(x: &XRequest, bank_free: &mut u64) -> (u64, u64) {
 ///
 /// Returns the [`Trap`] the access raises (attributed to the deferred
 /// instruction's PC), exactly as the kernel would have at issue.
-fn serve(x: &XRequest, book: Option<&mut DomainBanks>, mem: &mut TurboMem) -> Result<Reply, Trap> {
+fn serve(x: &XRequest, book: Option<&mut DomainBanks>, mem: &mut CoreMem) -> Result<Reply, Trap> {
     let (latency, contention) = match book {
         Some(banks) => {
             let slot = banks.local_bank(x.bank);
@@ -182,7 +182,7 @@ fn serve(x: &XRequest, book: Option<&mut DomainBanks>, mem: &mut TurboMem) -> Re
 
 /// Source half of one deferred request: the scoreboard correction and
 /// destination writeback on its issuing core.
-fn settle(x: &XRequest, reply: &Reply, ctx: &mut CoreCtx<TurboMem>) {
+fn settle(x: &XRequest, reply: &Reply, ctx: &mut CoreCtx) {
     // The corrections rewrite scoreboard entries behind the run step's
     // cached bound; force its next issue to rescan.
     ctx.hazard_until = u64::MAX;
@@ -425,7 +425,7 @@ impl Shards<'_> {
 
     /// Target step for `target`: serves the lanes addressed to it in
     /// `(cycle, core)` order against its own bank book.
-    fn serve_target(&self, target: usize, mem: &mut TurboMem) {
+    fn serve_target(&self, target: usize, mem: &mut CoreMem) {
         // SAFETY: target step — the lanes into `target` and (for a bank
         // target) engine `target` belong to the target's owner, the
         // calling thread.
@@ -439,7 +439,7 @@ impl Shards<'_> {
 
     /// Target step of a DMA boundary, on thread 0: serves every lane in
     /// one globally ordered pass.
-    fn serve_all(&self, mem: &mut TurboMem) {
+    fn serve_all(&self, mem: &mut CoreMem) {
         let topo = self.sim.topology();
         // SAFETY: target step of a DMA boundary — every lane and engine
         // belongs to thread 0, the calling thread; the others skip the
@@ -529,7 +529,7 @@ impl Shards<'_> {
         let domains = self.domains();
         let epoch = self.epoch;
         // The view this thread serves other cores' requests through.
-        let mut mem = self.sim.memory().turbo_view(0);
+        let mut mem = self.sim.memory().core_view(0);
         let mut win = Window { start: 0, end: epoch, sole: None, extended: false };
         loop {
             // Phase. A sole-active window is simulated by the sole
@@ -670,7 +670,7 @@ pub(super) fn run_sharded(
         let trap = shards.phase_trap.into_trap().or_else(|| shards.replay_trap.into_trap());
         return Err(trap.expect("a raised trap slot holds its trap"));
     }
-    let ctxs: Vec<CoreCtx<TurboMem>> = engines.into_iter().flat_map(|engine| engine.ctxs).collect();
+    let ctxs: Vec<CoreCtx> = engines.into_iter().flat_map(|engine| engine.ctxs).collect();
     let mut res = CycleSim::result_of(&ctxs);
     res.cancelled = matches!(exit, Exit::Cancelled);
     Ok(res)

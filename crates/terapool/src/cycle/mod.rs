@@ -110,7 +110,7 @@ use terasim_riscv::{Image, Inst, Reg};
 
 use crate::artifacts::SimArtifacts;
 use crate::cancel::CancelToken;
-use crate::mem::{ClusterMem, CoreMem, DomainBanks, TurboMem, XRequest};
+use crate::mem::{ClusterMem, CoreMem, DomainBanks, XRequest};
 use crate::pool::MemPool;
 use crate::topology::{L1Decode, Topology};
 
@@ -300,9 +300,9 @@ enum CoreState {
 /// back-pressures issue (`stall-lsu`).
 const LSU_DEPTH: usize = 4;
 
-struct CoreCtx<M> {
+struct CoreCtx {
     cpu: Cpu,
-    mem: M,
+    mem: CoreMem,
     reg_ready: [u64; 32],
     /// Per-register architectural write counters: bumped on every issued
     /// destination/post-increment write. A deferred access captures the
@@ -332,7 +332,7 @@ struct CoreCtx<M> {
     budget_hit: bool,
 }
 
-impl<M> CoreCtx<M> {
+impl CoreCtx {
     /// Records the architectural register writes of the instruction that
     /// just issued (destination and post-increment base, [`NO_REG`]
     /// ignored) in the WAW counters.
@@ -405,7 +405,7 @@ impl FastICache {
 /// Immutable after construction and shared read-only by every engine (and
 /// every job of a batch) through [`SimArtifacts::cycle_tables`].
 pub(crate) struct RunTables {
-    uops: UopProgram<TurboMem>,
+    uops: UopProgram<CoreMem>,
     /// Per text slot: the length (saturating at 255) of the *straight
     /// run* starting there — consecutive [`UopMeta::elide_ok`] uops up to
     /// and including the first control-flow uop. 0 where no run starts:
@@ -502,8 +502,8 @@ impl RunTables {
 /// (the uncontended round trip) that the boundary replay corrects before
 /// any dependent instruction can observe it.
 #[allow(clippy::too_many_arguments)]
-fn defer_issue<M: Memory>(
-    ctx: &mut CoreCtx<M>,
+fn defer_issue(
+    ctx: &mut CoreCtx,
     op: MemOp,
     dst: u8,
     post_inc: u8,
@@ -723,12 +723,14 @@ impl CycleSim {
         self.arts.cycle_latency()
     }
 
-    fn fresh_ctx<M: Memory>(&self, core: u32, mem: M) -> CoreCtx<M> {
+    /// A context for `core` at the program entry, on its own view of
+    /// the job memory.
+    fn fresh_ctx(&self, core: u32) -> CoreCtx {
         let mut cpu = Cpu::new(core);
         cpu.set_pc(self.arts.program().entry());
         CoreCtx {
             cpu,
-            mem,
+            mem: self.mem().core_view(core),
             reg_ready: [0; 32],
             reg_wseq: [0; 32],
             wake_at: 0,
@@ -743,13 +745,7 @@ impl CycleSim {
         }
     }
 
-    /// One core context on the engine-fast memory view (used per domain
-    /// by the sharded engine).
-    fn make_ctx(&self, core: u32) -> CoreCtx<TurboMem> {
-        self.fresh_ctx(core, self.mem().turbo_view(core))
-    }
-
-    fn result_of<M>(ctxs: &[CoreCtx<M>]) -> CycleResult {
+    fn result_of(ctxs: &[CoreCtx]) -> CycleResult {
         let per_core: Vec<CycleStats> = ctxs.iter().map(|c| c.stats).collect();
         let cycles = per_core.iter().map(|s| s.done_at).max().unwrap_or(0);
         let parked: Vec<u32> =
@@ -878,8 +874,7 @@ impl CycleSim {
     pub fn run_naive(&mut self, cores: u32) -> Result<CycleResult, Trap> {
         let topo = self.arts.topology();
         assert!(cores <= topo.num_cores(), "core count out of range");
-        let mut ctxs: Vec<CoreCtx<CoreMem>> =
-            (0..cores).map(|core| self.fresh_ctx(core, self.mem().core_view(core))).collect();
+        let mut ctxs: Vec<CoreCtx> = (0..cores).map(|core| self.fresh_ctx(core)).collect();
         let mut icaches: Vec<FastICache> =
             (0..topo.num_tiles()).map(|_| FastICache::new(topo.icache_bytes, topo.icache_line)).collect();
         let mut banks = DomainBanks::whole_cluster(topo);
@@ -1039,7 +1034,7 @@ impl CycleSim {
     /// *epoch-deferred model* notes and [`defer_issue`].
     fn issue_one(
         &self,
-        ctx: &mut CoreCtx<CoreMem>,
+        ctx: &mut CoreCtx,
         icaches: &mut [FastICache],
         banks: &mut DomainBanks,
         now: u64,
@@ -1237,7 +1232,7 @@ impl CycleSim {
     #[inline]
     fn issue_fast(
         &self,
-        ctx: &mut CoreCtx<TurboMem>,
+        ctx: &mut CoreCtx,
         tables: &RunTables,
         icaches: &mut [FastICache],
         banks: &mut DomainBanks,
@@ -1434,7 +1429,7 @@ impl CycleSim {
     #[allow(clippy::too_many_arguments)]
     fn issue_run(
         &self,
-        ctx: &mut CoreCtx<TurboMem>,
+        ctx: &mut CoreCtx,
         tables: &RunTables,
         icaches: &mut [FastICache],
         banks: &mut DomainBanks,

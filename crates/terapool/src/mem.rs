@@ -281,11 +281,8 @@ struct Inner {
 
 /// The cluster's shared memory, cheaply cloneable (an [`Arc`] inside).
 ///
-/// All harts see the same bytes; sub-word stores are implemented with
-/// atomic read-modify-write so concurrent access to *different* bytes of a
-/// word is safe. The DUT software is data-race-free by construction (each
-/// subcarrier problem is core-private, paper §IV), so `SeqCst` atomics give
-/// deterministic results.
+/// All harts see the same bytes, each through its [`CoreMem`] view, whose
+/// rustdoc states the one ordering rule every access follows.
 ///
 /// # Examples
 ///
@@ -438,7 +435,7 @@ impl ClusterMem {
     }
 
     /// `true` when this is the only live handle to the arena (no clone,
-    /// core/turbo view or job still aliases it) — the pool's recycling
+    /// core view or job still aliases it) — the pool's recycling
     /// precondition.
     pub(crate) fn is_unique(&self) -> bool {
         Arc::strong_count(&self.inner) == 1
@@ -453,7 +450,7 @@ impl ClusterMem {
     pub fn read_u32(&self, addr: u32) -> u32 {
         self.word_slot(addr)
             .unwrap_or_else(|| panic!("read_u32: unmapped {addr:#010x}"))
-            .load(Ordering::SeqCst)
+            .load(Ordering::Relaxed)
     }
 
     /// Host-side aligned word write.
@@ -464,7 +461,7 @@ impl ClusterMem {
     pub fn write_u32(&self, addr: u32, value: u32) {
         self.store_slot(addr)
             .unwrap_or_else(|| panic!("write_u32: unmapped {addr:#010x}"))
-            .store(value, Ordering::SeqCst);
+            .store(value, Ordering::Relaxed);
     }
 
     /// Host-side u16 read (little-endian within the word).
@@ -482,7 +479,7 @@ impl ClusterMem {
         let slot = self.store_slot(addr & !3).unwrap_or_else(|| panic!("write_u16: unmapped {addr:#010x}"));
         let shift = (addr & 2) * 8;
         let mask = 0xffffu32 << shift;
-        let _ = slot.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |old| {
+        let _ = slot.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |old| {
             Some((old & !mask) | (u32::from(value) << shift))
         });
     }
@@ -682,7 +679,39 @@ pub(crate) struct XRequest {
 }
 
 /// One hart's view of the cluster memory; implements
-/// [`Memory`](terasim_iss::Memory) with topology-aware latencies.
+/// [`Memory`](terasim_iss::Memory) with topology-aware latencies. Every
+/// engine runs its harts on this view: the fast engine, the cycle engine
+/// and both references.
+///
+/// # Ordering
+///
+/// Guests share data only across AMOs, control-region accesses and `wfi`
+/// barriers (paper §IV), and the engines order everything else, so one
+/// rule serves every engine:
+///
+/// * L1/L2 word loads and stores are `Relaxed`.
+/// * A sub-word store is a `Relaxed` `fetch_update` on the `AtomicU32`
+///   that holds it. Two harts that write different bytes of one word from
+///   different host threads therefore never lose an update.
+/// * AMOs are a `SeqCst` `fetch_update`.
+/// * The control region and the wake bits are `SeqCst`.
+/// * The host-side [`ClusterMem`] accessors (`read_*`, `write_*`) are
+///   `Relaxed`: the engines' thread spawn/join and barriers order them.
+/// * Every access is a 32-bit atomic: no `AtomicU16`/`AtomicU8` views and
+///   no `unsafe`. A guest is program input, and a racy guest would make
+///   such views race as mixed-size atomics, which is undefined behaviour
+///   in Rust's memory model; racing `AtomicU32`s only read some value.
+/// * Cross-hart order comes only from AMOs, the control region and `wfi`
+///   barriers. lr/sc reservations are per hart and `fence` is a no-op.
+///
+/// The sharded cycle engine adds a discipline of its own: during an epoch
+/// a domain touches only its own group's banks, and cross-group, L2 and
+/// control accesses are replayed at the epoch boundary by the one host
+/// thread that owns the target. A group's banks are one aligned
+/// `banks_per_group × 4 B` chunk of every row of the host array: 4 KiB
+/// on TeraPool, one page of the mapping and one dirty page, so domains
+/// share no cache line and no dirty bit; they share the dirty map's
+/// *words*, which is why marking a page is a `fetch_or`.
 #[derive(Debug, Clone)]
 pub struct CoreMem {
     mem: ClusterMem,
@@ -698,6 +727,15 @@ impl CoreMem {
     /// The underlying shared memory.
     pub fn cluster(&self) -> &ClusterMem {
         &self.mem
+    }
+
+    /// Re-targets this view at `core`: the cycle engine's epoch boundary
+    /// serves the deferred requests of many harts through one view per
+    /// host thread, and a control-region store keeps its issuing hart's
+    /// identity (wake-all skips the writer).
+    #[inline]
+    pub(crate) fn rebind(&mut self, core: u32) {
+        self.core = core;
     }
 }
 
@@ -729,7 +767,7 @@ impl Memory for CoreMem {
             return Err(MemError::Misaligned { addr, size });
         }
         match self.mem.word_slot(addr) {
-            Some(slot) => Ok(subword(slot.load(Ordering::SeqCst), addr, size)),
+            Some(slot) => Ok(subword(slot.load(Ordering::Relaxed), addr, size)),
             None => self.mem.load_outside(addr),
         }
     }
@@ -743,9 +781,9 @@ impl Memory for CoreMem {
             return self.mem.store_outside(addr, value, self.core);
         };
         if size == 4 {
-            slot.store(value, Ordering::SeqCst);
+            slot.store(value, Ordering::Relaxed);
         } else {
-            let _ = slot.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |old| {
+            let _ = slot.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |old| {
                 Some(merge_subword(old, addr, size, value))
             });
         }
@@ -773,103 +811,7 @@ impl Memory for CoreMem {
         if misaligned(addr, size) {
             return None;
         }
-        self.mem.word_slot(addr).map(|slot| subword(slot.load(Ordering::SeqCst), addr, size))
-    }
-}
-
-/// Fast view of the cluster memory used by the epoch-sharded cycle
-/// engine.
-///
-/// Same bytes, same address decode and bit-identical values as
-/// [`CoreMem`], with **relaxed atomic orderings** (and plain
-/// read-modify-write instead of CAS loops for sub-word stores and AMOs).
-///
-/// That is sound only under the cycle engines' access discipline, which
-/// guarantees no location is ever written concurrently:
-///
-/// * single-domain engines run every hart on one host thread;
-/// * the epoch-sharded engine lets a domain touch **only its own group's
-///   banks** during an epoch; cross-group and all L2/control accesses
-///   are deferred into [`XRequest`] mailboxes and applied at the epoch
-///   boundary by the one host thread that owns the target (a group's
-///   banks, or the shared L2/control region), which the domains'
-///   synchronization barriers order against all phase reads/writes.
-///
-/// A group's banks are one aligned `banks_per_group × 4 B` chunk of every
-/// row of the host array ([`L1Decode::phys_index`]): 4 KiB on TeraPool,
-/// which is one page of the page-aligned mapping and one dirty page. So
-/// no cache line and no dirty bit is shared between domains; the dirty
-/// *words* are, which is why [`DirtyMap::mark`] is a `fetch_or`.
-///
-/// Never hand this to code outside that discipline — use
-/// [`ClusterMem::core_view`] there. (Public, but hidden, for the
-/// memory-path bench `crates/bench/benches/mem.rs` alone.)
-#[doc(hidden)]
-#[derive(Debug, Clone)]
-pub struct TurboMem {
-    mem: ClusterMem,
-    core: u32,
-}
-
-impl ClusterMem {
-    /// Creates the single-threaded fast view for the cycle engine.
-    #[doc(hidden)]
-    pub fn turbo_view(&self, core: u32) -> TurboMem {
-        assert!(core < self.inner.decode.topo.num_cores(), "core {core} out of range");
-        TurboMem { mem: self.clone(), core }
-    }
-}
-
-impl TurboMem {
-    /// Re-targets this view at `core`: the epoch boundary serves the
-    /// deferred requests of many harts through one view per host thread,
-    /// and a control-region store keeps its issuing hart's identity
-    /// (wake-all skips the writer).
-    #[inline]
-    pub(crate) fn rebind(&mut self, core: u32) {
-        self.core = core;
-    }
-}
-
-impl Memory for TurboMem {
-    #[inline(always)]
-    fn load(&mut self, addr: u32, size: u32) -> Result<u32, MemError> {
-        if misaligned(addr, size) {
-            return Err(MemError::Misaligned { addr, size });
-        }
-        match self.mem.word_slot(addr) {
-            Some(slot) => Ok(subword(slot.load(Ordering::Relaxed), addr, size)),
-            None => self.mem.load_outside(addr),
-        }
-    }
-
-    #[inline(always)]
-    fn store(&mut self, addr: u32, size: u32, value: u32) -> Result<(), MemError> {
-        if misaligned(addr, size) {
-            return Err(MemError::Misaligned { addr, size });
-        }
-        let Some(slot) = self.mem.store_slot(addr) else {
-            return self.mem.store_outside(addr, value, self.core);
-        };
-        // Single writer: plain read-modify-write, no CAS loop.
-        let word =
-            if size == 4 { value } else { merge_subword(slot.load(Ordering::Relaxed), addr, size, value) };
-        slot.store(word, Ordering::Relaxed);
-        Ok(())
-    }
-
-    fn amo(&mut self, op: AmoOp, addr: u32, value: u32) -> Result<u32, MemError> {
-        if !addr.is_multiple_of(4) {
-            return Err(MemError::Misaligned { addr, size: 4 });
-        }
-        let slot = self.mem.store_slot(addr).ok_or(MemError::Unmapped { addr })?;
-        let old = slot.load(Ordering::Relaxed);
-        slot.store(amo_apply(op, old, value), Ordering::Relaxed);
-        Ok(old)
-    }
-
-    fn latency(&self, addr: u32) -> u32 {
-        self.mem.topology().access_latency(self.core, addr)
+        self.mem.word_slot(addr).map(|slot| subword(slot.load(Ordering::Relaxed), addr, size))
     }
 }
 
@@ -878,44 +820,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn turbo_view_matches_core_view() {
-        // Values and error behaviour must be bit-identical to CoreMem.
-        let mem = ClusterMem::new(Topology::scaled(16));
-        let mut a = mem.core_view(2);
-        let mut b = mem.turbo_view(2);
-        for (addr, value) in [
-            (0x0u32, 0xdead_beefu32),
-            (0x104, 1),
-            (Topology::SEQ_BASE + 0x40, 7),
-            (Topology::SEQ_BASE + Topology::SEQ_STRIDE + 0x10, 9),
-            (Topology::L2_BASE + 0x2000, 0xffff_0001),
-        ] {
-            b.store(addr, 4, value).unwrap();
-            assert_eq!(a.load(addr, 4).unwrap(), value, "{addr:#x} via core view");
-            assert_eq!(b.load(addr, 4).unwrap(), value, "{addr:#x} via turbo view");
-        }
-        // Sub-word merge and AMO.
-        b.store(0x200, 2, 0xabcd).unwrap();
-        b.store(0x202, 1, 0x7f).unwrap();
-        assert_eq!(a.load(0x200, 4).unwrap(), 0x007f_abcd);
-        assert_eq!(b.amo(AmoOp::Add, 0x200, 1).unwrap(), 0x007f_abcd);
-        assert_eq!(a.load(0x200, 4).unwrap(), 0x007f_abce);
-        // Unmapped and misaligned errors match.
-        assert_eq!(a.load(0x3000_0000, 4).unwrap_err(), b.load(0x3000_0000, 4).unwrap_err());
-        assert_eq!(a.load(0x101, 4).unwrap_err(), b.load(0x101, 4).unwrap_err());
-        // Control region goes through the same registers.
-        assert_eq!(b.load(Topology::CTRL_NUM_CORES, 4).unwrap(), 16);
-        // Latency model unchanged.
-        assert_eq!(Memory::latency(&b, 0x40), Memory::latency(&a, 0x40));
-    }
-
-    #[test]
     fn views_alias_the_same_words_through_every_handle() {
         use crate::topology::tests::odd_topology;
 
         for topo in [Topology::scaled(8), Topology::scaled(64), Topology::terapool(), odd_topology()] {
             let mem = ClusterMem::new(topo);
-            let (mut core, mut turbo) = (mem.core_view(0), mem.turbo_view(0));
+            let mut core = mem.core_view(0);
             for bank in 0..topo.num_banks() {
                 for off in 0..topo.bank_words() {
                     // The two guest addresses of slot `(bank, off)`.
@@ -926,17 +836,16 @@ mod tests {
                     assert_eq!(topo.l1_slot(il), Some((bank, off)));
                     assert_eq!(topo.l1_slot(seq), Some((bank, off)));
                     // Write through one view with one handle, read through
-                    // the other view with all three; unique value per slot.
+                    // the other view with both; unique value per slot.
                     let value = 0x8000_0000 | il;
                     let (wr, rd) = if (bank + off) % 2 == 0 { (il, seq) } else { (seq, il) };
-                    match (bank + off) % 3 {
-                        0 => mem.write_u32(wr, value),
-                        1 => core.store(wr, 4, value).unwrap(),
-                        _ => turbo.store(wr, 4, value).unwrap(),
+                    if (bank + off) % 3 == 0 {
+                        mem.write_u32(wr, value);
+                    } else {
+                        core.store(wr, 4, value).unwrap();
                     }
                     assert_eq!(mem.read_u32(rd), value, "host view, slot ({bank}, {off})");
                     assert_eq!(core.load(rd, 4).unwrap(), value, "core view, slot ({bank}, {off})");
-                    assert_eq!(turbo.load(rd, 4).unwrap(), value, "turbo view, slot ({bank}, {off})");
                 }
             }
             // No write landed on another slot's word.
@@ -1036,8 +945,8 @@ mod tests {
     fn reset_rezeroes_exactly_the_dirty_footprint() {
         let mem = ClusterMem::new(Topology::scaled(8));
         assert_eq!(mem.dirty_pages(), 0, "fresh arena starts clean");
-        // Dirty through every store path: host word/halfword, core view
-        // (full, sub-word, AMO), turbo view (full, sub-word, AMO).
+        // Dirty through every store path: host word/halfword, core views
+        // (full, sub-word, AMO) of two harts.
         mem.write_u32(0x40, 0xdead_beef);
         mem.write_u16(Topology::L2_BASE + 0x9002, 0xabcd);
         {
@@ -1045,7 +954,7 @@ mod tests {
             c.store(Topology::SEQ_BASE + 0x100, 4, 7).unwrap();
             c.store(Topology::SEQ_BASE + 0x201, 1, 0x5a).unwrap();
             c.amo(AmoOp::Add, 0x80, 3).unwrap();
-            let mut t = mem.turbo_view(2);
+            let mut t = mem.core_view(2);
             t.store(Topology::L2_BASE + 0x4000, 4, 11).unwrap();
             t.store(0x92, 2, 0x1234).unwrap();
             t.amo(AmoOp::Or, Topology::SEQ_BASE + 0x300, 0xf0).unwrap();
@@ -1087,7 +996,7 @@ mod tests {
         // leave the flag set; a store after `reset` finds the flag clear
         // again and must set it.
         let mem = ClusterMem::new(Topology::scaled(8));
-        let mut t = mem.turbo_view(0);
+        let mut t = mem.core_view(0);
         let (a, b) = (Topology::L2_BASE + 0x5000, Topology::L2_BASE + 0x5ffc);
         t.store(a, 4, 1).unwrap();
         assert_eq!(mem.dirty_pages(), 1);

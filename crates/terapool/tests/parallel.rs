@@ -675,3 +675,44 @@ fn harts_parking_after_a_publication_are_woken_by_the_next() {
     let wfi: u64 = result.per_core.iter().map(|s| s.stall_wfi).sum();
     assert!(wfi > 0, "nobody parked: the gate was never exercised");
 }
+
+/// Why a sub-word store is a compare-and-swap on its word: harts `i` and
+/// `i + n/2` land in different host-thread chunks of the fast engine and
+/// each increment only their own halfword of one shared word, `lh`/`addi`/
+/// `sh`, many times over. A store that loaded the word, merged its
+/// halfword and stored the word back would let one thread's store undo
+/// the other's increment while both threads run.
+#[test]
+fn halfword_increments_of_harts_on_different_host_threads_are_never_lost() {
+    const CORES: u32 = 8;
+    const HALF: u32 = CORES / 2;
+    const ROUNDS: i32 = 30_000;
+    const BASE: i32 = 0x100;
+    let topo = Topology::scaled(CORES);
+    let image = image_of(|a| {
+        a.csrr(Reg::T0, terasim_riscv::csr::MHARTID);
+        // Word `hart % HALF`, halfword `hart / HALF`.
+        a.andi(Reg::A0, Reg::T0, (HALF - 1) as i32);
+        a.slli(Reg::A0, Reg::A0, 2);
+        a.srli(Reg::A1, Reg::T0, HALF.trailing_zeros() as i32);
+        a.slli(Reg::A1, Reg::A1, 1);
+        a.add(Reg::A0, Reg::A0, Reg::A1);
+        a.li(Reg::T1, ROUNDS);
+        let next = a.new_label();
+        a.bind(next);
+        a.lh(Reg::T2, BASE, Reg::A0);
+        a.addi(Reg::T2, Reg::T2, 1);
+        a.sh(Reg::T2, BASE, Reg::A0);
+        a.addi(Reg::T1, Reg::T1, -1);
+        a.bnez(Reg::T1, next);
+    });
+    for threads in [1, 2, 4] {
+        let mut sim = FastSim::new(topo, &image).unwrap();
+        sim.run_all(threads).unwrap();
+        for word in 0..HALF {
+            let got = sim.memory().read_u32(BASE as u32 + 4 * word);
+            let n = ROUNDS as u32;
+            assert_eq!(got, n | n << 16, "{threads} threads, word {word}: halves {:#x}", got);
+        }
+    }
+}

@@ -11,7 +11,8 @@
 # run on seeds 1-10 (--seconds 10 --trace 0), alternating which side goes
 # first. For every end-to-end metric of BENCHMARK.json it prints the
 # child's wins out of 10, both medians and the parent's inter-quartile
-# distance.
+# distance, then each side's 10 values in seed order (a bimodal metric
+# shows there as a few outlying runs, not as a median shift).
 #
 # Exits non-zero if a run fails (a failed or unverified job), if the two
 # sides' digests differ on any seed, or if a child median is worse than
@@ -70,11 +71,15 @@ for seed in $(seq 1 10); do
     fi
 done
 
+in_seed_order() { # SIDE
+    for seed in $(seq 1 10); do cat "$work/runs/$1-$seed.json"; done
+}
+
 # One row per end-to-end metric; the quartiles interpolate at positions
 # i(n+1)/4 as benchmark/src/stats.rs does.
 jq -n -r --slurpfile spec "$root/BENCHMARK.json" \
-    --slurpfile parent <(cat "$work"/runs/parent-*.json) \
-    --slurpfile child <(cat "$work"/runs/child-*.json) '
+    --slurpfile parent <(in_seed_order parent) \
+    --slurpfile child <(in_seed_order child) '
   def q($v; $i): ($v | length) as $n | ($i * ($n + 1)) as $pos
     | ([([($pos / 4 | floor), 1] | max), $n - 1] | min) as $j
     | $v[$j - 1] + ($v[$j] - $v[$j - 1]) * ($pos / 4 - $j);
@@ -90,6 +95,19 @@ jq -n -r --slurpfile spec "$root/BENCHMARK.json" \
     | (if $d.better == "lower" then $cm > $pm * (1 + $d.bound) else $cm < $pm * (1 - $d.bound) end) as $worse
     | "\($d.name | .[0:12] | . + " " * (12 - length))  \($wins)/\($p | length)  \($pm | r)  \($cm | r)  \(q($ps; 3) - q($ps; 1) | r) \($d.unit)\(if $worse then "  WORSE THAN ITS BOUND" else "" end)")
 ' | tee "$work/table.txt"
+
+# The pairs behind the table, seed 1 first.
+jq -n -r --slurpfile spec "$root/BENCHMARK.json" \
+    --slurpfile parent <(in_seed_order parent) \
+    --slurpfile child <(in_seed_order child) '
+  def values($runs; $m): [$runs[] | .metrics[$m].value | . * 1000000 | round / 1000000 | tostring];
+  "",
+  "per-pair values, seeds 1-10",
+  ($spec[0].end_to_end[] as $d
+    | "\($d.name) (\($d.unit))",
+      "  parent  \(values($parent; $d.name) | join(" "))",
+      "  child   \(values($child; $d.name) | join(" "))")
+'
 
 if grep -q "WORSE THAN ITS BOUND" "$work/table.txt"; then
     status=1

@@ -21,7 +21,16 @@ fn run_with_threads(threads: usize) -> Vec<u16> {
         let y: Vec<(f64, f64)> = t.y.iter().map(|z| (*z).into()).collect();
         data::write_problem(sim.memory(), &layout, p, &h, &y, t.sigma);
     }
-    sim.run_all(threads).unwrap();
+    let result = sim.run_all(threads).unwrap();
+    // The fast engine's cycle estimate is exactly its breakdown on every
+    // core, at any host thread count.
+    for (core, s) in result.per_core.iter().enumerate() {
+        assert_eq!(
+            s.est_cycles,
+            s.retired + s.raw_stalls + s.branch_bubbles + s.wfi_stalls,
+            "{threads} threads, core {core}: {s:?}"
+        );
+    }
     (0..layout.problems)
         .flat_map(|p| data::read_xhat(sim.memory(), &layout, p))
         .flat_map(|c| [c[0].to_bits(), c[1].to_bits()])
